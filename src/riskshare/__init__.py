@@ -22,7 +22,6 @@ from .convex_order import (
     dominates_md,
     is_comonotone_pairwise,
     stop_loss,
-    strictly_dominates,
 )
 from .errors import (
     DimensionMismatch,
@@ -160,7 +159,6 @@ __all__ = [
     "solve",
     "solve_improvement_lp",
     "stop_loss",
-    "strictly_dominates",
     "sum_pushforward",
     "validate_joint_law",
     "validate_measure",

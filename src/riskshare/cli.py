@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .convex_order import allocation_dominates, dominates, is_comonotone_pairwise
-from .errors import RiskShareError
+from .errors import InputError, RiskShareError
 from .improve import (
     build_split_grid,
     default_radius,
@@ -32,6 +35,7 @@ from .improve import (
 from .infconv import counterexample_family, profile_from_obj, share_point
 from .maxcorr import comonotonicity_gap, default_baseline, max_correlation
 from .measures import (
+    DEFAULT_TOL,
     BallConfig,
     joint_law_from_obj,
     joint_law_to_obj,
@@ -41,90 +45,70 @@ from .measures import (
 )
 from .qdescent import minimize_q
 
-DEFAULT_TOL = 1e-8
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-class _CliFailure(Exception):
-    """An input or runtime problem that maps to exit code 2."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep the JSON-report contract on bad flags
-        raise _CliFailure(f"{self.prog}: {message}")
+        raise InputError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
 # input loading and schema validation
 # ---------------------------------------------------------------------------
 
+#: Input kind -> converter; the kind's schema is ``<kind>.schema.json``.
+_CONVERTERS = {
+    "measure": measure_from_obj,
+    "joint_law": joint_law_from_obj,
+    "profile": profile_from_obj,
+}
 
-def _schema(name: str) -> dict:
-    text = resources.files("riskshare.schemas").joinpath(name).read_text()
-    return json.loads(text)
+
+@functools.cache
+def _validator(kind: str):
+    """The schema validator of one input kind, checked and built once."""
+    resource = resources.files("riskshare.schemas").joinpath(f"{kind}.schema.json")
+    schema = json.loads(resource.read_text())
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
-def _load_obj(path: str):
+def _read(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _CliFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         return parse_strict_json(text)
     except json.JSONDecodeError as exc:
-        raise _CliFailure(
+        raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
     except RiskShareError as exc:
-        raise _CliFailure(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
-def _validate_schema(obj, schema_name: str, path: str) -> None:
+def _convert(path: str, obj, kind: str):
+    """Schema-check the parsed contents of ``path`` and build its object."""
+    error = best_match(_validator(kind).iter_errors(obj))
+    if error is not None:
+        raise InputError(
+            f"{path}: schema violation at {error.json_path}: {error.message}"
+        )
     try:
-        jsonschema.validate(obj, _schema(schema_name))
-    except jsonschema.ValidationError as exc:
-        raise _CliFailure(
-            f"{path}: schema violation at {exc.json_path}: {exc.message}"
-        ) from exc
-
-
-def _load_measure(path: str):
-    obj = _load_obj(path)
-    _validate_schema(obj, "measure.schema.json", path)
-    try:
-        return measure_from_obj(obj)
+        return _CONVERTERS[kind](obj)
     except RiskShareError as exc:
-        raise _CliFailure(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_joint_law(path: str):
-    obj = _load_obj(path)
-    _validate_schema(obj, "joint_law.schema.json", path)
-    try:
-        return joint_law_from_obj(obj)
-    except RiskShareError as exc:
-        raise _CliFailure(f"{path}: {exc}") from exc
-
-
-def _load_profile(path: str):
-    obj = _load_obj(path)
-    _validate_schema(obj, "profile.schema.json", path)
-    try:
-        return profile_from_obj(obj)
-    except RiskShareError as exc:
-        raise _CliFailure(f"{path}: {exc}") from exc
-
-
-def _is_joint_obj(obj) -> bool:
-    return isinstance(obj, dict) and "agents" in obj
+def _load(path: str, kind: str):
+    return _convert(path, _read(path), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +116,19 @@ def _is_joint_obj(obj) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _parse_eps(text: Optional[str], agents: int) -> Optional[list]:
+def _parse_eps(text: Optional[str], agents: int) -> list:
+    """Cost weights from ``--eps``: one positive number per agent, or all 1."""
     if text is None:
-        return None
+        return [1.0] * agents
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise _CliFailure(f"--eps expects comma-separated numbers: {exc}") from exc
+        raise InputError(f"--eps expects comma-separated numbers: {exc}") from exc
     if len(values) != agents:
-        raise _CliFailure(f"--eps expects {agents} values, got {len(values)}")
+        raise InputError(f"--eps expects {agents} values, got {len(values)}")
     if any(not (v > 0.0) for v in values):
-        raise _CliFailure("--eps values must be positive")
+        raise InputError("--eps values must be positive")
     return values
-
-
-def _positive(value: Optional[float], name: str) -> Optional[float]:
-    if value is not None and not (value > 0.0):
-        raise _CliFailure(f"{name} must be positive")
-    return value
 
 
 def _emit_csv(path: str, header: Sequence[str], rows) -> None:
@@ -160,95 +139,69 @@ def _emit_csv(path: str, header: Sequence[str], rows) -> None:
             for row in rows:
                 writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     except OSError as exc:
-        raise _CliFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _emit_allocation_csv(path: str, agents: int, dim: int, rows, lead=()) -> None:
+    """Write ``(lead values, shares, weight)`` rows, one column per share coordinate."""
+    header = [*lead, *(f"y{i}_{k}" for i in range(agents) for k in range(dim)), "w"]
+    table = [[*pre, *(v for y in shares for v in y), w] for pre, shares, w in rows]
+    _emit_csv(path, header, table)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit code, report dict, summary line)
+# subcommand handlers: each returns (affirmative?, report fields, summary line)
 # ---------------------------------------------------------------------------
 
 
 def _cmd_check_dominance(args):
-    left_obj = _load_obj(args.left)
-    right_obj = _load_obj(args.right)
-    if _is_joint_obj(left_obj) != _is_joint_obj(right_obj):
-        raise _CliFailure(
+    left_obj, right_obj = _read(args.left), _read(args.right)
+    joint = isinstance(left_obj, dict) and "agents" in left_obj
+    if joint != (isinstance(right_obj, dict) and "agents" in right_obj):
+        raise InputError(
             "check-dominance needs two measures or two allocation laws, not a mix"
         )
-    if _is_joint_obj(left_obj):
-        _validate_schema(left_obj, "joint_law.schema.json", args.left)
-        _validate_schema(right_obj, "joint_law.schema.json", args.right)
-        try:
-            left = joint_law_from_obj(left_obj)
-            right = joint_law_from_obj(right_obj)
-            verdict = allocation_dominates(left, right, args.tol)
-        except RiskShareError as exc:
-            raise _CliFailure(str(exc)) from exc
-        report = {
-            "version": 1,
-            "command": "check-dominance",
-            "mode": "allocation",
-            "tol": args.tol,
-            "dominates": verdict.dominates,
-            "strict": verdict.strict,
-            "per_agent": [
-                {
-                    "dominates": v.dominates,
-                    "strict": v.strict,
-                    "worst_violation": v.worst_violation,
-                }
-                for v in verdict.per_agent
-            ],
-        }
-        dom, strict = verdict.dominates, verdict.strict
+    kind = "joint_law" if joint else "measure"
+    left = _convert(args.left, left_obj, kind)
+    right = _convert(args.right, right_obj, kind)
+    verdict = (allocation_dominates if joint else dominates)(left, right, args.tol)
+    fields = {
+        "mode": "allocation" if joint else "measure",
+        "tol": args.tol,
+        "dominates": verdict.dominates,
+        "strict": verdict.strict,
+    }
+    if joint:
+        fields["per_agent"] = [
+            {
+                "dominates": v.dominates,
+                "strict": v.strict,
+                "worst_violation": v.worst_violation,
+            }
+            for v in verdict.per_agent
+        ]
     else:
-        _validate_schema(left_obj, "measure.schema.json", args.left)
-        _validate_schema(right_obj, "measure.schema.json", args.right)
-        try:
-            left = measure_from_obj(left_obj)
-            right = measure_from_obj(right_obj)
-            verdict = dominates(left, right, args.tol)
-        except RiskShareError as exc:
-            raise _CliFailure(str(exc)) from exc
-        report = {
-            "version": 1,
-            "command": "check-dominance",
-            "mode": "measure",
-            "tol": args.tol,
-            "dominates": verdict.dominates,
-            "strict": verdict.strict,
-            "worst_violation": verdict.worst_violation,
-        }
-        dom, strict = verdict.dominates, verdict.strict
-    code = EXIT_OK if dom else EXIT_NEGATIVE
+        fields["worst_violation"] = verdict.worst_violation
+    dom, strict = verdict.dominates, verdict.strict
     word = "dominates strictly" if strict else ("dominates" if dom else "does not dominate")
-    return code, report, f"{args.left} {word} {args.right} (tol {args.tol:g})"
+    return dom, fields, f"{args.left} {word} {args.right} (tol {args.tol:g})"
 
 
 def _cmd_comonotone_check(args):
-    law = _load_joint_law(args.law)
-    ok = is_comonotone_pairwise(law, args.tol)
-    report = {
-        "version": 1,
-        "command": "comonotone-check",
-        "tol": args.tol,
-        "comonotone": ok,
-    }
+    ok = is_comonotone_pairwise(_load(args.law, "joint_law"), args.tol)
     word = "is" if ok else "is not"
     return (
-        EXIT_OK if ok else EXIT_NEGATIVE,
-        report,
+        ok,
+        {"tol": args.tol, "comonotone": ok},
         f"{args.law} {word} pairwise comonotone (tol {args.tol:g})",
     )
 
 
 def _cmd_maxcorr(args):
-    xi = _load_measure(args.measure)
-    mu = _load_measure(args.mu) if args.mu else default_baseline(xi.dim)
+    xi = _load(args.measure, "measure")
+    mu = _load(args.mu, "measure") if args.mu else default_baseline(xi.dim)
     result = max_correlation(xi, mu, args.tol)
-    report = {
-        "version": 1,
-        "command": "maxcorr",
+    fields = {
         "tol": args.tol,
         "value": result.value,
         "coupling": [
@@ -260,19 +213,16 @@ def _cmd_maxcorr(args):
         header = [f"x{k}" for k in range(d)] + [f"y{k}" for k in range(d)] + ["w"]
         rows = [list(x) + list(y) + [w] for (x, y), w in result.coupling]
         _emit_csv(args.emit_csv, header, rows)
-    return EXIT_OK, report, f"maximal correlation {result.value!r}"
+    return True, fields, f"maximal correlation {result.value!r}"
 
 
 def _cmd_comonotone_gap(args):
-    law = _load_joint_law(args.law)
-    mu = _load_measure(args.mu) if args.mu else None
+    law = _load(args.law, "joint_law")
+    mu = _load(args.mu, "measure") if args.mu else None
     ball = BallConfig(radius=args.radius) if args.radius else None
-    _positive(args.radius, "--radius")
     gap = comonotonicity_gap(law, mu, args.tol, ball=ball)
     ok = gap.comonotone_at(args.tol)
-    report = {
-        "version": 1,
-        "command": "comonotone-gap",
+    fields = {
         "tol": args.tol,
         "gap": gap.gap,
         "rho_sum": gap.rho_sum,
@@ -289,41 +239,27 @@ def _cmd_comonotone_gap(args):
         ]
         _emit_csv(args.emit_csv, ["quantity", "value"], rows)
     word = "consistent with" if ok else "refutes"
-    return (
-        EXIT_OK if ok else EXIT_NEGATIVE,
-        report,
-        f"gap {gap.gap!r} {word} comonotonicity (tol {args.tol:g})",
-    )
-
-
-def _share_radius(m0) -> float:
-    top = max((float(np.linalg.norm(x)) for x, _ in m0.atoms), default=0.0)
-    return max(1.0, 1.25 * top)
+    return ok, fields, f"gap {gap.gap!r} {word} comonotonicity (tol {args.tol:g})"
 
 
 def _cmd_share(args):
-    profile = _load_profile(args.profile)
-    m0 = _load_measure(args.measure)
+    profile = _load(args.profile, "profile")
+    m0 = _load(args.measure, "measure")
     if m0.dim != profile.dim:
-        raise _CliFailure(
+        raise InputError(
             f"measure dimension {m0.dim} does not match profile dimension "
             f"{profile.dim}"
         )
-    _positive(args.radius, "--radius")
-    radius = args.radius if args.radius else _share_radius(m0)
+    top = max((float(np.linalg.norm(x)) for x, _ in m0.atoms), default=0.0)
+    radius = args.radius or max(1.0, 1.25 * top)
     ball = BallConfig(radius=radius)
-    try:
-        points = [share_point(profile, x, ball, tol=args.tol) for x, _ in m0.atoms]
-        law = validate_joint_law(
-            [(sp.shares, w) for sp, (_, w) in zip(points, m0.atoms)],
-            agents=profile.n_agents,
-            dim=profile.dim,
-        )
-    except RiskShareError as exc:
-        raise _CliFailure(str(exc)) from exc
-    report = {
-        "version": 1,
-        "command": "share",
+    points = [share_point(profile, x, ball, tol=args.tol) for x, _ in m0.atoms]
+    law = validate_joint_law(
+        [(sp.shares, w) for sp, (_, w) in zip(points, m0.atoms)],
+        agents=profile.n_agents,
+        dim=profile.dim,
+    )
+    fields = {
         "tol": args.tol,
         "radius": radius,
         "law": joint_law_to_obj(law),
@@ -340,137 +276,92 @@ def _cmd_share(args):
         ],
     }
     if args.emit_csv:
-        d, p = profile.dim, profile.n_agents
-        header = [f"x{k}" for k in range(d)]
-        for i in range(p):
-            header += [f"y{i}_{k}" for k in range(d)]
-        header.append("w")
-        rows = []
-        for sp, (_, w) in zip(points, m0.atoms):
-            row = list(sp.x)
-            for y in sp.shares:
-                row += list(y)
-            row.append(w)
-            rows.append(row)
-        _emit_csv(args.emit_csv, header, rows)
-    return EXIT_OK, report, f"shared {m0.size} states among {profile.n_agents} agents"
+        _emit_allocation_csv(
+            args.emit_csv,
+            profile.n_agents,
+            profile.dim,
+            [(sp.x, sp.shares, w) for sp, (_, w) in zip(points, m0.atoms)],
+            lead=[f"x{k}" for k in range(profile.dim)],
+        )
+    return True, fields, f"shared {m0.size} states among {profile.n_agents} agents"
 
 
-def _improve_geometry(args, law):
-    _positive(args.grid_step, "grid-step")
-    _positive(args.radius, "--radius")
-    radius = args.radius if args.radius else default_radius(law)
+def _improvement(args):
+    """Solve the improvement LP of an improve/stat/qdescent request's law.
+
+    The grid step is ``--grid-step`` where the command takes it, else the
+    default.  Returns the law, cost weights, ball, LP report and the report
+    fields that ``improve`` and ``stat`` share.
+    """
+    law = _load(args.law, "joint_law")
+    eps = _parse_eps(args.eps, law.agents)
+    radius = args.radius or default_radius(law)
     ball = BallConfig(radius=radius)
-    step = args.grid_step if args.grid_step else default_step(law, ball)
-    return step, radius, ball
-
-
-def _cmd_improve(args):
-    law = _load_joint_law(args.law)
-    eps = _parse_eps(args.eps, law.agents) or [1.0] * law.agents
-    step, radius, ball = _improve_geometry(args, law)
-    try:
-        grid = build_split_grid(law, step, ball)
-        result = solve_improvement_lp(law, grid, eps=eps, tol=args.tol)
-    except RiskShareError as exc:
-        raise _CliFailure(str(exc)) from exc
-    report = {
-        "version": 1,
-        "command": "improve",
+    step = getattr(args, "grid_step", None) or default_step(law, ball)
+    grid = build_split_grid(law, step, ball)
+    result = solve_improvement_lp(law, grid, eps=eps, tol=args.tol)
+    fields = {
         "tol": args.tol,
         "grid_step": step,
         "radius": radius,
         "eps": eps,
         "statistic": result.statistic,
         "comonotone_at_tol": result.comonotone_at_tol,
-        "objective_at_input": result.objective_at_input,
-        "objective_at_optimum": result.objective_at_optimum,
-        "improved": joint_law_to_obj(result.improved),
-        "per_agent": [
+    }
+    return law, eps, ball, result, fields
+
+
+def _cmd_improve(args):
+    law, _, _, result, fields = _improvement(args)
+    fields.update(
+        objective_at_input=result.objective_at_input,
+        objective_at_optimum=result.objective_at_optimum,
+        improved=joint_law_to_obj(result.improved),
+        per_agent=[
             {"dominates": v.dominates, "strict": v.strict} for v in result.per_agent
         ],
-    }
+    )
     if args.emit_csv:
-        d, p = law.dim, law.agents
-        header = []
-        for i in range(p):
-            header += [f"y{i}_{k}" for k in range(d)]
-        header.append("w")
-        rows = []
-        for xs, w in result.improved.atoms:
-            row = []
-            for y in xs:
-                row += list(y)
-            row.append(w)
-            rows.append(row)
-        _emit_csv(args.emit_csv, header, rows)
-    code = EXIT_OK if result.comonotone_at_tol else EXIT_NEGATIVE
-    word = "no improvement" if result.comonotone_at_tol else "improvable"
-    return code, report, f"statistic {result.statistic!r}: {word} (tol {args.tol:g})"
+        _emit_allocation_csv(
+            args.emit_csv,
+            law.agents,
+            law.dim,
+            [((), xs, w) for xs, w in result.improved.atoms],
+        )
+    ok = result.comonotone_at_tol
+    word = "no improvement" if ok else "improvable"
+    return ok, fields, f"statistic {result.statistic!r}: {word} (tol {args.tol:g})"
 
 
 def _cmd_stat(args):
-    law = _load_joint_law(args.law)
-    eps = _parse_eps(args.eps, law.agents) or [1.0] * law.agents
-    step, radius, ball = _improve_geometry(args, law)
-
-    def stat_at(h: float) -> float:
-        grid = build_split_grid(law, h, ball)
-        return solve_improvement_lp(law, grid, eps=eps, tol=args.tol).statistic
-
-    try:
-        statistic = stat_at(step)
-        if args.emit_csv:
-            rows = [[step, statistic]]
-            for k in (1, 2):
-                h_k = step / 2.0**k
-                rows.append([h_k, stat_at(h_k)])
-            _emit_csv(args.emit_csv, ["grid_step", "statistic"], rows)
-    except RiskShareError as exc:
-        raise _CliFailure(str(exc)) from exc
-    ok = statistic <= args.tol
-    report = {
-        "version": 1,
-        "command": "stat",
-        "tol": args.tol,
-        "grid_step": step,
-        "radius": radius,
-        "eps": eps,
-        "statistic": statistic,
-        "comonotone_at_tol": ok,
-    }
+    law, eps, ball, result, fields = _improvement(args)
+    if args.emit_csv:
+        step = fields["grid_step"]
+        rows = [[step, result.statistic]]
+        for h in (step / 2.0, step / 4.0):
+            grid = build_split_grid(law, h, ball)
+            report = solve_improvement_lp(law, grid, eps=eps, tol=args.tol)
+            rows.append([h, report.statistic])
+        _emit_csv(args.emit_csv, ["grid_step", "statistic"], rows)
+    ok = result.comonotone_at_tol
     word = "efficient" if ok else "improvable"
-    return (
-        EXIT_OK if ok else EXIT_NEGATIVE,
-        report,
-        f"statistic {statistic!r}: {word} at tol {args.tol:g}",
-    )
+    return ok, fields, f"statistic {result.statistic!r}: {word} at tol {args.tol:g}"
 
 
 def _cmd_qdescent(args):
-    law = _load_joint_law(args.law)
-    eps = _parse_eps(args.eps, law.agents) or [1.0] * law.agents
-    _positive(args.radius, "--radius")
-    radius = args.radius if args.radius else default_radius(law)
-    ball = BallConfig(radius=radius)
-    try:
-        grid = build_split_grid(law, default_step(law, ball), ball)
-        statistic = solve_improvement_lp(law, grid, eps=eps, tol=args.tol).statistic
-        state = minimize_q(
-            law,
-            ball=ball,
-            eps=eps,
-            max_iters=args.max_iters,
-            target=statistic,
-            tol=args.tol,
-        )
-    except RiskShareError as exc:
-        raise _CliFailure(str(exc)) from exc
-    report = {
-        "version": 1,
-        "command": "qdescent",
+    law, eps, ball, result, _ = _improvement(args)
+    statistic = result.statistic
+    state = minimize_q(
+        law,
+        ball=ball,
+        eps=eps,
+        max_iters=args.max_iters,
+        target=statistic,
+        tol=args.tol,
+    )
+    fields = {
         "tol": args.tol,
-        "radius": radius,
+        "radius": ball.radius,
         "max_iters": args.max_iters,
         "j_final": state.j,
         "iterations": state.iterations,
@@ -479,83 +370,208 @@ def _cmd_qdescent(args):
         "sandwich_gap": state.j - statistic,
     }
     return (
-        EXIT_OK,
-        report,
+        True,
+        fields,
         f"J {state.j!r} after {state.iterations} iterations "
         f"(sandwich gap {state.j - statistic!r})",
     )
 
 
 def _cmd_counterexample(args):
-    if args.n < 1:
-        raise _CliFailure("--n must be a positive integer")
-    if not (0.0 < args.eps < 1.0):
-        raise _CliFailure("--eps must lie strictly between 0 and 1")
-    try:
-        diag = counterexample_family(args.n, args.eps)
-    except RiskShareError as exc:
-        raise _CliFailure(str(exc)) from exc
+    diag = counterexample_family(args.n, args.eps)
     mats = {
-        "S1": diag.S1,
-        "S2": diag.S2,
-        "T1": diag.T1,
-        "M1": diag.M1,
-        "M2": diag.M2,
-        "M1_prime": diag.M1_prime,
-        "M2_prime": diag.M2_prime,
+        name: np.asarray(getattr(diag, name), dtype=float)
+        for name in ("S1", "S2", "T1", "M1", "M2", "M1_prime", "M2_prime")
     }
-    report = {
-        "version": 1,
-        "command": "counterexample",
+    fields = {
         "n": diag.n,
         "eps": diag.eps,
         "T1_norm": diag.T1_norm,
         "det_sum": diag.det_sum,
+        **{name: M.tolist() for name, M in mats.items()},
     }
-    for name, M in mats.items():
-        report[name] = [[float(v) for v in row] for row in np.asarray(M)]
     if args.emit_csv:
-        rows = []
-        for name, M in mats.items():
-            arr = np.asarray(M)
-            for i in range(arr.shape[0]):
-                for j in range(arr.shape[1]):
-                    rows.append([name, i, j, float(arr[i, j])])
+        rows = [
+            [name, i, j, float(v)]
+            for name, M in mats.items()
+            for (i, j), v in np.ndenumerate(M)
+        ]
         rows.append(["T1_norm", "", "", diag.T1_norm])
         rows.append(["det_sum", "", "", diag.det_sum])
         _emit_csv(args.emit_csv, ["name", "row", "col", "value"], rows)
     return (
-        EXIT_OK,
-        report,
+        True,
+        fields,
         f"n={diag.n} eps={diag.eps!r}: det of the summed maps {diag.det_sum!r}",
     )
 
 
-_HANDLERS = {
-    "check-dominance": _cmd_check_dominance,
-    "comonotone-check": _cmd_comonotone_check,
-    "maxcorr": _cmd_maxcorr,
-    "comonotone-gap": _cmd_comonotone_gap,
-    "share": _cmd_share,
-    "improve": _cmd_improve,
-    "stat": _cmd_stat,
-    "qdescent": _cmd_qdescent,
-    "counterexample": _cmd_counterexample,
-}
-
-
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
 # ---------------------------------------------------------------------------
 
 
-def _add_tol(sp, what="verdict") -> None:
-    sp.add_argument(
+class _Arg(NamedTuple):
+    """One argument: name, help, argparse keywords, and the test a given
+    value must pass with the message reported when it fails."""
+
+    name: str
+    help: str
+    options: dict = {}
+    valid: Optional[Callable] = None
+    message: str = ""
+
+
+_LAW = _Arg("law", "allocation-law JSON file")
+_MU = _Arg("--mu", "baseline measure JSON file (default: centered lattice)")
+_RADIUS = _Arg(
+    "--radius", "", {"type": float}, lambda v: v > 0.0, "--radius must be positive"
+)
+_GRID_STEP = _Arg(
+    "--grid-step",
+    "candidate lattice spacing (default: aggregate spread / 8)",
+    {"type": float},
+    lambda v: v > 0.0,
+    "grid-step must be positive",
+)
+_WEIGHTS = _Arg(
+    "--eps",
+    "comma-separated positive cost weights, one per agent (default: all 1)",
+)
+_MAX_ITERS = _Arg(
+    "--max-iters",
+    "iteration cap for the descent (default: %(default)s)",
+    {"type": int, "default": 500},
+    lambda v: v >= 0,
+    "--max-iters must be non-negative",
+)
+_N = _Arg(
+    "--n",
+    "family parameter (default: %(default)s)",
+    {"type": int, "default": 100},
+    lambda v: v >= 1,
+    "--n must be a positive integer",
+)
+_FAMILY_EPS = _Arg(
+    "--eps",
+    "family parameter in (0, 1) (default: %(default)s)",
+    {"type": float, "default": 0.01},
+    lambda v: 0.0 < v < 1.0,
+    "--eps must lie strictly between 0 and 1",
+)
+_EMIT_CSV = _Arg("--emit-csv", "", {"metavar": "PATH"})
+_LAW_RADIUS = "1.25x the largest component norm, or 1 if all are zero"
+
+
+def _tol(what: str) -> _Arg:
+    return _Arg(
         "--tol",
-        type=float,
-        default=DEFAULT_TOL,
-        help=f"numeric tolerance for the {what} (default: %(default)g)",
+        f"numeric tolerance for the {what} (default: %(default)g)",
+        {"type": float, "default": DEFAULT_TOL},
+        lambda v: math.isfinite(v) and v >= 0.0,
+        "--tol must be finite and non-negative",
     )
+
+
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    arguments: tuple
+
+
+def _grid_command(handler, help_text: str, csv_help: str) -> _Command:
+    radius = _RADIUS._replace(help=f"candidate ball radius (default: {_LAW_RADIUS})")
+    emit = _EMIT_CSV._replace(help=csv_help)
+    return _Command(
+        handler,
+        help_text,
+        (_LAW, _WEIGHTS, _GRID_STEP, radius, emit, _tol("efficiency verdict")),
+    )
+
+
+_COMMANDS = {
+    "check-dominance": _Command(
+        _cmd_check_dominance,
+        "does the first law dominate the second in the concave order?",
+        (
+            _Arg("left", "measure or allocation-law JSON file"),
+            _Arg("right", "measure or allocation-law JSON file"),
+            _tol("dominance check"),
+        ),
+    ),
+    "comonotone-check": _Command(
+        _cmd_comonotone_check,
+        "are all component pairs of the law comonotone?",
+        (
+            _Arg("law", "allocation-law JSON file (scalar components)"),
+            _tol("pairwise increment test"),
+        ),
+    ),
+    "maxcorr": _Command(
+        _cmd_maxcorr,
+        "maximal correlation of a law with a baseline measure",
+        (
+            _Arg("measure", "measure JSON file"),
+            _MU,
+            _EMIT_CSV._replace(help="write the coupling as CSV"),
+            _tol("coupling solve"),
+        ),
+    ),
+    "comonotone-gap": _Command(
+        _cmd_comonotone_gap,
+        "subadditivity defect of maximal correlation across agents",
+        (
+            _LAW,
+            _MU,
+            _RADIUS._replace(help="radius of the default baseline lattice (default: 1)"),
+            _EMIT_CSV._replace(help="write the per-agent table as CSV"),
+            _tol("gap verdict"),
+        ),
+    ),
+    "share": _Command(
+        _cmd_share,
+        "optimal sharing of each aggregate state under given costs",
+        (
+            _Arg("profile", "cost profile JSON file"),
+            _Arg("measure", "aggregate-law measure JSON file"),
+            _RADIUS._replace(
+                help="share ball radius (default: 1.25x the largest state norm, min 1)"
+            ),
+            _EMIT_CSV._replace(help="write the sharing map as CSV"),
+            _tol("split residual"),
+        ),
+    ),
+    "improve": _grid_command(
+        _cmd_improve,
+        "search a grid for a dominating reallocation",
+        "write the improved law as CSV",
+    ),
+    "stat": _grid_command(
+        _cmd_stat,
+        "efficiency statistic of an allocation law",
+        "write a statistic-versus-step curve (step, step/2, step/4)",
+    ),
+    "qdescent": _Command(
+        _cmd_qdescent,
+        "descend the dual objective J over cutting potentials",
+        (
+            _LAW,
+            _MAX_ITERS,
+            _WEIGHTS,
+            _RADIUS._replace(help=f"share ball radius (default: {_LAW_RADIUS})"),
+            _tol("descent"),
+        ),
+    ),
+    "counterexample": _Command(
+        _cmd_counterexample,
+        "two-agent quadratic family whose sharing maps sum beyond the convex range",
+        (
+            _N,
+            _FAMILY_EPS,
+            _EMIT_CSV._replace(help="write the diagnostics table as CSV"),
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,138 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    sp = sub.add_parser(
-        "check-dominance",
-        help="does the first law dominate the second in the concave order?",
-    )
-    sp.add_argument("left", help="measure or allocation-law JSON file")
-    sp.add_argument("right", help="measure or allocation-law JSON file")
-    _add_tol(sp, "dominance check")
-
-    sp = sub.add_parser(
-        "comonotone-check", help="are all component pairs of the law comonotone?"
-    )
-    sp.add_argument("law", help="allocation-law JSON file (scalar components)")
-    _add_tol(sp, "pairwise increment test")
-
-    sp = sub.add_parser(
-        "maxcorr", help="maximal correlation of a law with a baseline measure"
-    )
-    sp.add_argument("measure", help="measure JSON file")
-    sp.add_argument(
-        "--mu", help="baseline measure JSON file (default: centered lattice)"
-    )
-    sp.add_argument("--emit-csv", metavar="PATH", help="write the coupling as CSV")
-    _add_tol(sp, "coupling solve")
-
-    sp = sub.add_parser(
-        "comonotone-gap",
-        help="subadditivity defect of maximal correlation across agents",
-    )
-    sp.add_argument("law", help="allocation-law JSON file")
-    sp.add_argument(
-        "--mu", help="baseline measure JSON file (default: centered lattice)"
-    )
-    sp.add_argument(
-        "--radius",
-        type=float,
-        help="radius of the default baseline lattice (default: 1)",
-    )
-    sp.add_argument(
-        "--emit-csv", metavar="PATH", help="write the per-agent table as CSV"
-    )
-    _add_tol(sp, "gap verdict")
-
-    sp = sub.add_parser(
-        "share", help="optimal sharing of each aggregate state under given costs"
-    )
-    sp.add_argument("profile", help="cost profile JSON file")
-    sp.add_argument("measure", help="aggregate-law measure JSON file")
-    sp.add_argument(
-        "--radius",
-        type=float,
-        help="share ball radius (default: 1.25x the largest state norm, min 1)",
-    )
-    sp.add_argument(
-        "--emit-csv", metavar="PATH", help="write the sharing map as CSV"
-    )
-    _add_tol(sp, "split residual")
-
-    for name, help_text in [
-        ("improve", "search a grid for a dominating reallocation"),
-        ("stat", "efficiency statistic of an allocation law"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("law", help="allocation-law JSON file")
-        sp.add_argument(
-            "--eps",
-            help="comma-separated positive cost weights, one per agent "
-            "(default: all 1)",
-        )
-        sp.add_argument(
-            "--grid-step",
-            type=float,
-            help="candidate lattice spacing (default: aggregate spread / 8)",
-        )
-        sp.add_argument(
-            "--radius",
-            type=float,
-            help="candidate ball radius (default: 1.25x the largest component "
-            "norm, min 1)",
-        )
-        if name == "improve":
-            sp.add_argument(
-                "--emit-csv", metavar="PATH", help="write the improved law as CSV"
-            )
-        else:
-            sp.add_argument(
-                "--emit-csv",
-                metavar="PATH",
-                help="write a statistic-versus-step curve (step, step/2, step/4)",
-            )
-        _add_tol(sp, "efficiency verdict")
-
-    sp = sub.add_parser(
-        "qdescent", help="descend the dual objective J over cutting potentials"
-    )
-    sp.add_argument("law", help="allocation-law JSON file")
-    sp.add_argument(
-        "--max-iters",
-        type=int,
-        default=500,
-        help="iteration cap for the descent (default: %(default)s)",
-    )
-    sp.add_argument(
-        "--eps",
-        help="comma-separated positive cost weights, one per agent "
-        "(default: all 1)",
-    )
-    sp.add_argument(
-        "--radius",
-        type=float,
-        help="share ball radius (default: 1.25x the largest component norm, "
-        "min 1)",
-    )
-    _add_tol(sp, "descent")
-
-    sp = sub.add_parser(
-        "counterexample",
-        help="two-agent quadratic family whose sharing maps sum beyond the "
-        "convex range",
-    )
-    sp.add_argument(
-        "--n", type=int, default=100, help="family parameter (default: %(default)s)"
-    )
-    sp.add_argument(
-        "--eps",
-        type=float,
-        default=0.01,
-        help="family parameter in (0, 1) (default: %(default)s)",
-    )
-    sp.add_argument(
-        "--emit-csv", metavar="PATH", help="write the diagnostics table as CSV"
-    )
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for arg in command.arguments:
+            sp.add_argument(arg.name, help=arg.help, **arg.options)
     return parser
 
 
@@ -710,20 +598,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         command = args.command
-        code, report, summary = _HANDLERS[command](args)
-    except _CliFailure as exc:
-        report = {"version": 1, "command": command, "error": exc.message}
-        print(json.dumps(report, indent=2))
-        print(f"error: {exc.message}", file=sys.stderr)
-        return EXIT_ERROR
+        for arg in _COMMANDS[command].arguments:
+            value = getattr(args, arg.name.lstrip("-").replace("-", "_"))
+            if arg.valid is not None and value is not None and not arg.valid(value):
+                raise InputError(arg.message)
+        ok, fields, summary = _COMMANDS[command].handler(args)
     except RiskShareError as exc:
         report = {"version": 1, "command": command, "error": str(exc)}
         print(json.dumps(report, indent=2))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(json.dumps(report, indent=2))
+    print(json.dumps({"version": 1, "command": command, **fields}, indent=2))
     print(summary, file=sys.stderr)
-    return code
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def main() -> None:

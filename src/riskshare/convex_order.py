@@ -19,6 +19,7 @@ import numpy as np
 from . import lp
 from .errors import DimensionMismatch, InputError, NonPositiveWeight, SumLawMismatch
 from .measures import (
+    DEFAULT_TOL,
     Coords,
     DiscreteMeasure,
     JointLaw,
@@ -26,8 +27,6 @@ from .measures import (
     measures_equal,
     sum_pushforward,
 )
-
-DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +157,6 @@ def dominates(
     if mu.dim == 1:
         return dominates_1d(mu, nu, tol)
     return dominates_md(mu, nu, tol)
-
-
-def strictly_dominates(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = DEFAULT_TOL
-) -> DominanceVerdict:
-    """Dominance plus inequality of laws (strictness on discrete laws)."""
-    return dominates(mu, nu, tol)
 
 
 @dataclass(frozen=True, eq=False)

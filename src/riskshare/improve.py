@@ -29,6 +29,7 @@ from . import lp
 from .convex_order import AllocationVerdict, allocation_dominates
 from .errors import EmptyCandidateSet, InputError, SolverFailure
 from .measures import (
+    DEFAULT_TOL,
     BallConfig,
     Coords,
     DiscreteMeasure,
@@ -38,7 +39,6 @@ from .measures import (
     validate_joint_law,
 )
 
-DEFAULT_TOL = 1e-8
 #: Resolution for deduplicating candidate points (coordinates are snapped
 #: to this grid only for identity purposes, never for arithmetic).
 _DEDUP_RES = 1e-9
@@ -285,14 +285,14 @@ def solve_improvement_lp(
     objective_at_input = _baseline_objective(gamma0, eps)
     statistic = objective_at_input - float(out.value)
     if statistic < -1e-9:
-        raise AssertionError(
+        raise SolverFailure(
             f"optimum exceeds the baseline objective by {-statistic:.3e}; "
             "the baseline embedding must be broken"
         )
     improved = _extract_law(gamma0, grid, problem, out.solution)
     verdict: AllocationVerdict = allocation_dominates(improved, gamma0, max(tol, 1e-7))
     if not verdict.dominates:
-        raise AssertionError(
+        raise SolverFailure(
             "improved law failed the independent dominance verification; "
             "the kernel constraints must be mis-encoded"
         )

@@ -37,9 +37,15 @@ from .errors import (
     SingularSum,
     XOutsideDomain,
 )
-from .measures import BallConfig, Coords, DiscreteMeasure, JointLaw, validate_joint_law
+from .measures import (
+    DEFAULT_TOL,
+    BallConfig,
+    Coords,
+    DiscreteMeasure,
+    JointLaw,
+    validate_joint_law,
+)
 
-DEFAULT_TOL = 1e-8
 MAX_OUTER_ITER = 10_000
 #: Slack for deciding that an affine piece is active / a candidate optimal.
 CERT_TOL = 1e-9

@@ -17,10 +17,9 @@ steps have been taken.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -94,12 +93,6 @@ class LPOutcome:
     solution: Optional[np.ndarray]
     duals: Optional[np.ndarray]
     pivots: int
-
-
-#: Optional replacement engine; the internal simplex is the reference and
-#: is used whenever this is None.
-Engine = Callable[[LinearProgram], LPOutcome]
-default_engine: Optional[Engine] = None
 
 
 class _Breakdown(Exception):
@@ -268,35 +261,15 @@ def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, value: float) -> N
         raise _Breakdown(f"duality gap {gap:.3e} exceeds tolerance")
 
 
-def _dump_tableau(path: str, A: np.ndarray, b: np.ndarray, basis: list[int]) -> None:
-    m = A.shape[0]
-    B = A[:, basis] if m else np.zeros((0, 0))
-    invB = np.linalg.inv(B) if m else np.zeros((0, 0))
-    T = invB @ A
-    rhs = invB @ b
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"v{j}" for j in range(A.shape[1])] + ["rhs"])
-        for i in range(m):
-            writer.writerow([repr(v) for v in T[i]] + [repr(rhs[i])])
-
-
-def solve(
-    lp: LinearProgram,
-    engine: Optional[Engine] = None,
-    dump_csv: Optional[str] = None,
-) -> LPOutcome:
+def solve(lp: LinearProgram) -> LPOutcome:
     """Solve the program; Optimal outcomes are certified, or an error is raised."""
-    eng = engine if engine is not None else default_engine
-    if eng is not None:
-        return eng(lp)
     try:
-        return _solve_internal(lp, dump_csv)
+        return _solve_internal(lp)
     except _Breakdown as exc:
         raise NumericalBreakdown(str(exc)) from exc
 
 
-def _solve_internal(lp: LinearProgram, dump_csv: Optional[str]) -> LPOutcome:
+def _solve_internal(lp: LinearProgram) -> LPOutcome:
     m0, n = lp.A.shape
     signs = np.where(lp.b < 0, -1.0, 1.0)
     A = lp.A * signs[:, None]
@@ -323,8 +296,6 @@ def _solve_internal(lp: LinearProgram, dump_csv: Optional[str]) -> LPOutcome:
     duals = _map_duals(y, kept, signs, m0)
     assert duals is not None
     _certify(lp, x, duals, value)
-    if dump_csv is not None:
-        _dump_tableau(dump_csv, A2, b2, basis)
     return LPOutcome(LPStatus.OPTIMAL, value, x, duals, pivots)
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from . import lp
 from .errors import DimensionMismatch, SolverFailure
 from .measures import (
+    DEFAULT_TOL,
     BallConfig,
     Coords,
     DiscreteMeasure,
@@ -33,7 +34,6 @@ from .measures import (
     validate_measure,
 )
 
-DEFAULT_TOL = 1e-8
 #: Points per axis in the default baseline lattice.
 _LATTICE_SIDE = 5
 

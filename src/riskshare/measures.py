@@ -35,6 +35,8 @@ Coords = tuple[float, ...]
 MERGE_TOL = 1e-12
 #: Weight sums further than this from 1 are an error, not silently fixed.
 WEIGHT_SUM_TOL = 1e-9
+#: Default tolerance of verdicts, residuals and approximate equality.
+DEFAULT_TOL = 1e-8
 
 
 def _as_coords(raw: Sequence[float], dim: int | None = None) -> Coords:
@@ -263,7 +265,7 @@ def sum_pushforward(law: JointLaw) -> DiscreteMeasure:
     return validate_measure(items, dim=law.dim)
 
 
-def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-8) -> bool:
+def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = DEFAULT_TOL) -> bool:
     """Approximate equality of two canonical measures.
 
     Compares positionally after canonical sorting: same atom count, support
@@ -277,7 +279,7 @@ def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-8) ->
     return True
 
 
-def joint_laws_equal(a: JointLaw, b: JointLaw, tol: float = 1e-8) -> bool:
+def joint_laws_equal(a: JointLaw, b: JointLaw, tol: float = DEFAULT_TOL) -> bool:
     if a.agents != b.agents or a.dim != b.dim or a.size != b.size:
         return False
     for (ta, wa), (tb, wb) in zip(a.atoms, b.atoms):

@@ -24,6 +24,7 @@ from .errors import DimensionMismatch, InputError, NumericalBreakdown
 from .improve import default_radius
 from .infconv import AgentProfile, StrictlyConvexProfile, share_point
 from .measures import (
+    DEFAULT_TOL,
     BallConfig,
     Coords,
     DiscreteMeasure,
@@ -33,7 +34,6 @@ from .measures import (
     validate_joint_law,
 )
 
-DEFAULT_TOL = 1e-8
 MATCH_TOL = 1e-7  # atom-matching resolution for marginal discrepancies
 DEFAULT_MAX_ITERS = 500
 _STEP_GRID = tuple(2.0**k for k in range(-6, 7))

@@ -11,7 +11,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import riskshare.improve
 from riskshare.cli import run
+from riskshare.convex_order import AllocationVerdict
 from riskshare.infconv import profile_from_obj, sharing_law
 from riskshare.measures import (
     BallConfig,
@@ -108,6 +110,32 @@ class TestExitCodes:
         assert code == 2
         assert "grid-step must be positive" in report["error"]
         assert "grid-step must be positive" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check-dominance", DIRAC, SPREAD, "--tol", "nan"], "--tol"),
+            (["stat", ANTI, "--tol", "inf"], "--tol"),
+            (["comonotone-check", ANTI, "--tol", "-1"], "--tol"),
+            (["qdescent", ANTI, "--max-iters", "-3"], "--max-iters"),
+        ],
+        ids=["tol-nan", "tol-inf", "tol-negative", "max-iters-negative"],
+    )
+    def test_bad_flag_value(self, argv, message, capsys):
+        code, report, err = run_cli(argv, capsys)
+        assert code == 2
+        assert message in report["error"] and message in err
+
+    def test_solver_failure_reported(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            riskshare.improve,
+            "allocation_dominates",
+            lambda *args: AllocationVerdict((), False, False),
+        )
+        code, report, err = run_cli(["improve", ANTI], capsys)
+        assert code == 2
+        assert "independent dominance verification" in report["error"]
+        assert err.startswith("error: ")
 
     def test_unknown_flag(self, capsys):
         code, report, _ = run_cli(["stat", ANTI, "--bogus"], capsys)

@@ -10,7 +10,6 @@ from riskshare.convex_order import (
     dominates_md,
     is_comonotone_pairwise,
     stop_loss,
-    strictly_dominates,
 )
 from riskshare.errors import DimensionMismatch, SumLawMismatch
 from riskshare.measures import dirac, validate_joint_law, validate_measure
@@ -67,12 +66,12 @@ class TestDominates1d:
         # stop-loss at t in {-2,-1,1,2}: (2,1,0,0) vs (2,1.5,0.5,0)
         mu = measure_1d([(-1.0, 0.5), (1.0, 0.5)])
         nu = measure_1d([(-2.0, 0.5), (2.0, 0.5)])
-        v = strictly_dominates(mu, nu)
+        v = dominates(mu, nu)
         assert v.dominates and v.strict
 
     def test_self_dominance_not_strict(self):
         m = measure_1d([(0.0, 0.25), (1.0, 0.75)])
-        v = strictly_dominates(m, m)
+        v = dominates(m, m)
         assert v.dominates and not v.strict
 
     def test_dim_guard(self):

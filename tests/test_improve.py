@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from riskshare.convex_order import allocation_dominates
-from riskshare.errors import InputError, SumLawMismatch
+import riskshare.improve
+from riskshare.convex_order import AllocationVerdict, allocation_dominates
+from riskshare.errors import InputError, SolverFailure, SumLawMismatch
 from riskshare.improve import (
     build_split_grid,
     default_radius,
@@ -166,6 +167,17 @@ class TestSolveImprovement:
             solve_improvement_lp(gamma0, grid, eps=[1.0])
         with pytest.raises(InputError):
             solve_improvement_lp(gamma0, grid, eps=[1.0, -1.0])
+
+    def test_failed_verification_is_a_solver_failure(self, monkeypatch):
+        monkeypatch.setattr(
+            riskshare.improve,
+            "allocation_dominates",
+            lambda *args: AllocationVerdict((), False, False),
+        )
+        gamma0 = validate_joint_law(ANTI)
+        grid = build_split_grid(gamma0, h=1.0, ball=BallConfig(radius=2.0))
+        with pytest.raises(SolverFailure, match="independent dominance verification"):
+            solve_improvement_lp(gamma0, grid)
 
 
 class TestInvariants:

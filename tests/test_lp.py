@@ -225,19 +225,3 @@ class TestFeasibilityMode:
         out = feasible(A, b)
         assert out.status is LPStatus.OPTIMAL
         assert np.max(np.abs(A @ out.solution - b)) <= 1e-8
-
-
-class TestExtras:
-    def test_engine_seam(self):
-        lp = LinearProgram(c=[-1.0, 0.0], A=[[1.0, 1.0]], b=[1.0])
-        canned = LPOutcome(LPStatus.OPTIMAL, -123.0, None, None, 0)
-        out = solve(lp, engine=lambda _: canned)
-        assert out is canned
-
-    def test_tableau_dump(self, tmp_path):
-        lp = LinearProgram(c=[-1.0, 0.0], A=[[1.0, 1.0]], b=[1.0])
-        path = tmp_path / "tableau.csv"
-        solve(lp, dump_csv=str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "v0,v1,rhs"
-        assert len(lines) == 2
