@@ -425,14 +425,18 @@ class _Arg(NamedTuple):
 _LAW = _Arg("law", "allocation-law JSON file")
 _MU = _Arg("--mu", "baseline measure JSON file (default: centered lattice)")
 _RADIUS = _Arg(
-    "--radius", "", {"type": float}, lambda v: v > 0.0, "--radius must be positive"
+    "--radius",
+    "",
+    {"type": float},
+    lambda v: math.isfinite(v) and v > 0.0,
+    "--radius must be positive and finite",
 )
 _GRID_STEP = _Arg(
     "--grid-step",
     "candidate lattice spacing (default: aggregate spread / 8)",
     {"type": float},
-    lambda v: v > 0.0,
-    "grid-step must be positive",
+    lambda v: math.isfinite(v) and v > 0.0,
+    "grid-step must be positive and finite",
 )
 _WEIGHTS = _Arg(
     "--eps",

@@ -42,6 +42,10 @@ from .measures import (
 #: Resolution for deduplicating candidate points (coordinates are snapped
 #: to this grid only for identity purposes, never for arithmetic).
 _DEDUP_RES = 1e-9
+#: Cap on the lattice splits ``build_split_grid`` may enumerate: the lattice
+#: points of the ball's bounding box raised to ``agents - 1`` (at least 1),
+#: times the aggregate atoms.
+MAX_GRID_SPLITS = 100_000
 
 Split = tuple[Coords, ...]
 
@@ -64,13 +68,10 @@ class SplitGrid:
         return sum(len(c) for c in self.candidates)
 
 
-def _lattice_points(h: float, ball: BallConfig, dim: int) -> list[Coords]:
-    c = ball.center_for(dim)
-    axes = []
-    for k in range(dim):
-        lo = math.ceil((c[k] - ball.radius) / h - 1e-12)
-        hi = math.floor((c[k] + ball.radius) / h + 1e-12)
-        axes.append([m * h for m in range(lo, hi + 1)])
+def _lattice_points(h: float, ball: BallConfig, bounds) -> list[Coords]:
+    axes = [
+        [m * h for m in range(math.ceil(lo), math.floor(hi) + 1)] for lo, hi in bounds
+    ]
     pts = []
     for combo in itertools.product(*axes):
         if ball.contains(combo, slack=1e-12):
@@ -81,7 +82,7 @@ def _lattice_points(h: float, ball: BallConfig, dim: int) -> list[Coords]:
 def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     """Lattice splits of each aggregate atom, plus the baseline's own splits."""
     if not (math.isfinite(h) and h > 0):
-        raise InputError(f"grid step must be positive, got {h!r}")
+        raise InputError(f"grid step must be positive and finite, got {h!r}")
     d, p = gamma0.dim, gamma0.agents
     c = ball.center_for(d)
     for tup, _ in gamma0.atoms:
@@ -91,7 +92,21 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
                     f"baseline share {pt!r} lies outside the ball of radius {ball.radius}"
                 )
     m0 = sum_pushforward(gamma0)
-    lattice = _lattice_points(h, ball, d)
+    # lattice index bounds per axis; counted in floats before anything is
+    # built, so that a step fine enough to overflow is refused too
+    bounds = [
+        ((ck - ball.radius) / h - 1e-12, (ck + ball.radius) / h + 1e-12)
+        for ck in c.tolist()
+    ]
+    box = math.prod(hi - lo + 1.0 for lo, hi in bounds)
+    log_splits = max(p - 1, 1) * math.log(box) + math.log(m0.size)
+    if not log_splits <= math.log(MAX_GRID_SPLITS):
+        raise InputError(
+            f"grid step {h!r} is too fine for a ball of radius {ball.radius}: "
+            f"the lattice splits of {m0.size} aggregate atoms among {p} agents "
+            f"exceed the limit of {MAX_GRID_SPLITS}"
+        )
+    lattice = _lattice_points(h, ball, bounds)
     per_atom: list[tuple[Split, ...]] = []
     for s, _ in m0.atoms:
         seen: dict[tuple[int, ...], Split] = {}

@@ -7,11 +7,16 @@ cost of sharing ``x`` is the infimal convolution
     (box psi)(x) = min { sum_i psi_i(y_i) : sum_i y_i = x, y_i in B },
 
 whose unique minimizer defines the sharing map ``T(x) = (y_1, ..., y_p)``.
-The solver maximizes the concave dual over the price vector ``q`` by
-gradient ascent; each inner minimization over the ball B is solved exactly
-by enumerating candidate active sets of affine pieces (single pieces
-first, then small subsets located by a short projected-subgradient run)
-and certifying global optimality through the convex KKT conditions.
+In one dimension the map is computed exactly: each agent's best response
+``y_i(u)`` to a price ``u`` is nondecreasing and piecewise linear, with
+knots read off the upper envelope of its affine pieces, so the price
+equation ``sum_i y_i(u) = x`` is solved on the bracketing linear piece.
+In higher dimension the solver maximizes the concave dual over the price
+vector ``q`` by gradient ascent; each inner minimization over the ball B is
+solved exactly by enumerating candidate active sets of affine pieces
+(single pieces first, then small subsets located by a short
+projected-subgradient run) and certifying global optimality through the
+convex KKT conditions.
 
 Pure-quadratic profiles enjoy the closed form ``y_i = S_i (sum_j S_j)^{-1} x``
 with ``S_i`` the inverse quadratic; the same matrices generate the explicit
@@ -294,41 +299,6 @@ def _certify(Q, A, b, u, ball, y, nu, active, mu=None) -> bool:
     return True
 
 
-def _minimize_inner_1d(Q, A, b, u, ball):
-    """Exact scalar minimizer by exhaustive candidate scan.
-
-    A convex piecewise-quadratic of one variable attains its constrained
-    minimum at a piece's own minimum, at a kink between two pieces, or at a
-    ball endpoint; scanning that finite candidate set is exact and immune
-    to the nearly-parallel pieces that defeat tie certification.
-    """
-    q = float(Q[0, 0])
-    uu = float(u[0])
-    c = float(ball.center_for(1)[0])
-    R = ball.radius
-    lo, hi = c - R, c + R
-    slopes = A[:, 0]
-    cands = {lo, hi}
-    for k in range(slopes.size):
-        cands.add((uu - float(slopes[k])) / q)
-        for l in range(k + 1, slopes.size):
-            da = float(slopes[k] - slopes[l])
-            if abs(da) > 1e-14 * (1.0 + abs(slopes[k]) + abs(slopes[l])):
-                cands.add(float(b[l] - b[k]) / da)
-    best_y, best_v = lo, np.inf
-    for yv in cands:
-        yv = min(max(yv, lo), hi)
-        val = 0.5 * q * yv * yv + float(np.max(slopes * yv + b)) - uu * yv
-        if val < best_v:
-            best_v, best_y = val, yv
-    y = np.array([best_y])
-    nu = 0.0
-    if abs(best_y - c) >= R * (1.0 - 1e-12) and R > 0.0:
-        lead = float(slopes[int(np.argmax(slopes * best_y + b))])
-        nu = max(0.0, (uu - q * best_y - lead) / (best_y - c))
-    return best_v, y, nu
-
-
 def _minimize_inner(Q, A, b, u, ball):
     """Global minimum of the inner problem, with its ball multiplier.
 
@@ -381,9 +351,112 @@ def _minimize_inner(Q, A, b, u, ball):
                     certified.append((_inner_value(Q, A, b, u, yy), yy, nu))
         if certified:
             return min(certified, key=lambda t: t[0])
-    if d == 1:
-        return _minimize_inner_1d(Q, A, b, u, ball)
     raise NoConvergence("inner sharing problem did not certify any active set")
+
+
+# ---------------------------------------------------------------------------
+# one dimension: the exact piecewise-linear sharing map
+# ---------------------------------------------------------------------------
+
+
+def _upper_envelope(slopes, intercepts):
+    """Slopes of the lines on the upper envelope of ``s*y + b``, in increasing
+    order, and the breakpoints where each takes over from the one before.
+
+    A line is dropped when the next one overtakes it no later than it
+    overtook its predecessor; testing the same quotients that are returned
+    keeps the breakpoints strictly increasing in floating point.
+    """
+    lines: list[tuple[float, float]] = []
+    knots: list[float] = []
+    for k in np.lexsort((intercepts, slopes)):
+        s, b = float(slopes[k]), float(intercepts[k])
+        if lines and lines[-1][0] == s:  # equal slopes: this one is higher
+            lines.pop()
+            if knots:
+                knots.pop()
+        while lines:
+            s0, b0 = lines[-1]
+            t = (b0 - b) / (s - s0)
+            if knots and t <= knots[-1]:
+                lines.pop()
+                knots.pop()
+                continue
+            knots.append(t)
+            break
+        lines.append((s, b))
+    return np.array([s for s, _ in lines]), np.array(knots)
+
+
+def _response_knots(q, slopes, knots, lo, hi):
+    """Knots ``(u, y)`` of ``u -> argmin_{lo <= y <= hi} q y^2/2 + m(y) - u y``.
+
+    ``m`` is the envelope ``(slopes, knots)``.  The minimizer is the clamp
+    of the unconstrained one: ``(u - s_j)/q`` on piece j and flat at a kink
+    ``t_j`` for ``u`` in ``[q t_j + s_j, q t_j + s_{j+1}]``.  It is linear
+    between the knots and constant outside them.
+    """
+    i0 = int(np.searchsorted(knots, lo, side="right"))
+    i1 = int(np.searchsorted(knots, hi, side="left"))
+    inner = knots[i0:i1]
+    u = np.empty(2 * inner.size + 2)
+    u[0], u[-1] = q * lo + slopes[i0], q * hi + slopes[i1]
+    u[1:-1:2] = q * inner + slopes[i0:i1]
+    u[2:-1:2] = q * inner + slopes[i0 + 1 : i1 + 1]
+    y = np.concatenate(([lo], np.repeat(inner, 2), [hi]))
+    return u, y
+
+
+def _share_point_1d(profile, x, ball, tol) -> SharingPoint:
+    """Exact split of a scalar ``x``: solve ``sum_i y_i(u) = x`` for the price.
+
+    Each ``y_i(u)`` is nondecreasing and piecewise linear, so their sum is
+    too, on the union of the agents' knots; bracketing ``x`` between two
+    knots and interpolating gives the price, and the shares follow.  Where
+    the sum is flat the lowest price is taken; the shares are unique anyway.
+    """
+    c, R = float(ball.center_for(1)[0]), ball.radius
+    lo, hi = c - R, c + R
+    costs, responses = [], []
+    for i in range(profile.n_agents):
+        q = float(profile.quad_matrix(i)[0, 0])
+        A, b = profile.piece_arrays(i)
+        costs.append((q, A[:, 0], b))
+        responses.append(_response_knots(q, *_upper_envelope(A[:, 0], b), lo, hi))
+    U = np.unique(np.concatenate([uk for uk, _ in responses]))
+    X = sum(np.interp(U, uk, yk) for uk, yk in responses)
+    k = int(np.searchsorted(X, x))
+    if k == 0:
+        u = float(U[0])
+    elif k == U.size:
+        u = float(U[-1])
+    else:
+        u = float(U[k - 1] + (x - X[k - 1]) * (U[k] - U[k - 1]) / (X[k] - X[k - 1]))
+    shares, nus = [], []
+    for (q, slopes, b), (uk, yk) in zip(costs, responses):
+        y = float(np.interp(u, uk, yk))
+        nu = 0.0
+        if abs(y - c) >= R * (1.0 - 1e-12):
+            lead = float(slopes[int(np.argmax(slopes * y + b))])
+            nu = max(0.0, (u - q * y - lead) / (y - c))
+        shares.append(y)
+        nus.append(nu)
+    residual = abs(x - math.fsum(shares))
+    outside = any(abs(y - c) > R * (1.0 + 1e-10) + 1e-12 for y in shares)
+    if residual > tol * (1.0 + abs(x)) or outside:
+        raise NoConvergence(
+            f"1-D sharing of x = {x!r} among {len(costs)} agents with "
+            f"{[s.size for _, s, _ in costs]} pieces left residual {residual:.3e}"
+            + (" and a share outside the ball" if outside else "")
+        )
+    return SharingPoint(
+        x=(x,),
+        shares=tuple((y,) for y in shares),
+        price=(u,),
+        multipliers=tuple(nus),
+        residual=residual,
+        iterations=0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +508,12 @@ def share_point(
     """Unique optimal split of ``x`` among the agents, subject to the ball.
 
     ``method="auto"`` uses the exact closed form when every cost is purely
-    quadratic and the unconstrained optimum stays inside the ball;
-    ``method="dual"`` always runs the dual ascent (useful for cross-checks).
+    quadratic and the unconstrained optimum stays inside the ball.
+    Otherwise, and always with ``method="dual"``, a one-dimensional profile
+    is split by the exact piecewise-linear price solve (``q0`` and
+    ``max_iter`` are ignored there), and ``d >= 2`` runs the dual ascent
+    from ``q0`` with a Newton polish.  Either way the split is certified:
+    ``|sum(shares) - x| <= tol (1 + |x|)`` with every share in the ball.
     """
     if method not in ("auto", "dual"):
         raise InputError(f"unknown method {method!r}")
@@ -449,6 +526,8 @@ def share_point(
         closed = _closed_form_quadratic(profile, x, ball)
         if closed is not None:
             return closed
+    if profile.dim == 1:
+        return _share_point_1d(profile, float(x[0]), ball, tol)
 
     p, d = profile.n_agents, profile.dim
     data = [

@@ -62,7 +62,9 @@ class BallConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0):
-            raise InputError(f"ball radius must be positive, got {self.radius!r}")
+            raise InputError(
+                f"ball radius must be positive and finite, got {self.radius!r}"
+            )
         if self.center is not None:
             object.__setattr__(self, "center", _as_coords(self.center))
 

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from importlib import metadata, resources
 from pathlib import Path
 
@@ -118,13 +119,30 @@ class TestExitCodes:
             (["stat", ANTI, "--tol", "inf"], "--tol"),
             (["comonotone-check", ANTI, "--tol", "-1"], "--tol"),
             (["qdescent", ANTI, "--max-iters", "-3"], "--max-iters"),
+            (["share", PROFILE, MU, "--radius", "inf"], "--radius"),
+            (["improve", ANTI, "--grid-step", "inf"], "grid-step"),
         ],
-        ids=["tol-nan", "tol-inf", "tol-negative", "max-iters-negative"],
+        ids=[
+            "tol-nan",
+            "tol-inf",
+            "tol-negative",
+            "max-iters-negative",
+            "radius-inf",
+            "grid-step-inf",
+        ],
     )
     def test_bad_flag_value(self, argv, message, capsys):
         code, report, err = run_cli(argv, capsys)
         assert code == 2
         assert message in report["error"] and message in err
+
+    def test_unbounded_grid_refused(self, capsys):
+        # a step this fine would enumerate about 1e601 lattice splits
+        t0 = time.perf_counter()
+        code, report, err = run_cli(["stat", ANTI, "--grid-step", "1e-300"], capsys)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2
+        assert "too fine" in report["error"] and "too fine" in err
 
     def test_solver_failure_reported(self, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -102,6 +102,16 @@ class TestBuildSplitGrid:
         with pytest.raises(InputError):
             build_split_grid(gamma0, h=1.0, ball=BallConfig(radius=0.5))
 
+    def test_split_cap(self, monkeypatch):
+        # two agents: the 1-D lattice in [-2, 2] times the aggregate atoms
+        gamma0 = validate_joint_law(ANTI)
+        atoms = sum_pushforward(gamma0).size
+        ball = BallConfig(radius=2.0)
+        monkeypatch.setattr(riskshare.improve, "MAX_GRID_SPLITS", 10 * atoms)
+        build_split_grid(gamma0, h=0.5, ball=ball)  # 9 lattice points
+        with pytest.raises(InputError, match="too fine"):
+            build_split_grid(gamma0, h=0.4, ball=ball)  # 11 lattice points
+
 
 class TestSolveImprovement:
     def test_anti_comonotone_two_state(self):
