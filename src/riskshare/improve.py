@@ -46,6 +46,10 @@ _DEDUP_RES = 1e-9
 #: points of the ball's bounding box raised to ``agents - 1`` (at least 1),
 #: times the aggregate atoms.
 MAX_GRID_SPLITS = 100_000
+#: Cap on the entries (rows times columns) of the dense improvement program
+#: ``build_improvement_problem`` assembles: 40 MB as float64, about 20 times
+#: the largest program the tests or ``perfbench`` build (333 x 681).
+MAX_LP_ENTRIES = 5_000_000
 
 Split = tuple[Coords, ...]
 
@@ -168,6 +172,14 @@ def build_improvement_problem(
         kernel_off.append(off)
         off += len(coords[i]) * margs[i].size
     n_vars = off
+    # an aggregate row per atom; per agent, a link row and d barycenter rows
+    # per point and a marginal row per baseline atom
+    n_rows = m0.size + sum(len(coords[i]) * (1 + d) + margs[i].size for i in range(p))
+    if n_rows * n_vars > MAX_LP_ENTRIES:
+        raise InputError(
+            f"the improvement program would have {n_rows} rows and {n_vars} columns, "
+            f"more than the limit of {MAX_LP_ENTRIES} entries; use a coarser grid step"
+        )
 
     def kcol(i: int, z: int, j: int) -> int:
         return kernel_off[i] + z * margs[i].size + j

@@ -11,12 +11,12 @@ In one dimension the map is computed exactly: each agent's best response
 ``y_i(u)`` to a price ``u`` is nondecreasing and piecewise linear, with
 knots read off the upper envelope of its affine pieces, so the price
 equation ``sum_i y_i(u) = x`` is solved on the bracketing linear piece.
-In higher dimension the solver maximizes the concave dual over the price
-vector ``q`` by gradient ascent; each inner minimization over the ball B is
-solved exactly by enumerating candidate active sets of affine pieces
-(single pieces first, then small subsets located by a short
-projected-subgradient run) and certifying global optimality through the
-convex KKT conditions.
+In higher dimension each best response ``y_i(q)`` to a price vector ``q``
+solves a QP over the simplex of piece weights by a finite active set, with
+the ball multiplier found by bisection, and is certified by the KKT
+conditions; the price equation is solved by Newton's method with the exact
+Jacobian of the responses, regularized by the residual and safeguarded by
+dual ascent.
 
 Pure-quadratic profiles enjoy the closed form ``y_i = S_i (sum_j S_j)^{-1} x``
 with ``S_i`` the inverse quadratic; the same matrices generate the explicit
@@ -26,7 +26,6 @@ not convex, reproduced by ``counterexample_family``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -54,8 +53,9 @@ from .measures import (
 MAX_OUTER_ITER = 10_000
 #: Slack for deciding that an affine piece is active / a candidate optimal.
 CERT_TOL = 1e-9
-#: Multiplier for a share counting as interior to the ball.
-INTERIOR_SLACK = 1e-10
+#: Slack by which a piece may top the active ones when the inner active set
+#: stops: at roundoff, far below CERT_TOL.
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,182 +176,149 @@ class SharingPoint:
 # ---------------------------------------------------------------------------
 
 
-def _inner_value(Q, A, b, u, y) -> float:
-    return float(0.5 * y @ Q @ y + np.max(A @ y + b) - u @ y)
+def _outside_ball(dist: float, radius: float) -> bool:
+    """True when a share at ``dist`` from the centre is outside the ball."""
+    return dist > radius * (1.0 + 1e-10) + 1e-12
 
 
-def _secular_root(solve_y, center, radius) -> tuple[np.ndarray, float]:
-    """Find nu >= 0 with |y(nu) - c| = R, where |y(nu) - c| decreases in nu."""
+def _secular_root(solve, center, radius):
+    """Find nu >= 0 with |y(nu) - c| = R, where |y(nu) - c| decreases in nu.
+
+    ``solve(nu)`` returns a tuple whose first entry is ``y(nu)``; the tuple
+    at the root, taken from inside the ball, is returned with the root.
+    """
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        y = solve_y(hi)
-        if y is None or np.linalg.norm(y - center) <= radius:
+        if np.linalg.norm(solve(hi)[0] - center) <= radius:
             break
         hi *= 4.0
     else:
         raise NoConvergence("ball multiplier bracket not found")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        y = solve_y(mid)
-        if y is None:
-            lo = mid  # treat failures as still-outside and move on
-            continue
-        if np.linalg.norm(y - center) > radius:
+        if mid in (lo, hi):  # lo and hi are adjacent doubles
+            break
+        if np.linalg.norm(solve(mid)[0] - center) > radius:
             lo = mid
         else:
             hi = mid
-    y = solve_y(hi)
-    return y, hi
+    return solve(hi), hi
 
 
-def _single_piece_candidates(Q, A, b, u, ball):
-    """Exact minimizers assuming one piece is active; certified afterwards."""
-    c, R = ball.center_for(Q.shape[0]), ball.radius
-    out = []
-    for k in range(A.shape[0]):
-        rhs = u - A[k]
-        try:
-            y = np.linalg.solve(Q, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        nu = 0.0
-        if np.linalg.norm(y - c) > R:
+def _affine_minimizer(Minv, A, b, v, W):
+    """Minimizer of the inner dual over the affine hull of the pieces ``W``.
 
-            def solve_shifted(nu_val, _rhs=rhs):
-                try:
-                    return np.linalg.solve(Q + nu_val * np.eye(Q.shape[0]), _rhs + nu_val * c)
-                except np.linalg.LinAlgError:
-                    return None
-
-            y, nu = _secular_root(solve_shifted, c, R)
-            if y is None:
-                continue
-        out.append((y, nu, k))
-    return out
+    With ``D`` the slopes of ``W`` minus the first one, ``a0``, and ``e``
+    the same for the intercepts, the pieces tie at ``y = M^-1 (v - a0 -
+    D'lam)`` where ``(D M^-1 D') lam = D M^-1 (v - a0) + e``; the weights
+    are ``(1 - sum(lam), lam)``.  Returns ``(weights, None)``, or ``(None,
+    ray)`` when the slopes are affinely dependent: ``ray`` sums to zero, has
+    ``A[W]' ray = 0`` and last entry 1, so the dual is linear along it.
+    """
+    if len(W) == 1:
+        return np.ones(1), None
+    a0, D = A[W[0]], A[W[1:]] - A[W[0]]
+    _, s, Vt = np.linalg.svd(D.T)
+    # the normal equations below square the condition number of D, so
+    # slopes within sqrt(machine epsilon) of dependence count as dependent
+    if D.shape[0] > s.size or s[-1] <= 1e-8 * s[0]:
+        ray = np.concatenate(([-Vt[-1].sum()], Vt[-1]))
+        return None, ray / ray[-1]
+    MD = Minv @ D.T
+    lam = np.linalg.solve(D @ MD, MD.T @ (v - a0) + (b[W[1:]] - b[W[0]]))
+    return np.concatenate(([1.0 - lam.sum()], lam)), None
 
 
-def _subset_candidate(Q, A, b, u, ball, subset):
-    """Stationary point with the given pieces exactly tied; None if absent."""
-    d = Q.shape[0]
-    c, R = ball.center_for(d), ball.radius
-    ks = list(subset)
-    m = len(ks)
-    s0 = ks[0]
+def _simplex_qp(Minv, A, b, v, W=None, w=None):
+    """Solve the inner dual ``min (1/2)|v - A'w|^2_{M^-1} - b.w`` over the simplex.
 
-    def solve_for(nu_val):
-        M = np.zeros((d + m, d + m))
-        rhs = np.zeros(d + m)
-        M[:d, :d] = Q + nu_val * np.eye(d)
-        M[:d, d:] = A[ks].T
-        rhs[:d] = u + nu_val * c
-        for r, j in enumerate(ks[1:]):
-            M[d + r, :d] = A[j] - A[s0]
-            rhs[d + r] = b[s0] - b[j]
-        M[d + m - 1, d:] = 1.0
-        rhs[d + m - 1] = 1.0
-        try:
-            sol = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        return sol[:d], sol[d:]
-
-    sol = solve_for(0.0)
-    if sol is None:
-        return None
-    y, mu = sol
-    nu = 0.0
-    if np.linalg.norm(y - c) > R:
-
-        def y_of_nu(nu_val):
-            s = solve_for(nu_val)
-            return None if s is None else s[0]
-
-        try:
-            y, nu = _secular_root(y_of_nu, c, R)
-        except NoConvergence:
-            return None
-        if y is None:
-            return None
-        sol = solve_for(nu)
-        if sol is None:
-            return None
-        y, mu = sol
-    return y, mu, nu
+    Primal active set from the pieces ``W`` with weights ``w`` (by default
+    the best single piece): move toward the minimizer over the active
+    pieces' affine hull, or along its ray, dropping the first piece whose
+    weight reaches zero; then enter the piece highest above the active ones
+    at ``y = M^-1 (v - A'w)``.  Every step lowers the dual, so no active set
+    repeats.  Returns ``y``, the active pieces and their weights.
+    """
+    if W is None:
+        G = v - A
+        W = [int(np.argmin(np.einsum("kd,de,ke->k", G, Minv, G) / 2 - b))]
+        w = np.ones(1)
+    for _ in range(10 * (A.shape[0] + A.shape[1])):
+        while True:
+            target, ray = _affine_minimizer(Minv, A, b, v, W)
+            if ray is None and np.all(target > 0.0):
+                w = target
+                break
+            step = target - w if ray is None else ray
+            falling = np.flatnonzero(step < 0.0)
+            ratios = w[falling] / -step[falling]
+            w = w + float(np.min(ratios)) * step
+            w[falling[np.argmin(ratios)]] = 0.0
+            keep = np.flatnonzero(w > 0.0)
+            W, w = [W[k] for k in keep], w[keep]
+        y = Minv @ (v - A[W].T @ w)
+        vals = A @ y + b
+        j = int(np.argmax(vals))
+        if vals[j] - w @ vals[W] <= TIE_TOL * (1.0 + abs(float(vals[j]))):
+            break
+        W, w = W + [j], np.append(w, 0.0)
+    return y, W, w
 
 
-def _certify(Q, A, b, u, ball, y, nu, active, mu=None) -> bool:
-    """KKT check making the candidate a global minimizer of the convex inner."""
-    d = Q.shape[0]
-    c, R = ball.center_for(d), ball.radius
+def _certify(Q, A, b, u, ball, y, active, mu) -> bool:
+    """KKT check making the candidate a global minimizer of the convex inner.
+
+    ``y`` solves the stationarity equation with weights ``mu`` on the
+    pieces ``active`` by construction; it must lie in the ball, the weights
+    must be nonnegative, and every active piece must attain the max.
+    """
     vals = A @ y + b
     top = float(np.max(vals))
     sc = 1.0 + abs(top) + float(np.abs(u) @ np.abs(y)) + abs(float(y @ Q @ y))
-    if np.linalg.norm(y - c) > R * (1.0 + 1e-10) + 1e-12:
-        return False
-    if nu < -1e-12:
-        return False
-    if mu is not None and float(np.min(mu)) < -1e-9:
-        return False
-    # every declared-active piece must actually attain the max
-    for k in active:
-        if top - vals[k] > CERT_TOL * sc:
-            return False
-    return True
+    dist = float(np.linalg.norm(y - ball.center_for(y.size)))
+    return (
+        not _outside_ball(dist, ball.radius)
+        and float(np.min(mu)) >= -1e-9
+        and float(np.min(vals[active])) >= top - CERT_TOL * sc
+    )
 
 
 def _minimize_inner(Q, A, b, u, ball):
-    """Global minimum of the inner problem, with its ball multiplier.
+    """Certified minimizer ``y`` of the inner problem, its ball multiplier
+    ``nu`` and its derivative ``J`` in the price ``u``.
 
-    Tries single active pieces first (closed form), then ties between small
-    subsets of near-active pieces located by a short projected-subgradient
-    run.  Every accepted candidate is certified through the KKT conditions,
-    so the returned point is exact up to linear-algebra roundoff.
+    ``nu`` is zero unless the unconstrained minimizer leaves the ball; then
+    it is the root of ``|y(nu) - c| = R``, where ``y(nu)`` solves the inner
+    dual with ``M = Q + nu I`` and price ``u + nu c``.  With ``D`` the
+    differences of the active slopes, ``M^-1 - M^-1 D'(D M^-1 D')^+ D M^-1``
+    is the inverse of ``M`` on the directions that keep the active pieces
+    tied; ``J`` is that, with the direction ``z = y - c`` that would leave
+    the sphere projected out too when the ball binds.
     """
-    d = Q.shape[0]
-    certified = []
-    fallback_best = None
-    for y, nu, k in _single_piece_candidates(Q, A, b, u, ball):
-        f = _inner_value(Q, A, b, u, y)
-        if fallback_best is None or f < fallback_best[0]:
-            fallback_best = (f, y)
-        if _certify(Q, A, b, u, ball, y, nu, [k]):
-            certified.append((f, y, nu))
-    if certified:
-        return min(certified, key=lambda t: t[0])
-    if A.shape[0] == 1:
-        raise NoConvergence("inner sharing problem failed to certify a single piece")
-
-    # locate the kink: a few projected subgradient steps from the best point
-    c, R = ball.center_for(d), ball.radius
-    y = fallback_best[1] if fallback_best is not None else c.copy()
-    over = np.linalg.norm(y - c)
-    if over > R:
-        y = c + (y - c) * (R / over)
-    eps_floor = max(float(np.min(np.linalg.eigvalsh(Q))), 1e-12)
-    for t in range(300):
-        g = Q @ y + A[int(np.argmax(A @ y + b))] - u
-        step = 1.0 / (eps_floor * (t + 1))
-        y = y - step * g
-        over = np.linalg.norm(y - c)
-        if over > R:
-            y = c + (y - c) * (R / over)
-    vals = A @ y + b
-    sc = 1.0 + float(np.max(np.abs(vals)))
-    for widen in (1e-6 * sc, 1e-3 * sc, np.inf):
-        near = np.flatnonzero(np.max(vals) - vals <= widen)
-        if near.size > 8:
-            near = near[np.argsort(vals[near])][-8:]
-        for size in range(2, min(d + 1, near.size) + 1):
-            for subset in itertools.combinations(sorted(int(k) for k in near), size):
-                cand = _subset_candidate(Q, A, b, u, ball, subset)
-                if cand is None:
-                    continue
-                yy, mu, nu = cand
-                if _certify(Q, A, b, u, ball, yy, nu, subset, mu):
-                    certified.append((_inner_value(Q, A, b, u, yy), yy, nu))
-        if certified:
-            return min(certified, key=lambda t: t[0])
-    raise NoConvergence("inner sharing problem did not certify any active set")
+    c, eye = ball.center_for(Q.shape[0]), np.eye(Q.shape[0])
+    Minv = np.linalg.inv(Q)
+    y, W, w = _simplex_qp(Minv, A, b, u)
+    nu = 0.0
+    if np.linalg.norm(y - c) > ball.radius:
+        (y, W, w), nu = _secular_root(
+            lambda s: _simplex_qp(np.linalg.inv(Q + s * eye), A, b, u + s * c, W, w),
+            c,
+            ball.radius,
+        )
+        Minv = np.linalg.inv(Q + nu * eye)
+    if not _certify(Q, A, b, u, ball, y, W, w):
+        raise NoConvergence("the inner minimizer failed its KKT certificate")
+    J = Minv
+    if len(W) > 1:
+        D = A[W[1:]] - A[W[0]]
+        MD = Minv @ D.T
+        J = Minv - MD @ np.linalg.pinv(D @ MD) @ MD.T
+    if nu > 0.0:
+        Jz = J @ (y - c)
+        zJz = float((y - c) @ Jz)
+        if zJz > 0.0:
+            J = J - np.outer(Jz, Jz) / zJz
+    return y, nu, J
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +409,7 @@ def _share_point_1d(profile, x, ball, tol) -> SharingPoint:
         shares.append(y)
         nus.append(nu)
     residual = abs(x - math.fsum(shares))
-    outside = any(abs(y - c) > R * (1.0 + 1e-10) + 1e-12 for y in shares)
+    outside = any(_outside_ball(abs(y - c), R) for y in shares)
     if residual > tol * (1.0 + abs(x)) or outside:
         raise NoConvergence(
             f"1-D sharing of x = {x!r} among {len(costs)} agents with "
@@ -460,7 +427,7 @@ def _share_point_1d(profile, x, ball, tol) -> SharingPoint:
 
 
 # ---------------------------------------------------------------------------
-# outer problem: concave dual ascent over the price vector
+# outer problem: semismooth Newton on the price equation sum_i y_i(q) = x
 # ---------------------------------------------------------------------------
 
 
@@ -511,9 +478,11 @@ def share_point(
     quadratic and the unconstrained optimum stays inside the ball.
     Otherwise, and always with ``method="dual"``, a one-dimensional profile
     is split by the exact piecewise-linear price solve (``q0`` and
-    ``max_iter`` are ignored there), and ``d >= 2`` runs the dual ascent
-    from ``q0`` with a Newton polish.  Either way the split is certified:
-    ``|sum(shares) - x| <= tol (1 + |x|)`` with every share in the ball.
+    ``max_iter`` are ignored there), and ``d >= 2`` solves the price
+    equation ``sum_i y_i(q) = x`` by regularized Newton steps with the exact
+    Jacobian, from ``q0`` and for at most ``max_iter`` steps.  Either way
+    the split is certified: ``|sum(shares) - x| <= tol (1 + |x|)`` with
+    every share in the ball.
     """
     if method not in ("auto", "dual"):
         raise InputError(f"unknown method {method!r}")
@@ -530,110 +499,61 @@ def share_point(
         return _share_point_1d(profile, float(x[0]), ball, tol)
 
     p, d = profile.n_agents, profile.dim
-    data = [
-        (profile.quad_matrix(i), *profile.piece_arrays(i)) for i in range(p)
-    ]
-
-    def dual_eval(q: np.ndarray):
-        shares, nus, total = [], [], 0.0
-        for Q, A, b in data:
-            f, y, nu = _minimize_inner(Q, A, b, q, ball)
-            shares.append(y)
-            nus.append(nu)
-            total += f
-        return total + float(q @ x), shares, nus
-
     q = np.zeros(d) if q0 is None else np.asarray([float(v) for v in q0], dtype=float)
     if q.shape != (d,):
         raise DimensionMismatch(f"q0 has shape {q.shape}, expected ({d},)")
-    g_val, shares, nus = dual_eval(q)
+    agents = [(profile.quad_matrix(i), *profile.piece_arrays(i)) for i in range(p)]
+    # y_i is 1/lambda_min(Q_i)-Lipschitz in q, so r / L is a safe ascent step
+    lipschitz = sum(1.0 / float(np.linalg.eigvalsh(Q)[0]) for Q, _, _ in agents)
     threshold = tol * (1.0 + float(np.linalg.norm(x)))
+    it, residual = 0, math.inf
 
-    def finish(it: int) -> SharingPoint:
-        return SharingPoint(
-            x=tuple(float(v) for v in x),
-            shares=tuple(tuple(float(v) for v in y) for y in shares),
-            price=tuple(float(v) for v in q),
-            multipliers=tuple(float(v) for v in nus),
-            residual=float(np.linalg.norm(x - sum(shares))),
-            iterations=it,
+    def failure(why: str) -> NoConvergence:
+        return NoConvergence(
+            f"{d}-D sharing of x = {tuple(x.tolist())} among {p} agents with "
+            f"{[A.shape[0] for _, A, _ in agents]} pieces: {why}; "
+            f"residual {residual:.3e} at iteration {it}"
         )
 
-    it = 0
-    stalled = False
-    for it in range(1, max_iter + 1):
-        grad = x - sum(shares)
-        residual = float(np.linalg.norm(grad))
-        if residual <= threshold:
-            return finish(it - 1)
-        step = 1.0
-        while True:
-            q_try = q + step * grad
-            g_try, shares_try, nus_try = dual_eval(q_try)
-            if g_try > g_val:
-                q, g_val, shares, nus = q_try, g_try, shares_try, nus_try
-                break
-            step *= 0.5
-            if step < 1e-18:
-                # the dual-increase test has saturated in double precision;
-                # hand over to the Newton polish below
-                stalled = True
-                break
-        if stalled:
-            break
-
-    q, shares, nus = _newton_polish(dual_eval, q, x, shares, nus, threshold)
-    residual = float(np.linalg.norm(x - sum(shares)))
-    if residual <= threshold:
-        return finish(it)
-    raise NoConvergence(
-        f"dual ascent stopped at residual {residual:.3e} (target {threshold:.3e}) "
-        f"after {it} iterations"
-    )
-
-
-def _newton_polish(dual_eval, q, x, shares, nus, threshold):
-    """Finite-difference Newton on the residual map q -> x - sum_i y_i(q).
-
-    Plain ascent cannot push the residual much below sqrt(machine epsilon)
-    because the dual value stops increasing measurably; the residual itself
-    remains well resolved, so a few damped Newton steps close the gap.
-    """
-    d = q.size
-
-    def phi(qv):
-        _, sh, nu = dual_eval(qv)
-        return x - sum(sh), sh, nu
-
-    r, shares, nus = phi(q)
-    for _ in range(25):
-        norm_r = float(np.linalg.norm(r))
-        if norm_r <= threshold:
-            break
-        J = np.zeros((d, d))
-        for j in range(d):
-            h = 1e-7 * (1.0 + abs(float(q[j])))
-            e = np.zeros(d)
-            e[j] = h
-            rp, _, _ = phi(q + e)
-            rm, _, _ = phi(q - e)
-            J[:, j] = (rp - rm) / (2.0 * h)
+    def respond(qv):
         try:
-            delta = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            break
-        improved = False
-        for _ in range(30):
-            r_try, sh_try, nu_try = phi(q + delta)
-            if float(np.linalg.norm(r_try)) < norm_r * (1.0 - 1e-6):
-                q = q + delta
-                r, shares, nus = r_try, sh_try, nu_try
-                improved = True
-                break
-            delta *= 0.5
-        if not improved:
-            break
-    return q, shares, nus
+            inner = [_minimize_inner(Q, A, b, qv, ball) for Q, A, b in agents]
+        except NoConvergence as exc:
+            raise failure(str(exc)) from exc
+        return inner, x - sum(y for y, _, _ in inner)
+
+    inner, r = respond(q)
+    residual = float(np.linalg.norm(r))
+    while not residual <= threshold:
+        if it == max_iter:
+            raise failure(f"target {threshold:.3e} not reached in {max_iter} iterations")
+        it += 1
+        # Levenberg-Marquardt: |r| I bounds the step where J is nearly
+        # singular and vanishes as r -> 0, leaving the exact Newton step
+        J = sum(Ji for _, _, Ji in inner)
+        q_try = q + np.linalg.solve(J + residual * np.eye(d), r)
+        inner_try, r_try = respond(q_try)
+        if not np.linalg.norm(r_try) < residual:
+            # dual ascent: 1/L is safe, and doubling it while the dual rises
+            # along r (r(q + s r).r > 0) crosses flat regions in a few trials
+            s = 1.0 / lipschitz
+            inner_try, r_try = respond(q + s * r)
+            for _ in range(64):
+                inner_next, r_next = respond(q + 2.0 * s * r)
+                if not r_next @ r > 0.0:
+                    break
+                s, inner_try, r_try = 2.0 * s, inner_next, r_next
+            q_try = q + s * r
+        q, inner, r = q_try, inner_try, r_try
+        residual = float(np.linalg.norm(r))
+    return SharingPoint(
+        x=tuple(float(v) for v in x),
+        shares=tuple(tuple(float(v) for v in y) for y, _, _ in inner),
+        price=tuple(float(v) for v in q),
+        multipliers=tuple(float(nu) for _, nu, _ in inner),
+        residual=residual,
+        iterations=it,
+    )
 
 
 def inf_convolution_value(

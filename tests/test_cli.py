@@ -144,6 +144,15 @@ class TestExitCodes:
         assert code == 2
         assert "too fine" in report["error"] and "too fine" in err
 
+    def test_oversized_program_refused(self, capsys):
+        # the splits pass the grid cap, but the dense program would have
+        # 20 010 rows and 28 006 columns (4.5 GB as float64)
+        t0 = time.perf_counter()
+        code, report, err = run_cli(["stat", ANTI, "--grid-step", "0.001"], capsys)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2
+        assert "improvement program" in report["error"] and "entries" in err
+
     def test_solver_failure_reported(self, monkeypatch, capsys):
         monkeypatch.setattr(
             riskshare.improve,

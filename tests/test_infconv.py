@@ -101,6 +101,15 @@ class TestSharePoint:
         assert sp.multipliers[0] == pytest.approx(7.9, abs=1e-6)
         assert sp.multipliers[1] == pytest.approx(0.0, abs=1e-9)
 
+    def test_ball_constraint_binds_2d(self):
+        # the same KKT solution along the first axis of the plane
+        prof = iso_profile(2, [0.1, 10.0])
+        sp = share_point(prof, (1.8, 0.0), BallConfig(radius=1.0))
+        np.testing.assert_allclose(sp.shares, [(1.0, 0.0), (0.8, 0.0)], atol=1e-7)
+        np.testing.assert_allclose(sp.price, (8.0, 0.0), atol=1e-6)
+        assert sp.multipliers[0] == pytest.approx(7.9, abs=1e-6)
+        assert sp.multipliers[1] == pytest.approx(0.0, abs=1e-9)
+
     def test_kink_share(self):
         # agent 2 pays max(0, y - 1/4) on top of the quadratic; at x = 1 the
         # optimum parks agent 2 exactly at the kink: y = (3/4, 1/4), price 3/4
