@@ -15,8 +15,8 @@ In higher dimension each best response ``y_i(q)`` to a price vector ``q``
 solves a QP over the simplex of piece weights by a finite active set, with
 the ball multiplier found by bisection, and is certified by the KKT
 conditions; the price equation is solved by Newton's method with the exact
-Jacobian of the responses, regularized by the residual and safeguarded by
-dual ascent.
+Jacobian of the responses, damped in proportion to |r| / R (so the steps
+do not depend on the data's units) and safeguarded by dual ascent.
 
 Pure-quadratic profiles enjoy the closed form ``y_i = S_i (sum_j S_j)^{-1} x``
 with ``S_i`` the inverse quadratic; the same matrices generate the explicit
@@ -53,9 +53,10 @@ from .measures import (
 MAX_OUTER_ITER = 10_000
 #: Slack for deciding that an affine piece is active / a candidate optimal.
 CERT_TOL = 1e-9
-#: Slack by which a piece may top the active ones when the inner active set
-#: stops: at roundoff, far below CERT_TOL.
+#: Slack by which a piece may top the active ones at a stop: roundoff only.
 TIE_TOL = 1e-12
+#: Fraction of |r| a Newton step must remove to be taken over dual ascent.
+SUFFICIENT = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,12 +529,14 @@ def share_point(
         if it == max_iter:
             raise failure(f"target {threshold:.3e} not reached in {max_iter} iterations")
         it += 1
-        # Levenberg-Marquardt: |r| I bounds the step where J is nearly
-        # singular and vanishes as r -> 0, leaving the exact Newton step
+        # Levenberg-Marquardt, scale-free: mu = lambda_max(J) |r| / R, in J's
+        # units; L stands in where J is 0 up to roundoff (agents at vertices)
         J = sum(Ji for _, _, Ji in inner)
-        q_try = q + np.linalg.solve(J + residual * np.eye(d), r)
+        lam = float(np.linalg.eigvalsh(J)[-1])
+        mu = (lam if lam > 1e-12 * lipschitz else lipschitz) * residual / ball.radius
+        q_try = q + np.linalg.solve(J + mu * np.eye(d), r)
         inner_try, r_try = respond(q_try)
-        if not np.linalg.norm(r_try) < residual:
+        if not np.linalg.norm(r_try) <= (1.0 - SUFFICIENT) * residual:
             # dual ascent: 1/L is safe, and doubling it while the dual rises
             # along r (r(q + s r).r > 0) crosses flat regions in a few trials
             s = 1.0 / lipschitz

@@ -110,6 +110,15 @@ class TestSharePoint:
         assert sp.multipliers[0] == pytest.approx(7.9, abs=1e-6)
         assert sp.multipliers[1] == pytest.approx(0.0, abs=1e-9)
 
+    def test_large_units_converge_fast(self):
+        # shares of 1500 against a Jacobian of 0.2: damping the Newton step
+        # by |r| itself would cut |r| by only about 0.2 a step
+        agent = AgentProfile(eps=10.0, pieces=(((1.0, 0.0), 0.0),))
+        prof = StrictlyConvexProfile(dim=2, agents=(agent, agent))
+        sp = share_point(prof, (3000.0, 0.0), BallConfig(radius=2000.0))
+        np.testing.assert_allclose(sp.shares, [(1500.0, 0.0)] * 2, rtol=1e-9)
+        assert sp.iterations <= 30
+
     def test_kink_share(self):
         # agent 2 pays max(0, y - 1/4) on top of the quadratic; at x = 1 the
         # optimum parks agent 2 exactly at the kink: y = (3/4, 1/4), price 3/4

@@ -184,3 +184,39 @@ def test_many_nearly_tied_pieces():
         ys = np.asarray(sp.shares)
         assert np.linalg.norm(ys.sum(axis=0) - x) <= TOL * (1.0 + np.linalg.norm(x))
         _check_subgradient(profile, sp, ball)
+
+
+def _scaled(profile, ball, k):
+    """Every length times ``k``: pieces ``(k a, k^2 b)``, ball ``k B``."""
+    agents = tuple(
+        AgentProfile(
+            eps=ag.eps,
+            pieces=tuple((tuple(k * v for v in a), k * k * b) for a, b in ag.pieces),
+        )
+        for ag in profile.agents
+    )
+    center = tuple(k * ball.center_for(D))
+    return StrictlyConvexProfile(dim=D, agents=agents), BallConfig(k * ball.radius, center)
+
+
+def test_split_scales_with_lengths():
+    # psi_k(y) = k^2 psi(y / k), so the split of k x is k times the split of
+    # x, and a scale-free solver takes as many steps to find it
+    rng = np.random.RandomState(2)
+    angle, reach = rng.uniform(0.0, 2.0 * math.pi, 8), rng.uniform(0.0, 0.95, 8)
+    xs = 2.0 * reach[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    # the ball binds for the first agent here, with multiplier 7.9 at (1.8, 0)
+    binding = StrictlyConvexProfile(
+        dim=D, agents=(AgentProfile(eps=0.1), AgentProfile(eps=10.0))
+    )
+    cases = [(_tangent_profile(5, 0), xs), (binding, [(1.8, 0.0), (0.3, 1.6)])]
+    ball = BallConfig(radius=1.0)
+    k = 1e3
+    for profile, points in cases:
+        profile_k, ball_k = _scaled(profile, ball, k)
+        for x in np.asarray(points):
+            sp = share_point(profile, x, ball, method="dual")
+            sp_k = share_point(profile_k, k * x, ball_k, method="dual")
+            shares = np.asarray(sp_k.shares) / k
+            assert np.max(np.abs(shares - sp.shares)) <= TOL * (1.0 + np.linalg.norm(x))
+            assert sp_k.iterations <= sp.iterations + 2
