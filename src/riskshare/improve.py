@@ -35,6 +35,7 @@ from .measures import (
     DiscreteMeasure,
     JointLaw,
     marginal,
+    require_shares_in_ball,
     sum_pushforward,
     validate_joint_law,
 )
@@ -78,7 +79,7 @@ def _lattice_points(h: float, ball: BallConfig, bounds) -> list[Coords]:
     ]
     pts = []
     for combo in itertools.product(*axes):
-        if ball.contains(combo, slack=1e-12):
+        if ball.contains(combo):
             pts.append(tuple(float(v) for v in combo))
     return pts
 
@@ -89,12 +90,7 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
         raise InputError(f"grid step must be positive and finite, got {h!r}")
     d, p = gamma0.dim, gamma0.agents
     c = ball.center_for(d)
-    for tup, _ in gamma0.atoms:
-        for pt in tup:
-            if np.linalg.norm(np.subtract(pt, c)) > ball.radius * (1 + 1e-9) + 1e-12:
-                raise InputError(
-                    f"baseline share {pt!r} lies outside the ball of radius {ball.radius}"
-                )
+    require_shares_in_ball(gamma0, ball)
     m0 = sum_pushforward(gamma0)
     # lattice index bounds per axis; counted in floats before anything is
     # built, so that a step fine enough to overflow is refused too
@@ -117,7 +113,7 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
         s_arr = np.asarray(s)
         for combo in itertools.product(lattice, repeat=p - 1):
             y_last = s_arr - np.sum(np.asarray(combo).reshape(p - 1, d), axis=0)
-            if np.linalg.norm(y_last - c) > ball.radius + 1e-12:
+            if not ball.contains(y_last):
                 continue
             split = tuple(combo) + (tuple(float(v) for v in y_last),)
             seen.setdefault(_key([v for pt in split for v in pt]), split)

@@ -177,11 +177,6 @@ class SharingPoint:
 # ---------------------------------------------------------------------------
 
 
-def _outside_ball(dist: float, radius: float) -> bool:
-    """True when a share at ``dist`` from the centre is outside the ball."""
-    return dist > radius * (1.0 + 1e-10) + 1e-12
-
-
 def _secular_root(solve, center, radius):
     """Find nu >= 0 with |y(nu) - c| = R, where |y(nu) - c| decreases in nu.
 
@@ -276,9 +271,8 @@ def _certify(Q, A, b, u, ball, y, active, mu) -> bool:
     vals = A @ y + b
     top = float(np.max(vals))
     sc = 1.0 + abs(top) + float(np.abs(u) @ np.abs(y)) + abs(float(y @ Q @ y))
-    dist = float(np.linalg.norm(y - ball.center_for(y.size)))
     return (
-        not _outside_ball(dist, ball.radius)
+        ball.contains(y)
         and float(np.min(mu)) >= -1e-9
         and float(np.min(vals[active])) >= top - CERT_TOL * sc
     )
@@ -410,7 +404,7 @@ def _share_point_1d(profile, x, ball, tol) -> SharingPoint:
         shares.append(y)
         nus.append(nu)
     residual = abs(x - math.fsum(shares))
-    outside = any(_outside_ball(abs(y - c), R) for y in shares)
+    outside = not all(ball.contains((y,)) for y in shares)
     if residual > tol * (1.0 + abs(x)) or outside:
         raise NoConvergence(
             f"1-D sharing of x = {x!r} among {len(costs)} agents with "
@@ -430,15 +424,6 @@ def _share_point_1d(profile, x, ball, tol) -> SharingPoint:
 # ---------------------------------------------------------------------------
 # outer problem: semismooth Newton on the price equation sum_i y_i(q) = x
 # ---------------------------------------------------------------------------
-
-
-def _check_domain(profile: StrictlyConvexProfile, x: np.ndarray, ball: BallConfig) -> None:
-    p = profile.n_agents
-    center = p * ball.center_for(profile.dim)
-    if np.linalg.norm(x - center) > p * ball.radius * (1.0 + 1e-9) + 1e-12:
-        raise XOutsideDomain(
-            f"x = {tuple(x)} lies outside the sum of {p} copies of the ball"
-        )
 
 
 def _closed_form_quadratic(profile, x, ball):
@@ -490,7 +475,12 @@ def share_point(
     x = np.asarray([float(v) for v in x], dtype=float)
     if x.shape != (profile.dim,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({profile.dim},)")
-    _check_domain(profile, x, ball)
+    p, d = profile.n_agents, profile.dim
+    # the sum of p copies of the convex ball B is pB: x is in it when x/p is in B
+    if not ball.contains((x / p).tolist()):
+        raise XOutsideDomain(
+            f"x = {tuple(x.tolist())} lies outside the sum of {p} copies of the ball"
+        )
 
     if method == "auto" and profile.is_pure_quadratic():
         closed = _closed_form_quadratic(profile, x, ball)
@@ -499,7 +489,6 @@ def share_point(
     if profile.dim == 1:
         return _share_point_1d(profile, float(x[0]), ball, tol)
 
-    p, d = profile.n_agents, profile.dim
     q = np.zeros(d) if q0 is None else np.asarray([float(v) for v in q0], dtype=float)
     if q.shape != (d,):
         raise DimensionMismatch(f"q0 has shape {q.shape}, expected ({d},)")

@@ -96,7 +96,20 @@ class LPOutcome:
 
 
 class _Breakdown(Exception):
-    """Internal signal, converted to NumericalBreakdown at the boundary."""
+    """Internal signal, converted to NumericalBreakdown at the boundary.
+
+    ``pivots`` counts the pivots of the simplex run that broke down (0
+    outside one); the boundary adds the pivots of the runs before it.
+    """
+
+    def __init__(self, why: str, pivots: int = 0):
+        super().__init__(why)
+        self.pivots = pivots
+
+
+def _numerical_breakdown(lp: LinearProgram, exc: _Breakdown, pivots: int):
+    m, n = lp.A.shape
+    return NumericalBreakdown(f"{exc} ({m} x {n} program, {exc.pivots + pivots} pivots taken)")
 
 
 def _simplex_iterations(
@@ -117,12 +130,12 @@ def _simplex_iterations(
     max_iter = 200 * (m + n) + 5000
     while True:
         if pivots > max_iter:
-            raise _Breakdown(f"iteration limit {max_iter} exceeded")
+            raise _Breakdown(f"iteration limit {max_iter} exceeded", pivots)
         B = A[:, basis]
         try:
             invB = np.linalg.inv(B) if m else np.zeros((0, 0))
         except np.linalg.LinAlgError as exc:
-            raise _Breakdown(f"singular working basis: {exc}") from exc
+            raise _Breakdown(f"singular working basis: {exc}", pivots) from exc
         xB = invB @ b
         y = invB.T @ c[basis]
         z = c - A.T @ y
@@ -164,7 +177,8 @@ def _simplex_iterations(
         if not pivot_done:
             if saw_tiny_column:
                 raise _Breakdown(
-                    f"all usable pivot entries below {PIVOT_TOL} and no alternative column"
+                    f"all usable pivot entries below {PIVOT_TOL} and no alternative column",
+                    pivots,
                 )
             return "optimal", basis, xB, y, pivots  # unreachable in practice
 
@@ -227,7 +241,7 @@ def _phase_one(
     basis = list(range(n, n + m))
     status, basis, xB, y, pivots = _simplex_iterations(A1, b, c1, basis)
     if status != "optimal":
-        raise _Breakdown("phase 1 reported unbounded; objective is bounded below")
+        raise _Breakdown("phase 1 reported unbounded; objective is bounded below", pivots)
     x = np.zeros(n + m)
     x[basis] = xB
     value = float(c1 @ x)
@@ -263,39 +277,35 @@ def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, value: float) -> N
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve the program; Optimal outcomes are certified, or an error is raised."""
-    try:
-        return _solve_internal(lp)
-    except _Breakdown as exc:
-        raise NumericalBreakdown(str(exc)) from exc
-
-
-def _solve_internal(lp: LinearProgram) -> LPOutcome:
     m0, n = lp.A.shape
     signs = np.where(lp.b < 0, -1.0, 1.0)
     A = lp.A * signs[:, None]
     b = lp.b * signs
+    pivots = 0
+    try:
+        p1_value, basis, x1, y1, pivots = _phase_one(A, b)
+        if p1_value > FEAS_TOL:
+            duals = _map_duals(y1, list(range(m0)), signs, m0)
+            return LPOutcome(LPStatus.INFEASIBLE, p1_value, None, duals, pivots)
 
-    p1_value, basis, x1, y1, pivots1 = _phase_one(A, b)
-    if p1_value > FEAS_TOL:
-        duals = _map_duals(y1, list(range(m0)), signs, m0)
-        return LPOutcome(LPStatus.INFEASIBLE, p1_value, None, duals, pivots1)
+        A2, b2, basis, kept = _drive_out_artificials(A, b, basis)
 
-    A2, b2, basis, kept = _drive_out_artificials(A, b, basis)
+        status, basis, xB, y, pivots2 = _simplex_iterations(A2, b2, lp.c.copy(), basis)
+        pivots += pivots2
+        if status == "unbounded":
+            return LPOutcome(LPStatus.UNBOUNDED, float("-inf"), None, None, pivots)
 
-    status, basis, xB, y, pivots2 = _simplex_iterations(A2, b2, lp.c.copy(), basis)
-    pivots = pivots1 + pivots2
-    if status == "unbounded":
-        return LPOutcome(LPStatus.UNBOUNDED, float("-inf"), None, None, pivots)
-
-    x = np.zeros(n)
-    x[basis] = xB
-    if float(np.min(x, initial=0.0)) < -FEAS_TOL:
-        raise _Breakdown(f"negative basic value {np.min(x):.3e} after phase 2")
-    np.clip(x, 0.0, None, out=x)
-    value = float(lp.c @ x)
-    duals = _map_duals(y, kept, signs, m0)
-    assert duals is not None
-    _certify(lp, x, duals, value)
+        x = np.zeros(n)
+        x[basis] = xB
+        if float(np.min(x, initial=0.0)) < -FEAS_TOL:
+            raise _Breakdown(f"negative basic value {np.min(x):.3e} after phase 2")
+        np.clip(x, 0.0, None, out=x)
+        value = float(lp.c @ x)
+        duals = _map_duals(y, kept, signs, m0)
+        assert duals is not None
+        _certify(lp, x, duals, value)
+    except _Breakdown as exc:
+        raise _numerical_breakdown(lp, exc, pivots) from exc
     return LPOutcome(LPStatus.OPTIMAL, value, x, duals, pivots)
 
 
@@ -313,7 +323,7 @@ def feasible(A: np.ndarray, b: np.ndarray) -> LPOutcome:
     try:
         value, basis, x1, y1, pivots = _phase_one(Af, bf)
     except _Breakdown as exc:
-        raise NumericalBreakdown(str(exc)) from exc
+        raise _numerical_breakdown(lp, exc, 0) from exc
     duals = _map_duals(y1, list(range(m0)), signs, m0)
     if value > FEAS_TOL:
         return LPOutcome(LPStatus.INFEASIBLE, value, None, duals, pivots)

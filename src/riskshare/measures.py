@@ -37,6 +37,9 @@ MERGE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-9
 #: Default tolerance of verdicts, residuals and approximate equality.
 DEFAULT_TOL = 1e-8
+#: Relative slack of the ball rule: a point is in the ball when
+#: ``|y - c| <= R (1 + BALL_TOL) + MERGE_TOL`` (see ``BallConfig.contains``).
+BALL_TOL = 1e-9
 
 
 def _as_coords(raw: Sequence[float], dim: int | None = None) -> Coords:
@@ -77,9 +80,14 @@ class BallConfig:
             )
         return np.asarray(self.center)
 
-    def contains(self, coords: Sequence[float], slack: float = 1e-9) -> bool:
-        x = np.asarray(coords, dtype=float)
-        return float(np.linalg.norm(x - self.center_for(x.size))) <= self.radius + slack
+    def contains(self, coords: Sequence[float]) -> bool:
+        """The package's one ball rule: ``|y - c| <= R (1 + BALL_TOL) + MERGE_TOL``.
+
+        A NaN coordinate is outside.  With the default centre no array is
+        built: the 1-D sharing map checks every share with this.
+        """
+        center = (0.0,) * len(coords) if self.center is None else self.center_for(len(coords))
+        return math.dist(coords, center) <= self.radius * (1.0 + BALL_TOL) + MERGE_TOL
 
 
 def _merge_weighted(
@@ -133,29 +141,19 @@ class DiscreteMeasure:
         return float(sum(a[1] for a in self.atoms))
 
 
-def validate_measure(
-    atoms: Iterable[tuple[Sequence[float], float]],
-    dim: int | None = None,
-    ball: BallConfig | None = None,
-) -> DiscreteMeasure:
-    """Canonicalize raw ``(coords, weight)`` pairs into a DiscreteMeasure.
+def _canonical(items: list[tuple[Coords, float]], what: str) -> list[tuple[Coords, float]]:
+    """The canonical atoms of a measure or (flattened) joint law.
 
-    Duplicate support points (distance <= MERGE_TOL) are merged with weights
-    summed.  The weight sum may be renormalized only when it is within
-    WEIGHT_SUM_TOL of 1; larger drift raises WeightSumOutOfTolerance.
+    Weights must be finite and positive.  Duplicate support points
+    (distance <= MERGE_TOL) are merged with weights summed.  The weight sum
+    may be renormalized only when it is within WEIGHT_SUM_TOL of 1; larger
+    drift raises WeightSumOutOfTolerance.
     """
-    raw = list(atoms)
-    if not raw:
-        raise InputError("measure needs at least one atom")
-    items: list[tuple[Coords, float]] = []
-    for coords_raw, w_raw in raw:
-        coords = _as_coords(coords_raw, dim)
-        if dim is None:
-            dim = len(coords)
-        w = float(w_raw)
+    if not items:
+        raise InputError(f"{what} needs at least one atom")
+    for coords, w in items:
         if not math.isfinite(w) or w <= 0.0:
             raise NonPositiveWeight(f"atom weight must be > 0, got {w!r} at {coords!r}")
-        items.append((coords, w))
     merged = _merge_weighted(items)
     total = math.fsum(w for _, w in merged)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -164,10 +162,19 @@ def validate_measure(
         )
     if total != 1.0:
         merged = [(c, w / total) for c, w in merged]
-    if ball is not None:
-        for coords, _ in merged:
-            if not ball.contains(coords):
-                raise InputError(f"atom {coords!r} lies outside the configured ball")
+    return merged
+
+
+def validate_measure(
+    atoms: Iterable[tuple[Sequence[float], float]], dim: int | None = None
+) -> DiscreteMeasure:
+    """Canonicalize raw ``(coords, weight)`` pairs into a DiscreteMeasure."""
+    items: list[tuple[Coords, float]] = []
+    for coords_raw, w_raw in atoms:
+        coords = _as_coords(coords_raw, dim)
+        dim = len(coords)
+        items.append((coords, float(w_raw)))
+    merged = _canonical(items, "measure")
     assert dim is not None
     return DiscreteMeasure(dim=dim, atoms=tuple(merged))
 
@@ -208,15 +215,11 @@ def validate_joint_law(
     atoms: Iterable[tuple[Sequence[Sequence[float]], float]],
     agents: int | None = None,
     dim: int | None = None,
-    ball: BallConfig | None = None,
 ) -> JointLaw:
-    """Canonicalize raw joint-law atoms; same merge and weight rules as measures."""
-    raw = list(atoms)
-    if not raw:
-        raise InputError("joint law needs at least one atom")
+    """Canonicalize raw joint-law atoms: the measure rules on the flattened tuples."""
     flat_items: list[tuple[Coords, float]] = []
-    for tup_raw, w_raw in raw:
-        tup = tuple(_as_coords(pt, dim) for pt in tup_raw)
+    for tup_raw, w_raw in atoms:
+        tup = tuple(_as_coords(pt, len(tup_raw[0]) if dim is None else dim) for pt in tup_raw)
         if not tup:
             raise DimensionMismatch("allocation tuple must have at least one agent")
         if dim is None:
@@ -225,28 +228,21 @@ def validate_joint_law(
             agents = len(tup)
         if len(tup) != agents:
             raise DimensionMismatch(f"tuple has {len(tup)} agents, expected {agents}")
-        w = float(w_raw)
-        if not math.isfinite(w) or w <= 0.0:
-            raise NonPositiveWeight(f"atom weight must be > 0, got {w!r}")
-        flat_items.append((_tuple_key(tup), w))
-    merged = _merge_weighted(flat_items)
-    total = math.fsum(w for _, w in merged)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise WeightSumOutOfTolerance(
-            f"atom weights sum to {total!r}, off from 1 by more than {WEIGHT_SUM_TOL}"
-        )
-    if total != 1.0:
-        merged = [(c, w / total) for c, w in merged]
+        flat_items.append((_tuple_key(tup), float(w_raw)))
+    merged = _canonical(flat_items, "joint law")
     assert agents is not None and dim is not None
-    out_atoms = []
-    for flat, w in merged:
-        tup = tuple(flat[i * dim : (i + 1) * dim] for i in range(agents))
-        if ball is not None:
-            for pt in tup:
-                if not ball.contains(pt):
-                    raise InputError(f"share {pt!r} lies outside the configured ball")
-        out_atoms.append((tup, w))
-    return JointLaw(agents=agents, dim=dim, atoms=tuple(out_atoms))
+    split = tuple(
+        (tuple(flat[i * dim : (i + 1) * dim] for i in range(agents)), w) for flat, w in merged
+    )
+    return JointLaw(agents=agents, dim=dim, atoms=split)
+
+
+def require_shares_in_ball(law: JointLaw, ball: BallConfig) -> None:
+    """Raise InputError naming the first share of ``law`` outside ``ball``."""
+    for tup, _ in law.atoms:
+        for pt in tup:
+            if not ball.contains(pt):
+                raise InputError(f"share {pt!r} lies outside the ball of radius {ball.radius}")
 
 
 def marginal(law: JointLaw, agent: int) -> DiscreteMeasure:
@@ -282,14 +278,12 @@ def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = DEFAULT_
 
 
 def joint_laws_equal(a: JointLaw, b: JointLaw, tol: float = DEFAULT_TOL) -> bool:
-    if a.agents != b.agents or a.dim != b.dim or a.size != b.size:
-        return False
-    for (ta, wa), (tb, wb) in zip(a.atoms, b.atoms):
-        if abs(wa - wb) > tol:
-            return False
-        if math.dist(_tuple_key(ta), _tuple_key(tb)) > tol:
-            return False
-    return True
+    """``measures_equal`` on the flattened tuples of two canonical joint laws."""
+    flat = [
+        DiscreteMeasure(law.agents * law.dim, tuple((_tuple_key(t), w) for t, w in law.atoms))
+        for law in (a, b)
+    ]
+    return a.agents == b.agents and measures_equal(*flat, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +310,13 @@ def measure_to_obj(m: DiscreteMeasure) -> dict:
     }
 
 
-def measure_from_obj(obj: dict, ball: BallConfig | None = None) -> DiscreteMeasure:
+def measure_from_obj(obj: dict) -> DiscreteMeasure:
     try:
         dim = int(obj["dim"])
         atoms = [(a["x"], a["w"]) for a in obj["atoms"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed measure object: {exc}") from exc
-    return validate_measure(atoms, dim=dim, ball=ball)
+    return validate_measure(atoms, dim=dim)
 
 
 def joint_law_to_obj(law: JointLaw) -> dict:
@@ -333,26 +327,26 @@ def joint_law_to_obj(law: JointLaw) -> dict:
     }
 
 
-def joint_law_from_obj(obj: dict, ball: BallConfig | None = None) -> JointLaw:
+def joint_law_from_obj(obj: dict) -> JointLaw:
     try:
         agents = int(obj["agents"])
         dim = int(obj["dim"])
         atoms = [(a["x"], a["w"]) for a in obj["atoms"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed joint-law object: {exc}") from exc
-    return validate_joint_law(atoms, agents=agents, dim=dim, ball=ball)
+    return validate_joint_law(atoms, agents=agents, dim=dim)
 
 
-def measure_from_json(text: str, ball: BallConfig | None = None) -> DiscreteMeasure:
-    return measure_from_obj(parse_strict_json(text), ball=ball)
+def measure_from_json(text: str) -> DiscreteMeasure:
+    return measure_from_obj(parse_strict_json(text))
 
 
 def measure_to_json(m: DiscreteMeasure) -> str:
     return json.dumps(measure_to_obj(m))
 
 
-def joint_law_from_json(text: str, ball: BallConfig | None = None) -> JointLaw:
-    return joint_law_from_obj(parse_strict_json(text), ball=ball)
+def joint_law_from_json(text: str) -> JointLaw:
+    return joint_law_from_obj(parse_strict_json(text))
 
 
 def joint_law_to_json(law: JointLaw) -> str:

@@ -29,7 +29,9 @@ from .measures import (
     Coords,
     DiscreteMeasure,
     JointLaw,
+    _merge_weighted,
     marginal,
+    require_shares_in_ball,
     sum_pushforward,
     validate_joint_law,
 )
@@ -53,19 +55,6 @@ class QState:
     iterations: int
     hit_cap: bool
     j_history: tuple[float, ...]
-
-
-def _default_ball(gamma0: JointLaw) -> BallConfig:
-    return BallConfig(radius=default_radius(gamma0))
-
-
-def _check_components(gamma0: JointLaw, ball: BallConfig) -> None:
-    for xs, _ in gamma0.atoms:
-        for x in xs:
-            if not ball.contains(x):
-                raise InputError(
-                    f"allocation component {x} lies outside the admissible ball"
-                )
 
 
 def _check_shapes(profile: StrictlyConvexProfile, gamma0: JointLaw) -> None:
@@ -117,25 +106,17 @@ def j_value(
 ) -> float:
     """Excess cost of the baseline over the optimal sharing of its aggregate."""
     _check_shapes(profile, gamma0)
-    ball = ball if ball is not None else _default_ball(gamma0)
-    _check_components(gamma0, ball)
+    ball = ball if ball is not None else BallConfig(radius=default_radius(gamma0))
+    require_shares_in_ball(gamma0, ball)
     j, _ = _evaluate(profile, gamma0, sum_pushforward(gamma0), ball)
     return j
 
 
 def _signed_diff(a: DiscreteMeasure, b: DiscreteMeasure) -> SignedAtoms:
-    """Atoms of the signed measure ``a - b``, merged at MATCH_TOL resolution."""
+    """Atoms of the signed measure ``a - b``; points within MATCH_TOL merge."""
     entries = [(x, w) for x, w in a.atoms] + [(x, -w) for x, w in b.atoms]
-    entries.sort(key=lambda e: e[0])
-    merged: list[list] = []
-    for x, w in entries:
-        if merged and all(
-            abs(p - q) <= MATCH_TOL for p, q in zip(merged[-1][0], x)
-        ):
-            merged[-1][1] += w
-        else:
-            merged.append([x, w])
-    return tuple((tuple(x), float(w)) for x, w in merged if abs(w) > 1e-12)
+    merged = _merge_weighted(entries, MATCH_TOL)
+    return tuple((x, float(w)) for x, w in merged if abs(w) > 1e-12)
 
 
 def _discrepancies(gamma0: JointLaw, law: JointLaw) -> tuple[SignedAtoms, ...]:
@@ -247,8 +228,8 @@ def minimize_q(
             dim=gamma0.dim, agents=tuple(AgentProfile(eps=e) for e in es)
         )
     _check_shapes(profile, gamma0)
-    ball = ball if ball is not None else _default_ball(gamma0)
-    _check_components(gamma0, ball)
+    ball = ball if ball is not None else BallConfig(radius=default_radius(gamma0))
+    require_shares_in_ball(gamma0, ball)
     m0 = sum_pushforward(gamma0)
 
     j_cur, law_cur = _evaluate(profile, gamma0, m0, ball)

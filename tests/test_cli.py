@@ -188,6 +188,27 @@ class TestExitCodes:
         assert code == 2
         assert "atoms[0]" in report["error"]
 
+    def test_stages_agree_on_the_ball(self, tmp_path, capsys):
+        # the share 5.3 is within the ball rule's slack of the radius, so
+        # every stage admits it: stat and improve find the law improvable
+        # and the dual descent runs on it too
+        law = tmp_path / "edge.json"
+        law.write_text(
+            json.dumps(
+                {
+                    "agents": 2,
+                    "dim": 1,
+                    "atoms": [
+                        {"x": [[5.3], [-1.0]], "w": 0.5},
+                        {"x": [[0.0], [1.0]], "w": 0.5},
+                    ],
+                }
+            )
+        )
+        for command, expected in (("stat", 1), ("improve", 1), ("qdescent", 0)):
+            code, report, _ = run_cli([command, str(law), "--radius", "5.299999998"], capsys)
+            assert code == expected, (command, report)
+
     def test_nan_rejected(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         bad.write_text('{"dim": 1, "atoms": [{"x": [NaN], "w": 1.0}]}')

@@ -151,6 +151,21 @@ class TestSharePoint:
         with pytest.raises(XOutsideDomain):
             share_point(prof, (2.5,), BallConfig(radius=1.0))
 
+    @pytest.mark.parametrize("x", [(math.nan,), (0.5, math.nan)], ids=["1d", "2d"])
+    def test_nan_aggregate_is_outside_domain(self, x):
+        piece = (tuple(0.5 for _ in x), -0.25)
+        prof = StrictlyConvexProfile(
+            dim=len(x),
+            agents=(
+                AgentProfile(eps=1.0),
+                AgentProfile(eps=1.0, pieces=((tuple(0.0 for _ in x), 0.0), piece)),
+            ),
+        )
+        with pytest.raises(XOutsideDomain) as info:
+            share_point(prof, x, BallConfig(radius=2.0))
+        message = str(info.value)
+        assert f"x = {x!r}" in message and "float64" not in message
+
     def test_stability_across_initializations(self):
         prof = StrictlyConvexProfile(
             dim=2,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from riskshare.errors import InputError
+from riskshare.errors import InputError, NumericalBreakdown
 from riskshare.lp import (
     COMP_SLACK_TOL,
     FEAS_TOL,
@@ -225,3 +225,43 @@ class TestFeasibilityMode:
         out = feasible(A, b)
         assert out.status is LPStatus.OPTIMAL
         assert np.max(np.abs(A @ out.solution - b)) <= 1e-8
+
+
+class TestBreakdownReport:
+    """Every NumericalBreakdown names the program's size and the pivots taken."""
+
+    # phase 1 takes 2 pivots and phase 2 one more
+    A = np.array([[1.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 1.0]])
+    b = np.array([4.0, 6.0])
+    c = np.array([0.0, -1.0, 0.0, 0.0])
+
+    @staticmethod
+    def _inverse_failing_at(monkeypatch, k):
+        """Make the k-th call of ``np.linalg.inv`` raise; count the calls."""
+        real, calls = np.linalg.inv, []
+
+        def inv(B):
+            calls.append(None)
+            if len(calls) == k:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(B)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["solve", "feasible"])
+    def test_first_and_last_basis(self, mode, monkeypatch):
+        run = {
+            "solve": lambda: solve(LinearProgram(c=self.c, A=self.A, b=self.b)),
+            "feasible": lambda: feasible(self.A, self.b),
+        }[mode]
+        calls = self._inverse_failing_at(monkeypatch, 0)
+        clean = run()
+        assert clean.pivots == (3 if mode == "solve" else 2)
+        for k, pivots in ((1, 0), (len(calls), clean.pivots)):
+            self._inverse_failing_at(monkeypatch, k)
+            with pytest.raises(NumericalBreakdown) as info:
+                run()
+            assert str(info.value) == (
+                f"singular working basis: Singular matrix (2 x 4 program, {pivots} pivots taken)"
+            )

@@ -14,6 +14,8 @@ from riskshare.errors import (
     WeightSumOutOfTolerance,
 )
 from riskshare.measures import (
+    BALL_TOL,
+    MERGE_TOL,
     BallConfig,
     DiscreteMeasure,
     dirac,
@@ -24,6 +26,7 @@ from riskshare.measures import (
     measure_from_json,
     measure_to_json,
     measures_equal,
+    require_shares_in_ball,
     sum_pushforward,
     validate_joint_law,
     validate_measure,
@@ -64,6 +67,11 @@ class TestValidateMeasure:
         with pytest.raises(DimensionMismatch):
             validate_measure([((0.0, 0.0), 0.5), ((1.0,), 0.5)])
 
+    def test_joint_law_points_share_one_dimension(self):
+        # the first tuple fixes the dimension; no coordinate is dropped
+        with pytest.raises(DimensionMismatch):
+            validate_joint_law([(((0.0,), (1.0, 2.0)), 1.0)])
+
     def test_empty_measure_raises(self):
         with pytest.raises(InputError):
             validate_measure([])
@@ -73,12 +81,41 @@ class TestValidateMeasure:
             validate_measure([((float("nan"),), 1.0)])
 
     def test_ball_violation_raises(self):
+        law = validate_joint_law([(((3.0,),), 1.0)])
         with pytest.raises(InputError):
-            validate_measure([((3.0,), 1.0)], ball=BallConfig(radius=2.0))
+            require_shares_in_ball(law, BallConfig(radius=2.0))
 
     def test_ball_respects_center(self):
-        m = validate_measure([((3.0,), 1.0)], ball=BallConfig(radius=2.0, center=(2.0,)))
-        assert m.size == 1
+        law = validate_joint_law([(((3.0,),), 1.0)])
+        require_shares_in_ball(law, BallConfig(radius=2.0, center=(2.0,)))
+        assert law.size == 1
+
+
+class TestBallRule:
+    """``BallConfig.contains``: |y - c| <= R (1 + BALL_TOL) + MERGE_TOL."""
+
+    def test_center_is_honoured(self):
+        assert not BallConfig(radius=2.0).contains((3.0,))
+        assert BallConfig(radius=2.0, center=(2.0,)).contains((3.0,))
+        assert not BallConfig(radius=2.0, center=(2.0,)).contains((-0.5,))
+        with pytest.raises(DimensionMismatch):
+            BallConfig(radius=2.0, center=(2.0,)).contains((0.0, 0.0))
+
+    @pytest.mark.parametrize("radius", [1e-15, 2.0, 1e6])
+    def test_boundary_holds_on_both_sides(self, radius):
+        bound = radius * (1.0 + BALL_TOL) + MERGE_TOL
+        ball = BallConfig(radius=radius)
+        assert ball.contains((bound,)) and ball.contains((-bound,))
+        assert not ball.contains((np.nextafter(bound, np.inf),))
+        assert not ball.contains((-np.nextafter(bound, np.inf),))
+        # off the axes too, up to the rounding of the distance
+        assert ball.contains((0.6 * bound * (1 - 1e-14), 0.8 * bound * (1 - 1e-14)))
+        assert not ball.contains((0.6 * bound * (1 + 1e-14), 0.8 * bound * (1 + 1e-14)))
+
+    def test_nan_is_outside(self):
+        assert not BallConfig(radius=2.0).contains((math.nan,))
+        assert not BallConfig(radius=2.0).contains((0.0, math.nan))
+        assert not BallConfig(radius=2.0, center=(1.0,)).contains((math.nan,))
 
 
 class TestPushforwards:

@@ -199,3 +199,20 @@ class TestSandwich:
         assert abs(stat) <= TOL
         state = minimize_q(gamma0, ball=BALL, max_iters=60)
         assert state.j <= 1e-4
+
+
+@pytest.mark.parametrize("excess, inside", [(0.5e-9, True), (2e-9, False)])
+def test_stages_share_the_ball_rule(excess, inside):
+    """The grid, the dual objective and ``contains`` admit the same shares."""
+    ball = BallConfig(radius=2.0)
+    share = (2.0 * (1.0 + excess),)
+    gamma0 = validate_joint_law([((share, (-1.0,)), 0.5), (((0.0,), (1.0,)), 0.5)])
+    assert ball.contains(share) is inside
+    if inside:
+        build_split_grid(gamma0, h=1.0, ball=ball)
+        assert j_value(quad_profile(), gamma0, ball) >= -1e-9
+    else:
+        with pytest.raises(InputError, match="outside the ball"):
+            build_split_grid(gamma0, h=1.0, ball=ball)
+        with pytest.raises(InputError, match="outside the ball"):
+            j_value(quad_profile(), gamma0, ball)
