@@ -1,9 +1,17 @@
 """Dense linear programming in standard form with certified outcomes.
 
 Solves ``minimize c·v  subject to  A v = b, v >= 0`` with a two-phase
-revised simplex method.  The solver is deliberately dense and simple:
-instances produced elsewhere in the package stay at desk scale (at most a
-few thousand variables), and exactness matters more than speed here.
+revised simplex method.  The solver is dense: instances produced elsewhere
+in the package stay at desk scale (a few hundred rows, at most a few
+thousand variables).
+
+The working basis is held as an explicit inverse.  Each simplex run
+inverts its start basis once; every pivot then updates the inverse by a
+rank-one (eta) step in O(m²) instead of re-inverting in O(m³), and the
+inverse is recomputed from scratch every ``REFACTOR_INTERVAL`` pivots to
+stop rounding from building up.  No verdict is read off an updated
+inverse: before a run reports optimal or unbounded it refactorises, so
+the final basic values and duals come from a fresh inverse.
 
 Every ``Optimal`` outcome is certified before it is returned: primal
 residual, complementary slackness and the duality gap are all checked
@@ -33,12 +41,16 @@ FEAS_TOL = 1e-8
 REDUNDANCY_TOL = 1e-10
 #: Reduced costs above -OPT_TOL count as nonnegative (optimality).
 OPT_TOL = 1e-9
+#: A column whose entries are all <= this is an unbounded ray.
+UNBOUNDED_TOL = 1e-13
 #: A simplex step of length <= this counts as degenerate.
 DEGENERATE_STEP_TOL = 1e-12
 #: Complementary-slackness residual allowed on certified outcomes.
 COMP_SLACK_TOL = 1e-7
 #: Relative duality gap allowed on certified outcomes.
 GAP_TOL = 1e-7
+#: Rank-one updates of the basis inverse between two refactorisations.
+REFACTOR_INTERVAL = 128
 
 
 class LPStatus(Enum):
@@ -112,52 +124,65 @@ def _numerical_breakdown(lp: LinearProgram, exc: _Breakdown, pivots: int):
     return NumericalBreakdown(f"{exc} ({m} x {n} program, {exc.pivots + pivots} pivots taken)")
 
 
+def _inverse(B: np.ndarray, why: str, pivots: int) -> np.ndarray:
+    """Invert a basis from scratch; singularity becomes a ``_Breakdown``."""
+    try:
+        return np.linalg.inv(B) if B.size else np.zeros(B.shape)
+    except np.linalg.LinAlgError as exc:
+        raise _Breakdown(f"{why}: {exc}", pivots) from exc
+
+
+def _pivot(invB: np.ndarray, d: np.ndarray, r: int) -> None:
+    """Update ``invB`` in place after a column with ``d = invB @ a`` enters slot ``r``."""
+    row = invB[r] / d[r]
+    invB -= np.outer(d, row)
+    invB[r] = row
+
+
 def _simplex_iterations(
     A: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
     basis: list[int],
-) -> tuple[str, list[int], np.ndarray, np.ndarray, int]:
+) -> tuple[str, list[int], np.ndarray, np.ndarray, np.ndarray, int]:
     """Run simplex to optimality/unboundedness from a feasible basis.
 
-    Returns (status, basis, basic values, duals, pivot count) with status
-    "optimal" or "unbounded".
+    Returns (status, basis, basic values, duals, basis inverse, pivot
+    count) with status "optimal" or "unbounded"; the inverse is fresh.
     """
     m, n = A.shape
     pivots = 0
+    updates = 0
+    refactor = True
     degen_run = 0
     bland = False
     max_iter = 200 * (m + n) + 5000
     while True:
         if pivots > max_iter:
             raise _Breakdown(f"iteration limit {max_iter} exceeded", pivots)
-        B = A[:, basis]
-        try:
-            invB = np.linalg.inv(B) if m else np.zeros((0, 0))
-        except np.linalg.LinAlgError as exc:
-            raise _Breakdown(f"singular working basis: {exc}", pivots) from exc
+        if refactor or updates >= REFACTOR_INTERVAL:
+            invB = _inverse(A[:, basis], "singular working basis", pivots)
+            updates, refactor = 0, False
         xB = invB @ b
         y = invB.T @ c[basis]
         z = c - A.T @ y
         z[basis] = 0.0
 
         negative = np.flatnonzero(z < -OPT_TOL)
-        if negative.size == 0:
-            return "optimal", basis, xB, y, pivots
         if bland:
             candidates = negative  # already in ascending index order
         else:
             candidates = negative[np.argsort(z[negative], kind="stable")]
 
-        pivot_done = False
-        saw_tiny_column = False
+        verdict: Optional[str] = "optimal"
         for j in candidates:
             d = invB @ A[:, j]
             eligible = np.flatnonzero(d > PIVOT_TOL)
             if eligible.size == 0:
-                if d.size == 0 or np.max(d, initial=-np.inf) <= 1e-13:
-                    return "unbounded", basis, xB, y, pivots
-                saw_tiny_column = True  # positive entries exist but all < PIVOT_TOL
+                if np.max(d, initial=-np.inf) <= UNBOUNDED_TOL:
+                    verdict = "unbounded"
+                    break
+                verdict = "stalled"  # positive entries exist but all < PIVOT_TOL
                 continue
             ratios = xB[eligible] / d[eligible]
             theta = np.min(ratios)
@@ -170,82 +195,84 @@ def _simplex_iterations(
                 degen_run = 0
             if not bland and degen_run >= 3 * n:
                 bland = True
+            _pivot(invB, d, r)
             basis[r] = int(j)
             pivots += 1
-            pivot_done = True
+            updates += 1
+            verdict = None
             break
-        if not pivot_done:
-            if saw_tiny_column:
-                raise _Breakdown(
-                    f"all usable pivot entries below {PIVOT_TOL} and no alternative column",
-                    pivots,
-                )
-            return "optimal", basis, xB, y, pivots  # unreachable in practice
+        if verdict is None:
+            continue
+        if updates:
+            refactor = True  # read no verdict off an updated inverse
+            continue
+        if verdict == "stalled":
+            raise _Breakdown(
+                f"all usable pivot entries below {PIVOT_TOL} and no alternative column",
+                pivots,
+            )
+        return verdict, basis, xB, y, invB, pivots
 
 
 def _drive_out_artificials(
-    A_struct: np.ndarray,
+    A: np.ndarray,
     b: np.ndarray,
     basis: list[int],
+    invB: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
     """Replace basic artificials by structural columns or drop their rows.
 
-    Works on the full ``[A | I]`` system so every artificial column stays an
-    exact unit vector.  When a basic artificial's tableau row has no usable
-    structural entry, the corresponding original row is redundant; that row
-    and the artificial's basis slot are removed together, which keeps the
-    remaining basis square and nonsingular.
+    ``basis`` and its inverse ``invB`` (updated in place) are phase 1's, on
+    the system ``[A | I]``.  When a basic artificial's tableau row has no
+    usable structural entry, the original row it stands for is redundant:
+    the artificial stays basic, at zero, until the end, and then the row
+    and the artificial's slot are removed together.  Leaving it basic in
+    the meantime changes no other tableau row, because the artificial's
+    column is a unit vector, so the inverse's column for that row is a unit
+    vector too.
 
     Returns the reduced (A, b), the all-structural basis, and the surviving
     original row indices.
     """
-    m0, n = A_struct.shape
-    A1 = np.hstack([A_struct, np.eye(m0)])
-    rhs = b.copy()
-    rows = list(range(m0))
-    while True:
-        art_slots = [k for k, j in enumerate(basis) if j >= n]
-        if not art_slots:
-            break
-        B = A1[:, basis]
-        try:
-            invB = np.linalg.inv(B)
-        except np.linalg.LinAlgError as exc:
-            raise _Breakdown(f"singular basis while removing artificials: {exc}") from exc
-        k = art_slots[0]
-        row_vec = invB[k] @ A1[:, :n]
-        for jb in basis:
-            if jb < n:
-                row_vec[jb] = 0.0
+    m0, n = A.shape
+    redundant = []
+    updates = 0
+    for k in [k for k, j in enumerate(basis) if j >= n]:
+        if updates >= REFACTOR_INTERVAL:
+            B = np.hstack([A, np.eye(m0)])[:, basis]
+            invB = _inverse(B, "singular basis while removing artificials", 0)
+            updates = 0
+        row_vec = invB[k] @ A
+        row_vec[[jb for jb in basis if jb < n]] = 0.0
         cand = np.flatnonzero(np.abs(row_vec) > REDUNDANCY_TOL)
         if cand.size:
-            basis[k] = int(cand[0])
+            j = int(cand[0])
+            _pivot(invB, invB @ A[:, j], k)
+            basis[k] = j
+            updates += 1
         else:
             # the tableau row certifies a ~0 combination of rows in which the
-            # artificial's own row has coefficient exactly 1, so drop that row
-            pos = rows.index(basis[k] - n)
-            A1 = np.delete(A1, pos, axis=0)
-            rhs = np.delete(rhs, pos)
-            del rows[pos]
-            del basis[k]
-    return A1[:, :n], rhs, basis, rows
+            # artificial's own row has coefficient exactly 1, so that row goes
+            redundant.append(basis[k] - n)
+    rows = [i for i in range(m0) if i not in redundant]
+    return A[rows], b[rows], [j for j in basis if j < n], rows
 
 
 def _phase_one(
     A: np.ndarray, b: np.ndarray
-) -> tuple[float, list[int], np.ndarray, np.ndarray, int]:
-    """Minimize the sum of artificial variables; returns value, basis, x, y, pivots."""
+) -> tuple[float, list[int], np.ndarray, np.ndarray, np.ndarray, int]:
+    """Minimize the sum of artificial variables; returns value, basis, x, y, invB, pivots."""
     m, n = A.shape
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    status, basis, xB, y, pivots = _simplex_iterations(A1, b, c1, basis)
+    status, basis, xB, y, invB, pivots = _simplex_iterations(A1, b, c1, basis)
     if status != "optimal":
         raise _Breakdown("phase 1 reported unbounded; objective is bounded below", pivots)
     x = np.zeros(n + m)
     x[basis] = xB
     value = float(c1 @ x)
-    return value, basis, x, y, pivots
+    return value, basis, x, y, invB, pivots
 
 
 def _map_duals(
@@ -283,14 +310,14 @@ def solve(lp: LinearProgram) -> LPOutcome:
     b = lp.b * signs
     pivots = 0
     try:
-        p1_value, basis, x1, y1, pivots = _phase_one(A, b)
+        p1_value, basis, x1, y1, invB, pivots = _phase_one(A, b)
         if p1_value > FEAS_TOL:
             duals = _map_duals(y1, list(range(m0)), signs, m0)
             return LPOutcome(LPStatus.INFEASIBLE, p1_value, None, duals, pivots)
 
-        A2, b2, basis, kept = _drive_out_artificials(A, b, basis)
+        A2, b2, basis, kept = _drive_out_artificials(A, b, basis, invB)
 
-        status, basis, xB, y, pivots2 = _simplex_iterations(A2, b2, lp.c.copy(), basis)
+        status, basis, xB, y, _, pivots2 = _simplex_iterations(A2, b2, lp.c.copy(), basis)
         pivots += pivots2
         if status == "unbounded":
             return LPOutcome(LPStatus.UNBOUNDED, float("-inf"), None, None, pivots)
@@ -321,7 +348,7 @@ def feasible(A: np.ndarray, b: np.ndarray) -> LPOutcome:
     Af = lp.A * signs[:, None]
     bf = lp.b * signs
     try:
-        value, basis, x1, y1, pivots = _phase_one(Af, bf)
+        value, basis, x1, y1, _, pivots = _phase_one(Af, bf)
     except _Breakdown as exc:
         raise _numerical_breakdown(lp, exc, 0) from exc
     duals = _map_duals(y1, list(range(m0)), signs, m0)

@@ -10,7 +10,9 @@ from importlib import metadata, resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import riskshare.improve
 from riskshare.cli import run
@@ -208,6 +210,36 @@ class TestExitCodes:
         for command, expected in (("stat", 1), ("improve", 1), ("qdescent", 0)):
             code, report, _ = run_cli([command, str(law), "--radius", "5.299999998"], capsys)
             assert code == expected, (command, report)
+
+    def test_near_lattice_share_is_solved(self, tmp_path, capsys):
+        # a share 1e-7 off a lattice point makes near-duplicate rows in the
+        # improvement program (rank 93 of 96); the solve must still finish
+        # and agree with HiGHS on the same program
+        atoms = [(((1.0000001,), (-1.0,)), 0.5), (((0.0,), (1.0,)), 0.5)]
+        path = tmp_path / "near.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "agents": 2,
+                    "dim": 1,
+                    "atoms": [{"x": [list(pt) for pt in tup], "w": w} for tup, w in atoms],
+                }
+            )
+        )
+        code, report, _ = run_cli(["stat", str(path)], capsys)
+        assert code == 1, report
+
+        law = validate_joint_law(atoms)
+        ball = BallConfig(radius=riskshare.improve.default_radius(law))
+        grid = riskshare.improve.build_split_grid(
+            law, riskshare.improve.default_step(law, ball), ball
+        )
+        program = riskshare.improve.build_improvement_problem(law, grid, [1.0, 1.0]).program
+        assert program.A.shape == (96, 125)
+        ref = linprog(program.c, A_eq=program.A, b_eq=program.b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        baseline = sum(w * sum(0.5 * float(np.dot(y, y)) for y in tup) for tup, w in law.atoms)
+        assert report["statistic"] == pytest.approx(baseline - ref.fun, abs=1e-8)
 
     def test_nan_rejected(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"

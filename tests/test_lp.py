@@ -5,16 +5,19 @@ import pytest
 from scipy.optimize import linprog
 
 from riskshare.errors import InputError, NumericalBreakdown
+from riskshare.improve import build_improvement_problem, build_split_grid
 from riskshare.lp import (
     COMP_SLACK_TOL,
     FEAS_TOL,
     GAP_TOL,
+    REFACTOR_INTERVAL,
     LinearProgram,
     LPOutcome,
     LPStatus,
     feasible,
     solve,
 )
+from riskshare.measures import BallConfig, validate_joint_law
 
 VALUE_TOL = 1e-6
 
@@ -29,6 +32,33 @@ def assert_certified(lp: LinearProgram, out: LPOutcome) -> None:
     z = lp.c - lp.A.T @ y
     assert np.max(np.abs(x * z), initial=0.0) <= COMP_SLACK_TOL
     assert abs(lp.c @ x - y @ lp.b) <= GAP_TOL * (1.0 + abs(out.value))
+
+
+def assert_matches_highs(lp: LinearProgram, out: LPOutcome) -> None:
+    ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert out.value == pytest.approx(ref.fun, abs=VALUE_TOL * (1 + abs(ref.fun)))
+    assert_certified(lp, out)
+
+
+def transport(supply, demand, cost) -> LinearProgram:
+    """Transportation program: row sums ``supply``, column sums ``demand``.
+
+    The rows always sum to the same total, so one of them is redundant.
+    """
+    n, k = cost.shape
+    A = np.zeros((n + k, n * k))
+    for i in range(n):
+        A[i, i * k : (i + 1) * k] = 1.0
+    for j in range(k):
+        A[n + j, j::k] = 1.0
+    return LinearProgram(c=cost.ravel(), A=A, b=np.concatenate([supply, demand]))
+
+
+def assignment(n: int, seed: int) -> LinearProgram:
+    """Assignment program with small integer costs: highly degenerate."""
+    cost = np.random.RandomState(seed).randint(0, 10, size=(n, n)).astype(float)
+    return transport(np.ones(n), np.ones(n), cost)
 
 
 class TestSolveBasics:
@@ -192,6 +222,90 @@ class TestAgainstReferenceSolver:
                 assert out.status is LPStatus.INFEASIBLE
 
 
+class TestPastRefactorInterval:
+    """Programs long enough that the basis inverse is refactorised mid-run."""
+
+    @pytest.mark.parametrize("n, seed", [(30, 0), (24, 1)])
+    def test_assignment_matches_highs(self, n, seed):
+        lp = assignment(n, seed)
+        out = solve(lp)
+        assert out.pivots >= 3 * REFACTOR_INTERVAL
+        assert_matches_highs(lp, out)
+
+    def test_degenerate_transport_matches_highs(self):
+        rng = np.random.RandomState(3)
+        supply = rng.randint(1, 4, size=20).astype(float)
+        demand = np.full(25, supply.sum() / 25)
+        lp = transport(supply, demand, rng.randint(0, 4, size=(20, 25)).astype(float))
+        out = solve(lp)
+        assert out.pivots >= 2 * REFACTOR_INTERVAL
+        assert_matches_highs(lp, out)
+
+    @pytest.mark.parametrize(
+        "atoms, weights, h",
+        [
+            ([((2.0,), (-1.0,)), ((-1.0,), (1.0,)), ((0.0,), (-2.0,))], (0.25, 0.35, 0.4), 0.0625),
+            ([((-1.0,), (-2.0,)), ((0.0,), (0.0,)), ((1.0,), (2.0,))], (0.3, 0.3, 0.4), 0.0625),
+        ],
+        ids=["improvable", "efficient"],
+    )
+    def test_improvement_program_matches_highs(self, atoms, weights, h):
+        gamma0 = validate_joint_law(list(zip(atoms, weights)))
+        grid = build_split_grid(gamma0, h, BallConfig(radius=2.5))
+        lp = build_improvement_problem(gamma0, grid, [1.0, 1.0]).program
+        out = solve(lp)
+        assert out.pivots >= 3 * REFACTOR_INTERVAL
+        assert_matches_highs(lp, out)
+
+
+class TestRedundantRows:
+    @pytest.mark.parametrize(
+        "interval", [REFACTOR_INTERVAL, 3], ids=["default", "refactor-every-3"]
+    )
+    @pytest.mark.parametrize("scale", [1.0, 0.0], ids=["rhs", "homogeneous"])
+    def test_many_redundant_rows_are_dropped(self, scale, interval, monkeypatch):
+        # nine independent rows (the last a total-mass row, so the program
+        # is bounded; three vanish on the support of x0) and fourteen
+        # redundant ones: duplicates, sums and differences, several placed
+        # before the rows they repeat.  With b = 0 phase 1 ends with nearly
+        # every artificial basic, so independent ones must be pivoted out
+        # before and between the redundant rows that are dropped.
+        rng = np.random.RandomState(6)
+        n = 20
+        base = np.vstack(
+            [
+                np.round(rng.randn(5, n), 3),
+                np.hstack([np.zeros((3, 12)), np.round(rng.randn(3, 8), 3)]),
+                np.ones(n),
+            ]
+        )
+        x0 = np.concatenate([np.abs(np.round(rng.randn(12), 3)), np.zeros(8)])
+        redundant = [
+            base[0] + base[1],
+            base[5],
+            base[6] - base[2],
+            base[2] + base[7] + base[8],
+            base[8],
+            base[0] - base[6],
+            base[4],
+            base[1] + base[1],
+            base[0] + base[8],
+            base[3] - base[5],
+            base[7],
+            -base[8],
+            base[0],
+            base[1] + base[2] + base[3] + base[4],
+        ]
+        A = np.vstack(redundant[:7] + list(base) + redundant[7:])
+        lp = LinearProgram(c=np.round(rng.randn(n), 3), A=A, b=scale * (A @ x0))
+        monkeypatch.setattr("riskshare.lp.REFACTOR_INTERVAL", interval)
+        out = solve(lp)
+        assert_matches_highs(lp, out)
+        # every redundant row was dropped: its dual is exactly zero
+        assert out.duals.shape == (23,)
+        assert np.count_nonzero(out.duals) <= 9
+
+
 class TestFeasibilityMode:
     def test_mean_preserving_split_system(self):
         # one source atom at 0 coupled to targets -1 and 1 with equal mass,
@@ -265,3 +379,27 @@ class TestBreakdownReport:
             assert str(info.value) == (
                 f"singular working basis: Singular matrix (2 x 4 program, {pivots} pivots taken)"
             )
+
+    def test_inverse_is_updated_not_recomputed(self, monkeypatch):
+        lp = assignment(30, 0)
+        calls = self._inverse_failing_at(monkeypatch, 0)
+        out = solve(lp)
+        assert out.pivots >= 200
+        # each of the two simplex runs inverts its start basis and may
+        # refactorise once more before its verdict; in between, one
+        # refactorisation per REFACTOR_INTERVAL pivots
+        per_interval = out.pivots // REFACTOR_INTERVAL
+        assert per_interval <= len(calls) <= per_interval + 4
+
+    def test_failure_at_first_refactorisation(self, monkeypatch):
+        lp = assignment(30, 0)
+        # phase 1 alone runs past the interval, so the second inversion is
+        # its first mid-run refactorisation
+        assert feasible(lp.A, lp.b).pivots > REFACTOR_INTERVAL
+        self._inverse_failing_at(monkeypatch, 2)
+        with pytest.raises(NumericalBreakdown) as info:
+            solve(lp)
+        assert str(info.value) == (
+            "singular working basis: Singular matrix "
+            f"(60 x 900 program, {REFACTOR_INTERVAL} pivots taken)"
+        )
