@@ -43,6 +43,19 @@ from .measures import (
 #: Resolution for deduplicating candidate points (coordinates are snapped
 #: to this grid only for identity purposes, never for arithmetic).
 _DEDUP_RES = 1e-9
+#: Slack on the lattice index bounds, so a lattice point on the ball's
+#: bounding box is not lost to rounding in ``(c ± radius) / h``.
+_LATTICE_SLACK = 1e-12
+#: A baseline split whose shares sum to within this of an aggregate atom
+#: is a candidate split of that atom.
+_BASELINE_SPLIT_TOL = 1e-9
+#: Optimal weights at or below this are read as zero in the improved law.
+_WEIGHT_FLOOR = 1e-12
+#: The statistic (baseline cost minus optimum) may be negative by at most
+#: this much before the program is reported broken.
+_STATISTIC_SLACK = 1e-9
+#: Least tolerance of the independent dominance check of an improved law.
+_VERIFY_TOL_FLOOR = 1e-7
 #: Cap on the lattice splits ``build_split_grid`` may enumerate: the lattice
 #: points of the ball's bounding box raised to ``agents - 1`` (at least 1),
 #: times the aggregate atoms.
@@ -95,7 +108,10 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     # lattice index bounds per axis; counted in floats before anything is
     # built, so that a step fine enough to overflow is refused too
     bounds = [
-        ((ck - ball.radius) / h - 1e-12, (ck + ball.radius) / h + 1e-12)
+        (
+            (ck - ball.radius) / h - _LATTICE_SLACK,
+            (ck + ball.radius) / h + _LATTICE_SLACK,
+        )
         for ck in c.tolist()
     ]
     box = math.prod(hi - lo + 1.0 for lo, hi in bounds)
@@ -119,7 +135,7 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
             seen.setdefault(_key([v for pt in split for v in pt]), split)
         for tup, _w in gamma0.atoms:
             total = tuple(math.fsum(pt[k] for pt in tup) for k in range(d))
-            if np.linalg.norm(np.subtract(total, s)) <= 1e-9:
+            if np.linalg.norm(np.subtract(total, s)) <= _BASELINE_SPLIT_TOL:
                 seen.setdefault(_key([v for pt in tup for v in pt]), tup)
         if not seen:
             raise EmptyCandidateSet(f"no candidate split for aggregate atom {s!r}")
@@ -264,16 +280,16 @@ def _extract_law(
 ) -> JointLaw:
     """Read the optimal weights back into a law, conserving the aggregate.
 
-    Weights below 1e-12 are dropped; the rest are rescaled per aggregate
-    atom so each atom's mass matches the baseline aggregate exactly (the
-    solver residual is at machine scale, so the rescale is a no-op up to
-    rounding).
+    Weights at or below ``_WEIGHT_FLOOR`` are dropped; the rest are
+    rescaled per aggregate atom so each atom's mass matches the baseline
+    aggregate exactly (the solver residual is at machine scale, so the
+    rescale is a no-op up to rounding).
     """
     atoms = []
     for t, (s, w_atom) in enumerate(grid.aggregate.atoms):
         cols = problem.gamma_cols[t]
         weights = np.array([x[c] for c in cols])
-        keep = weights > 1e-12
+        keep = weights > _WEIGHT_FLOOR
         if not np.any(keep):
             raise SolverFailure(f"optimal law lost all mass on aggregate atom {s!r}")
         weights = weights * (w_atom / weights[keep].sum())
@@ -307,13 +323,15 @@ def solve_improvement_lp(
         )
     objective_at_input = _baseline_objective(gamma0, eps)
     statistic = objective_at_input - float(out.value)
-    if statistic < -1e-9:
+    if statistic < -_STATISTIC_SLACK:
         raise SolverFailure(
             f"optimum exceeds the baseline objective by {-statistic:.3e}; "
             "the baseline embedding must be broken"
         )
     improved = _extract_law(gamma0, grid, problem, out.solution)
-    verdict: AllocationVerdict = allocation_dominates(improved, gamma0, max(tol, 1e-7))
+    verdict: AllocationVerdict = allocation_dominates(
+        improved, gamma0, max(tol, _VERIFY_TOL_FLOOR)
+    )
     if not verdict.dominates:
         raise SolverFailure(
             "improved law failed the independent dominance verification; "

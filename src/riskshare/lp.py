@@ -1,17 +1,23 @@
-"""Dense linear programming in standard form with certified outcomes.
+"""Linear programming in standard form with certified outcomes.
 
 Solves ``minimize c·v  subject to  A v = b, v >= 0`` with a two-phase
-revised simplex method.  The solver is dense: instances produced elsewhere
-in the package stay at desk scale (a few hundred rows, at most a few
-thousand variables).
+revised simplex method.  Programs are passed in as dense arrays and stay
+at desk scale (a few hundred rows, at most a few thousand variables), but
+the ones built elsewhere in the package are about 99% zeros.  Each simplex
+run therefore takes a column-compressed copy of its matrix once, and every
+product with a column of it costs its nonzeros, not its rows: pricing
+``c - Aᵀy`` and the entering column ``B⁻¹a`` (FTRAN) in the pivots, and the
+tableau rows and columns used to drive artificials out of the basis.
 
-The working basis is held as an explicit inverse.  Each simplex run
+The working basis is held as an explicit dense inverse.  Each simplex run
 inverts its start basis once; every pivot then updates the inverse by a
-rank-one (eta) step in O(m²) instead of re-inverting in O(m³), and the
-inverse is recomputed from scratch every ``REFACTOR_INTERVAL`` pivots to
-stop rounding from building up.  No verdict is read off an updated
-inverse: before a run reports optimal or unbounded it refactorises, so
-the final basic values and duals come from a fresh inverse.
+rank-one (eta) step on the rows where ``B⁻¹a`` is nonzero, and moves the
+basic values and the duals along with it, instead of re-inverting in
+O(m³).  The inverse, the basic values and the duals are recomputed from
+scratch every ``REFACTOR_INTERVAL`` pivots to stop rounding from building
+up.  No verdict is read off an updated inverse: before a run reports
+optimal or unbounded it refactorises, so the final basic values and duals
+come from a fresh inverse.
 
 Every ``Optimal`` outcome is certified before it is returned: primal
 residual, complementary slackness and the duality gap are all checked
@@ -132,10 +138,38 @@ def _inverse(B: np.ndarray, why: str, pivots: int) -> np.ndarray:
         raise _Breakdown(f"{why}: {exc}", pivots) from exc
 
 
+class _Columns:
+    """Column-compressed copy of a dense matrix.
+
+    The nonzeros of column ``j`` are ``vals[ptr[j]:ptr[j + 1]]``, in rows
+    ``rows[ptr[j]:ptr[j + 1]]``; ``cols`` holds each nonzero's column.
+    """
+
+    def __init__(self, A: np.ndarray):
+        self.n = A.shape[1]
+        self.cols, self.rows = np.nonzero(A.T)  # column-major order
+        self.vals = A[self.rows, self.cols]
+        self.ptr = np.searchsorted(self.cols, np.arange(self.n + 1)).tolist()
+
+    def row_times(self, y: np.ndarray) -> np.ndarray:
+        """``y @ A``, by summing each column's nonzeros."""
+        return np.bincount(self.cols, weights=y[self.rows] * self.vals, minlength=self.n)
+
+    def ftran(self, invB: np.ndarray, j: int) -> np.ndarray:
+        """``invB @ A[:, j]``, from the columns of ``invB`` on column j's nonzero rows."""
+        lo, hi = self.ptr[j], self.ptr[j + 1]
+        return invB[:, self.rows[lo:hi]] @ self.vals[lo:hi]
+
+
 def _pivot(invB: np.ndarray, d: np.ndarray, r: int) -> None:
-    """Update ``invB`` in place after a column with ``d = invB @ a`` enters slot ``r``."""
+    """Update ``invB`` in place after a column with ``d = invB @ a`` enters slot ``r``.
+
+    Rows where ``d`` is zero are unchanged by the rank-one step, so only
+    the others are touched.
+    """
     row = invB[r] / d[r]
-    invB -= np.outer(d, row)
+    nz = d.nonzero()[0]
+    invB[nz] -= np.multiply.outer(d[nz], row)
     invB[r] = row
 
 
@@ -148,9 +182,12 @@ def _simplex_iterations(
     """Run simplex to optimality/unboundedness from a feasible basis.
 
     Returns (status, basis, basic values, duals, basis inverse, pivot
-    count) with status "optimal" or "unbounded"; the inverse is fresh.
+    count) with status "optimal" or "unbounded"; the inverse, the basic
+    values and the duals are fresh.  Between refactorisations the basic
+    values and the duals are moved along with each pivot.
     """
     m, n = A.shape
+    columns = _Columns(A)
     pivots = 0
     updates = 0
     refactor = True
@@ -162,13 +199,13 @@ def _simplex_iterations(
             raise _Breakdown(f"iteration limit {max_iter} exceeded", pivots)
         if refactor or updates >= REFACTOR_INTERVAL:
             invB = _inverse(A[:, basis], "singular working basis", pivots)
+            xB = invB @ b
+            y = invB.T @ c[basis]
             updates, refactor = 0, False
-        xB = invB @ b
-        y = invB.T @ c[basis]
-        z = c - A.T @ y
+        z = c - columns.row_times(y)
         z[basis] = 0.0
 
-        negative = np.flatnonzero(z < -OPT_TOL)
+        negative = (z < -OPT_TOL).nonzero()[0]
         if bland:
             candidates = negative  # already in ascending index order
         else:
@@ -176,8 +213,8 @@ def _simplex_iterations(
 
         verdict: Optional[str] = "optimal"
         for j in candidates:
-            d = invB @ A[:, j]
-            eligible = np.flatnonzero(d > PIVOT_TOL)
+            d = columns.ftran(invB, j)
+            eligible = (d > PIVOT_TOL).nonzero()[0]
             if eligible.size == 0:
                 if np.max(d, initial=-np.inf) <= UNBOUNDED_TOL:
                     verdict = "unbounded"
@@ -195,7 +232,13 @@ def _simplex_iterations(
                 degen_run = 0
             if not bland and degen_run >= 3 * n:
                 bland = True
+            step = xB[r] / d[r]
             _pivot(invB, d, r)
+            xB -= step * d
+            xB[r] = step
+            # y moves by z_j times the new row r of B⁻¹: a_j·y becomes c_j,
+            # and a·y is unchanged for every other basic column a
+            y += z[j] * invB[r]
             basis[r] = int(j)
             pivots += 1
             updates += 1
@@ -235,6 +278,7 @@ def _drive_out_artificials(
     original row indices.
     """
     m0, n = A.shape
+    columns = _Columns(A)
     redundant = []
     updates = 0
     for k in [k for k, j in enumerate(basis) if j >= n]:
@@ -242,12 +286,12 @@ def _drive_out_artificials(
             B = np.hstack([A, np.eye(m0)])[:, basis]
             invB = _inverse(B, "singular basis while removing artificials", 0)
             updates = 0
-        row_vec = invB[k] @ A
+        row_vec = columns.row_times(invB[k])
         row_vec[[jb for jb in basis if jb < n]] = 0.0
         cand = np.flatnonzero(np.abs(row_vec) > REDUNDANCY_TOL)
         if cand.size:
             j = int(cand[0])
-            _pivot(invB, invB @ A[:, j], k)
+            _pivot(invB, columns.ftran(invB, j), k)
             basis[k] = j
             updates += 1
         else:
