@@ -27,7 +27,7 @@ not convex, reproduced by ``counterexample_family``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,6 +55,8 @@ MAX_OUTER_ITER = 10_000
 CERT_TOL = 1e-9
 #: Slack by which a piece may top the active ones at a stop: roundoff only.
 TIE_TOL = 1e-12
+#: Relative slack under the radius at which a share counts as on the sphere.
+SPHERE_SLACK = 1e-12
 #: Fraction of |r| a Newton step must remove to be taken over dual ascent.
 SUFFICIENT = 1e-4
 
@@ -75,21 +77,29 @@ class AgentProfile:
 
 @dataclass(frozen=True, eq=False)
 class StrictlyConvexProfile:
-    """Costs for all agents in a fixed dimension, in normalized form."""
+    """Costs for all agents in a fixed dimension, in normalized form.
+
+    The profile is immutable, so each agent's ``(Q, A, b)`` is built once,
+    read-only, and a 1-D profile keeps the summed response table of each
+    ball it has split under (see ``_response_table``).
+    """
 
     dim: int
     agents: tuple[AgentProfile, ...]
+    _arrays: tuple = field(init=False, repr=False)
+    _pure_quadratic: bool = field(init=False, repr=False)
+    _tables: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DimensionMismatch("profile dimension must be >= 1")
         if not self.agents:
             raise InputError("profile needs at least one agent")
-        normalized = []
+        normalized, arrays = [], []
         for i, ag in enumerate(self.agents):
             quad = None
             if ag.quad is not None:
-                quad = np.asarray(ag.quad, dtype=float)
+                quad = _read_only(np.array(ag.quad, dtype=float))
                 _check_spd(quad, self.dim, f"agent {i} quadratic")
             elif not (math.isfinite(ag.eps) and ag.eps > 0):
                 raise InputError(f"agent {i}: eps must be > 0, got {ag.eps!r}")
@@ -107,41 +117,50 @@ class StrictlyConvexProfile:
             if not pieces:
                 pieces = [(tuple([0.0] * self.dim), 0.0)]  # the zero piece
             normalized.append(AgentProfile(eps=float(ag.eps), pieces=tuple(pieces), quad=quad))
+            arrays.append(
+                (
+                    quad if quad is not None else _read_only(float(ag.eps) * np.eye(self.dim)),
+                    _read_only(np.array([a for a, _ in pieces], dtype=float)),
+                    _read_only(np.array([b for _, b in pieces], dtype=float)),
+                )
+            )
         object.__setattr__(self, "agents", tuple(normalized))
+        object.__setattr__(self, "_arrays", tuple(arrays))
+        object.__setattr__(self, "_pure_quadratic", not any(A.any() for _, A, _ in arrays))
+        object.__setattr__(self, "_tables", {})
 
     @property
     def n_agents(self) -> int:
         return len(self.agents)
 
     def quad_matrix(self, i: int) -> np.ndarray:
-        ag = self.agents[i]
-        if ag.quad is not None:
-            return ag.quad
-        return ag.eps * np.eye(self.dim)
+        """Agent ``i``'s quadratic Q, read-only."""
+        return self._arrays[i][0]
 
     def piece_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        ag = self.agents[i]
-        A = np.array([a for a, _ in ag.pieces], dtype=float)
-        b = np.array([b for _, b in ag.pieces], dtype=float)
-        return A, b
+        """Agent ``i``'s piece slopes (one per row) and intercepts, read-only."""
+        return self._arrays[i][1:]
 
     def psi_value(self, i: int, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=float)
-        A, b = self.piece_arrays(i)
-        return float(0.5 * y @ self.quad_matrix(i) @ y + np.max(A @ y + b))
+        Q, A, b = self._arrays[i]
+        return float(0.5 * y @ Q @ y + np.max(A @ y + b))
 
     def psi_grad(self, i: int, y: np.ndarray) -> np.ndarray:
         """A subgradient; equals the gradient wherever a single piece leads."""
         y = np.asarray(y, dtype=float)
-        A, b = self.piece_arrays(i)
+        Q, A, b = self._arrays[i]
         k = int(np.argmax(A @ y + b))
-        return self.quad_matrix(i) @ y + A[k]
+        return Q @ y + A[k]
 
     def is_pure_quadratic(self) -> bool:
         """True when no agent has a sloped affine piece."""
-        return all(
-            all(all(v == 0.0 for v in a) for a, _ in ag.pieces) for ag in self.agents
-        )
+        return self._pure_quadratic
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _check_spd(S: np.ndarray, dim: int, what: str) -> None:
@@ -369,6 +388,27 @@ def _response_knots(q, slopes, knots, lo, hi):
     return u, y
 
 
+def _response_table(profile, lo, hi):
+    """The agents' costs ``(q, slopes, b)``, their response knots on
+    ``[lo, hi]``, and the knots ``(U, X)`` of ``u -> sum_i y_i(u)``.
+
+    They depend only on the profile and the interval, so they are built on
+    the first split under ``[lo, hi]`` and kept on the profile.
+    """
+    table = profile._tables.get((lo, hi))
+    if table is None:
+        costs, responses = [], []
+        for i in range(profile.n_agents):
+            q = float(profile.quad_matrix(i)[0, 0])
+            A, b = profile.piece_arrays(i)
+            costs.append((q, A[:, 0], b))
+            responses.append(_response_knots(q, *_upper_envelope(A[:, 0], b), lo, hi))
+        U = np.unique(np.concatenate([uk for uk, _ in responses]))
+        X = sum(np.interp(U, uk, yk) for uk, yk in responses)
+        table = profile._tables[(lo, hi)] = (costs, responses, U, X)
+    return table
+
+
 def _share_point_1d(profile, x, ball, tol) -> SharingPoint:
     """Exact split of a scalar ``x``: solve ``sum_i y_i(u) = x`` for the price.
 
@@ -378,15 +418,7 @@ def _share_point_1d(profile, x, ball, tol) -> SharingPoint:
     the sum is flat the lowest price is taken; the shares are unique anyway.
     """
     c, R = float(ball.center_for(1)[0]), ball.radius
-    lo, hi = c - R, c + R
-    costs, responses = [], []
-    for i in range(profile.n_agents):
-        q = float(profile.quad_matrix(i)[0, 0])
-        A, b = profile.piece_arrays(i)
-        costs.append((q, A[:, 0], b))
-        responses.append(_response_knots(q, *_upper_envelope(A[:, 0], b), lo, hi))
-    U = np.unique(np.concatenate([uk for uk, _ in responses]))
-    X = sum(np.interp(U, uk, yk) for uk, yk in responses)
+    costs, responses, U, X = _response_table(profile, c - R, c + R)
     k = int(np.searchsorted(X, x))
     if k == 0:
         u = float(U[0])
@@ -398,7 +430,7 @@ def _share_point_1d(profile, x, ball, tol) -> SharingPoint:
     for (q, slopes, b), (uk, yk) in zip(costs, responses):
         y = float(np.interp(u, uk, yk))
         nu = 0.0
-        if abs(y - c) >= R * (1.0 - 1e-12):
+        if abs(y - c) >= R * (1.0 - SPHERE_SLACK):
             lead = float(slopes[int(np.argmax(slopes * y + b))])
             nu = max(0.0, (u - q * y - lead) / (y - c))
         shares.append(y)
@@ -436,7 +468,7 @@ def _closed_form_quadratic(profile, x, ball):
         return None
     shares = [Si @ price for Si in S]
     c = ball.center_for(profile.dim)
-    if any(np.linalg.norm(y - c) > ball.radius * (1.0 - 1e-12) for y in shares):
+    if any(np.linalg.norm(y - c) > ball.radius * (1.0 - SPHERE_SLACK) for y in shares):
         return None
     residual = float(np.linalg.norm(sum(shares) - x))
     return SharingPoint(

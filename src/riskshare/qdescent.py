@@ -73,8 +73,9 @@ def _evaluate(
     gamma0: JointLaw,
     m0: DiscreteMeasure,
     ball: BallConfig,
-) -> tuple[float, JointLaw]:
-    """J(profile) together with the induced sharing law of ``m0``."""
+) -> tuple[float, list]:
+    """J(profile) together with the raw atoms of the induced sharing law of
+    ``m0``; only the iterates that are kept need them canonicalised."""
     first = math.fsum(
         w * math.fsum(profile.psi_value(i, np.asarray(x)) for i, x in enumerate(xs))
         for xs, w in gamma0.atoms
@@ -95,8 +96,7 @@ def _evaluate(
         raise NumericalBreakdown(
             f"objective evaluated to {j:.3e}; an optimal split was overestimated"
         )
-    law = validate_joint_law(split_atoms, agents=gamma0.agents, dim=gamma0.dim)
-    return j, law
+    return j, split_atoms
 
 
 def j_value(
@@ -232,7 +232,8 @@ def minimize_q(
     require_shares_in_ball(gamma0, ball)
     m0 = sum_pushforward(gamma0)
 
-    j_cur, law_cur = _evaluate(profile, gamma0, m0, ball)
+    j_cur, split_atoms = _evaluate(profile, gamma0, m0, ball)
+    law_cur = validate_joint_law(split_atoms, agents=p, dim=gamma0.dim)
     history = [j_cur]
     stop_at = 1e-9 if target is None else max(target, 0.0) + 1e-6
     iterations = 0
@@ -258,15 +259,16 @@ def minimize_q(
                 trial = _with_cuts(profile, cut_set, sigma)
                 if trial is None:
                     continue
-                j_t, law_t = _evaluate(trial, gamma0, m0, ball)
+                j_t, atoms_t = _evaluate(trial, gamma0, m0, ball)
                 if best is None or j_t < best[0]:
-                    best = (j_t, law_t, trial)
+                    best = (j_t, atoms_t, trial)
             if best is not None and best[0] < accept_below:
                 break  # the joint cut already improves; skip the fallback
         iterations += 1
         if best is None or best[0] >= accept_below:
             break  # no step-scaled cut improves: local stall
-        j_cur, law_cur, profile = best
+        j_cur, split_atoms, profile = best
+        law_cur = validate_joint_law(split_atoms, agents=p, dim=gamma0.dim)
         history.append(j_cur)
     else:
         hit_cap = j_cur > stop_at

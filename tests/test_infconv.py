@@ -8,6 +8,7 @@ import pytest
 from riskshare.errors import (
     DimensionMismatch,
     InputError,
+    NoConvergence,
     NotPositiveDefinite,
     ParameterOutOfRange,
     XOutsideDomain,
@@ -66,6 +67,67 @@ class TestProfileValidation:
         assert prof.psi_value(0, np.array([1.0])) == pytest.approx(1.0 + 0.75)
         assert prof.psi_value(0, np.array([0.0])) == pytest.approx(0.0)
         np.testing.assert_allclose(prof.psi_grad(0, np.array([1.0])), [3.0])
+
+
+def _kinked_1d_profile():
+    return StrictlyConvexProfile(
+        dim=1,
+        agents=(
+            AgentProfile(eps=1.0, pieces=(((0.0,), 0.0), ((1.0,), -0.3))),
+            AgentProfile(eps=3.0),
+            AgentProfile(eps=0.7, pieces=(((-0.5,), 0.1),)),
+        ),
+    )
+
+
+def _outcome(profile, x, ball, tol):
+    """A split's every field, or the type and message of what it raised."""
+    try:
+        sp = share_point(profile, (x,), ball, tol=tol)
+    except (NoConvergence, XOutsideDomain) as exc:
+        return type(exc), str(exc)
+    return sp.shares, sp.price, sp.multipliers, sp.residual, sp.iterations
+
+
+class TestCachedArrays:
+    """A profile builds its arrays and 1-D response tables once."""
+
+    def test_arrays_are_read_only(self):
+        user_quad = np.array([[2.0, 0.1], [0.1, 1.0]])
+        prof = StrictlyConvexProfile(
+            dim=2,
+            agents=(
+                AgentProfile(eps=0.5, pieces=(((1.0, -1.0), 0.25),)),
+                AgentProfile(quad=user_quad),
+            ),
+        )
+        for i in range(prof.n_agents):
+            A, b = prof.piece_arrays(i)
+            for arr in (prof.quad_matrix(i), A, b):
+                with pytest.raises(ValueError):
+                    arr[0] = 7.0
+        # the caller's matrix is copied, not frozen, and its later edits
+        # do not reach the profile
+        user_quad[0, 0] = 5.0
+        assert prof.quad_matrix(1)[0, 0] == 2.0
+
+    def test_one_profile_under_many_balls_matches_fresh_profiles(self):
+        shared = _kinked_1d_profile()
+        balls = [
+            BallConfig(radius=2.0, center=(0.25,)),
+            BallConfig(radius=0.5, center=(0.25,)),
+            BallConfig(radius=2.0, center=(-0.5,)),
+            BallConfig(radius=2.0, center=(0.25,)),
+        ]
+        seen = set()
+        for ball in balls:
+            for x in np.linspace(-2.0, 6.0, 17):
+                for tol in (TOL, 0.0):
+                    got = _outcome(shared, float(x), ball, tol)
+                    assert got == _outcome(_kinked_1d_profile(), float(x), ball, tol)
+                    seen.add(got[0] if isinstance(got[0], type) else "ok")
+        # every outcome occurs: splits, and both failures the map raises
+        assert seen == {"ok", NoConvergence, XOutsideDomain}
 
 
 class TestSharePoint:

@@ -9,12 +9,17 @@ function is convex, so the nesting stays unimodal).
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from riskshare.infconv import AgentProfile, StrictlyConvexProfile, share_point
-from riskshare.measures import BallConfig
+from riskshare.convex_order import is_comonotone_pairwise
+from riskshare.errors import NumericalBreakdown
+from riskshare.improve import _STATISTIC_SLACK, build_split_grid, solve_improvement_lp
+from riskshare.infconv import AgentProfile, StrictlyConvexProfile, share_point, sharing_law
+from riskshare.maxcorr import comonotonicity_gap
+from riskshare.measures import BallConfig, validate_measure
 
 TOL = 1e-8
 
@@ -24,13 +29,19 @@ _SLOPE = st.one_of(
     st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]), st.floats(-4.0, 4.0)
 )
 _PIECE = st.tuples(_SLOPE, st.floats(-10.0, 10.0))
-_AGENT = st.builds(
-    lambda eps, pieces: AgentProfile(
-        eps=eps, pieces=tuple(((a,), b) for a, b in pieces)
-    ),
-    st.floats(0.2, 3.0),
-    st.lists(_PIECE, min_size=1, max_size=30),
-)
+
+
+def _agents(max_pieces):
+    return st.builds(
+        lambda eps, pieces: AgentProfile(
+            eps=eps, pieces=tuple(((a,), b) for a, b in pieces)
+        ),
+        st.floats(0.2, 3.0),
+        st.lists(_PIECE, min_size=1, max_size=max_pieces),
+    )
+
+
+_AGENT = _agents(30)
 
 
 @st.composite
@@ -132,3 +143,65 @@ def test_piece_that_never_leads_changes_nothing():
         a = share_point(with_piece, (x,), ball)
         b = share_point(without, (x,), ball)
         assert a.shares == b.shares and a.price == b.price
+
+
+@st.composite
+def _laws(draw):
+    """A 1-D profile, a ball, and a measure of aggregates inside p copies of it."""
+    # few pieces keep the improvement program of the drawn law small
+    agents = draw(st.lists(_agents(4), min_size=2, max_size=3))
+    radius = draw(st.floats(1.0, 2.5))
+    center = draw(st.floats(-0.5, 0.5))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(fractions), max_size=len(fractions)))
+    p = len(agents)
+    total = math.fsum(weights)
+    m0 = validate_measure(
+        [((p * (center + radius * (2.0 * f - 1.0)),), w / total) for f, w in zip(fractions, weights)]
+    )
+    profile = StrictlyConvexProfile(dim=1, agents=tuple(agents))
+    return profile, BallConfig(radius=radius, center=(center,)), m0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_laws())
+def test_1d_sharing_law_is_comonotone(case):
+    # the one-dimensional anchor of the paper: optimal sharing is comonotone
+    profile, ball, m0 = case
+    law = sharing_law(profile, m0, ball)
+    assert is_comonotone_pairwise(law)
+    assert comonotonicity_gap(law).gap <= TOL
+
+
+# The simplex can break down on these improvement programs, which are
+# degenerate and rank-deficient (see test_near_zero_pivot_entry); any other
+# failure, a nonzero statistic included, fails the test.  A breakdown is not
+# shrunk: shrinking it would take a minute of the suite's time.
+@pytest.mark.xfail(raises=NumericalBreakdown, strict=False)
+@settings(
+    max_examples=30, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate)
+)
+@given(_laws())
+def test_1d_sharing_law_is_efficient(case):
+    # a comonotone law admits no improvement in the concave order
+    profile, ball, m0 = case
+    law = sharing_law(profile, m0, ball)
+    grid = build_split_grid(law, 0.5, ball)
+    assert abs(solve_improvement_lp(law, grid).statistic) <= _STATISTIC_SLACK
+
+
+@pytest.mark.xfail(raises=NumericalBreakdown, strict=False)
+def test_efficient_law_with_a_near_zero_pivot():
+    # a drawn case of the test above: HiGHS solves its 80 x 147 program
+    # (rank 76) as optimal with statistic 0, but the simplex pivots on
+    # entries of 1.0e-11 and 5.1e-11, just above PIVOT_TOL, and the next
+    # refactorisation finds the working basis singular
+    agents = tuple(
+        AgentProfile(eps=e, pieces=(((-2.0,), 0.0),)) for e in (2.0, 1.75, 1.75)
+    )
+    profile = StrictlyConvexProfile(dim=1, agents=agents)
+    ball = BallConfig(radius=2.5, center=(0.39773662413694577,))
+    m0 = validate_measure([((-6.306790127589163,), 0.5), ((1.5361092020589533,), 0.5)])
+    law = sharing_law(profile, m0, ball)
+    grid = build_split_grid(law, 0.5, ball)
+    assert abs(solve_improvement_lp(law, grid).statistic) <= _STATISTIC_SLACK
