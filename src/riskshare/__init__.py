@@ -61,6 +61,7 @@ from .infconv import (
     quadratic_profile,
     quadratic_sharing_matrix,
     share_point,
+    share_points,
     sharing_law,
 )
 from .lp import LinearProgram, LPOutcome, LPStatus, feasible, solve
@@ -155,6 +156,7 @@ __all__ = [
     "quadratic_profile",
     "quadratic_sharing_matrix",
     "share_point",
+    "share_points",
     "sharing_law",
     "solve",
     "solve_improvement_lp",

@@ -80,14 +80,17 @@ class StrictlyConvexProfile:
     """Costs for all agents in a fixed dimension, in normalized form.
 
     The profile is immutable, so each agent's ``(Q, A, b)`` is built once,
-    read-only, and a 1-D profile keeps the summed response table of each
-    ball it has split under (see ``_response_table``).
+    read-only.  A 1-D profile keeps each agent's response knots and the
+    summed response table of each ball it has split under (see
+    ``_response_table``); ``with_pieces`` shares the unchanged agents'
+    arrays and knots with the profile it extends.
     """
 
     dim: int
     agents: tuple[AgentProfile, ...]
     _arrays: tuple = field(init=False, repr=False)
     _pure_quadratic: bool = field(init=False, repr=False)
+    _knots: tuple = field(init=False, repr=False)
     _tables: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -103,17 +106,7 @@ class StrictlyConvexProfile:
                 _check_spd(quad, self.dim, f"agent {i} quadratic")
             elif not (math.isfinite(ag.eps) and ag.eps > 0):
                 raise InputError(f"agent {i}: eps must be > 0, got {ag.eps!r}")
-            pieces = []
-            for a, b in ag.pieces:
-                a = tuple(float(v) for v in a)
-                if len(a) != self.dim:
-                    raise DimensionMismatch(
-                        f"agent {i}: piece slope has dimension {len(a)}, expected {self.dim}"
-                    )
-                b = float(b)
-                if not all(math.isfinite(v) for v in (*a, b)):
-                    raise InputError(f"agent {i}: non-finite affine piece")
-                pieces.append((a, b))
+            pieces = [_checked_piece(i, a, b, self.dim) for a, b in ag.pieces]
             if not pieces:
                 pieces = [(tuple([0.0] * self.dim), 0.0)]  # the zero piece
             normalized.append(AgentProfile(eps=float(ag.eps), pieces=tuple(pieces), quad=quad))
@@ -127,7 +120,39 @@ class StrictlyConvexProfile:
         object.__setattr__(self, "agents", tuple(normalized))
         object.__setattr__(self, "_arrays", tuple(arrays))
         object.__setattr__(self, "_pure_quadratic", not any(A.any() for _, A, _ in arrays))
+        object.__setattr__(self, "_knots", tuple({} for _ in arrays))
         object.__setattr__(self, "_tables", {})
+
+    def with_pieces(self, new: dict) -> StrictlyConvexProfile:
+        """This profile with the piece ``(a, b)`` appended to agent ``i`` for
+        each entry ``i: (a, b)`` of ``new``.
+
+        Only the new pieces are checked.  The other agents keep their
+        arrays and 1-D response knots, shared with this profile, which is
+        left as it is.
+        """
+        agents, arrays, knots = list(self.agents), list(self._arrays), list(self._knots)
+        pure = self._pure_quadratic
+        for i, (a, b) in new.items():
+            if i not in range(self.n_agents):
+                raise InputError(f"no agent {i!r} among {self.n_agents}")
+            a, b = _checked_piece(i, a, b, self.dim)
+            ag, (Q, A, bs) = agents[i], arrays[i]
+            agents[i] = AgentProfile(eps=ag.eps, pieces=ag.pieces + ((a, b),), quad=ag.quad)
+            arrays[i] = (Q, _read_only(np.vstack((A, [a]))), _read_only(np.append(bs, b)))
+            knots[i] = {}
+            pure = pure and not any(a)
+        out = object.__new__(StrictlyConvexProfile)
+        for name, value in (
+            ("dim", self.dim),
+            ("agents", tuple(agents)),
+            ("_arrays", tuple(arrays)),
+            ("_pure_quadratic", pure),
+            ("_knots", tuple(knots)),
+            ("_tables", {}),
+        ):
+            object.__setattr__(out, name, value)
+        return out
 
     @property
     def n_agents(self) -> int:
@@ -141,10 +166,14 @@ class StrictlyConvexProfile:
         """Agent ``i``'s piece slopes (one per row) and intercepts, read-only."""
         return self._arrays[i][1:]
 
-    def psi_value(self, i: int, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float)
+    def psi_values(self, i: int, Y: np.ndarray) -> np.ndarray:
+        """Agent ``i``'s cost at each row of the ``(n, d)`` array ``Y``."""
+        Y = np.asarray(Y, dtype=float)
         Q, A, b = self._arrays[i]
-        return float(0.5 * y @ Q @ y + np.max(A @ y + b))
+        return ((0.5 * Y) @ Q * Y).sum(axis=1) + (Y @ A.T + b).max(axis=1)
+
+    def psi_value(self, i: int, y: np.ndarray) -> float:
+        return float(self.psi_values(i, np.reshape(y, (1, self.dim)))[0])
 
     def psi_grad(self, i: int, y: np.ndarray) -> np.ndarray:
         """A subgradient; equals the gradient wherever a single piece leads."""
@@ -156,6 +185,19 @@ class StrictlyConvexProfile:
     def is_pure_quadratic(self) -> bool:
         """True when no agent has a sloped affine piece."""
         return self._pure_quadratic
+
+
+def _checked_piece(i: int, a, b, dim: int) -> tuple[Coords, float]:
+    """Agent ``i``'s affine piece as floats, with its dimension and finiteness checked."""
+    a = tuple(float(v) for v in a)
+    if len(a) != dim:
+        raise DimensionMismatch(
+            f"agent {i}: piece slope has dimension {len(a)}, expected {dim}"
+        )
+    b = float(b)
+    if not all(math.isfinite(v) for v in (*a, b)):
+        raise InputError(f"agent {i}: non-finite affine piece")
+    return a, b
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -244,21 +286,26 @@ def _affine_minimizer(Minv, A, b, v, W):
     return np.concatenate(([1.0 - lam.sum()], lam)), None
 
 
-def _simplex_qp(Minv, A, b, v, W=None, w=None):
+def _simplex_qp(Minv, A, b, v, W=None, w=None, max_passes=None):
     """Solve the inner dual ``min (1/2)|v - A'w|^2_{M^-1} - b.w`` over the simplex.
 
     Primal active set from the pieces ``W`` with weights ``w`` (by default
     the best single piece): move toward the minimizer over the active
     pieces' affine hull, or along its ray, dropping the first piece whose
     weight reaches zero; then enter the piece highest above the active ones
-    at ``y = M^-1 (v - A'w)``.  Every step lowers the dual, so no active set
-    repeats.  Returns ``y``, the active pieces and their weights.
+    at ``y = M^-1 (v - A'w)``.  A step of positive length lowers the dual,
+    but a zero-length step does not, so an active set can repeat: after
+    ``max_passes`` entering pieces (default ``10 (K + d)``) it raises
+    ``NoConvergence``.  Returns ``y``, the active pieces and their weights.
     """
+    K, d = A.shape
+    if max_passes is None:
+        max_passes = 10 * (K + d)
     if W is None:
         G = v - A
         W = [int(np.argmin(np.einsum("kd,de,ke->k", G, Minv, G) / 2 - b))]
         w = np.ones(1)
-    for _ in range(10 * (A.shape[0] + A.shape[1])):
+    for _ in range(max_passes):
         while True:
             target, ray = _affine_minimizer(Minv, A, b, v, W)
             if ray is None and np.all(target > 0.0):
@@ -274,10 +321,14 @@ def _simplex_qp(Minv, A, b, v, W=None, w=None):
         y = Minv @ (v - A[W].T @ w)
         vals = A @ y + b
         j = int(np.argmax(vals))
-        if vals[j] - w @ vals[W] <= TIE_TOL * (1.0 + abs(float(vals[j]))):
-            break
+        # a top piece that is already active leaves nothing to enter: the
+        # active pieces tie up to the roundoff of their terms
+        if j in W or vals[j] - w @ vals[W] <= TIE_TOL * (1.0 + abs(float(vals[j]))):
+            return y, W, w
         W, w = W + [j], np.append(w, 0.0)
-    return y, W, w
+    raise NoConvergence(
+        f"active-set QP hit its pass cap of {max_passes} (K = {K} pieces, d = {d})"
+    )
 
 
 def _certify(Q, A, b, u, ball, y, active, mu) -> bool:
@@ -389,68 +440,99 @@ def _response_knots(q, slopes, knots, lo, hi):
 
 
 def _response_table(profile, lo, hi):
-    """The agents' costs ``(q, slopes, b)``, their response knots on
-    ``[lo, hi]``, and the knots ``(U, X)`` of ``u -> sum_i y_i(u)``.
+    """Each agent's cost ``(q, slopes, b)`` with its response knots ``(u, y)``
+    on ``[lo, hi]``, and the knots ``(U, X)`` of ``u -> sum_i y_i(u)``.
 
     They depend only on the profile and the interval, so they are built on
-    the first split under ``[lo, hi]`` and kept on the profile.
+    the first split under ``[lo, hi]`` and kept: the summed knots on the
+    profile, each agent's on that agent, where profiles made by
+    ``with_pieces`` share them.
     """
     table = profile._tables.get((lo, hi))
     if table is None:
-        costs, responses = [], []
-        for i in range(profile.n_agents):
-            q = float(profile.quad_matrix(i)[0, 0])
-            A, b = profile.piece_arrays(i)
-            costs.append((q, A[:, 0], b))
-            responses.append(_response_knots(q, *_upper_envelope(A[:, 0], b), lo, hi))
-        U = np.unique(np.concatenate([uk for uk, _ in responses]))
-        X = sum(np.interp(U, uk, yk) for uk, yk in responses)
-        table = profile._tables[(lo, hi)] = (costs, responses, U, X)
+        responses = []
+        for i, knots in enumerate(profile._knots):
+            entry = knots.get((lo, hi))
+            if entry is None:
+                q = float(profile.quad_matrix(i)[0, 0])
+                A, b = profile.piece_arrays(i)
+                uk, yk = _response_knots(q, *_upper_envelope(A[:, 0], b), lo, hi)
+                entry = knots[(lo, hi)] = (q, A[:, 0], b, uk, yk)
+            responses.append(entry)
+        U = np.unique(np.concatenate([uk for *_, uk, _ in responses]))
+        X = sum(np.interp(U, uk, yk) for *_, uk, yk in responses)
+        table = profile._tables[(lo, hi)] = (responses, U, X)
     return table
 
 
-def _share_point_1d(profile, x, ball, tol) -> SharingPoint:
-    """Exact split of a scalar ``x``: solve ``sum_i y_i(u) = x`` for the price.
+def _price_solve_1d(profile, xs, ball):
+    """Exact split of each scalar of ``xs``: solve ``sum_i y_i(u) = x`` for the price.
 
     Each ``y_i(u)`` is nondecreasing and piecewise linear, so their sum is
     too, on the union of the agents' knots; bracketing ``x`` between two
     knots and interpolating gives the price, and the shares follow.  Where
     the sum is flat the lowest price is taken; the shares are unique anyway.
+    Returns the prices, the shares ``(n, p)`` and the ball multipliers
+    ``(n, p)``, uncertified.
     """
     c, R = float(ball.center_for(1)[0]), ball.radius
-    costs, responses, U, X = _response_table(profile, c - R, c + R)
-    k = int(np.searchsorted(X, x))
-    if k == 0:
-        u = float(U[0])
-    elif k == U.size:
-        u = float(U[-1])
-    else:
-        u = float(U[k - 1] + (x - X[k - 1]) * (U[k] - U[k - 1]) / (X[k] - X[k - 1]))
-    shares, nus = [], []
-    for (q, slopes, b), (uk, yk) in zip(costs, responses):
-        y = float(np.interp(u, uk, yk))
-        nu = 0.0
-        if abs(y - c) >= R * (1.0 - SPHERE_SLACK):
-            lead = float(slopes[int(np.argmax(slopes * y + b))])
-            nu = max(0.0, (u - q * y - lead) / (y - c))
-        shares.append(y)
-        nus.append(nu)
-    residual = abs(x - math.fsum(shares))
-    outside = not all(ball.contains((y,)) for y in shares)
-    if residual > tol * (1.0 + abs(x)) or outside:
-        raise NoConvergence(
-            f"1-D sharing of x = {x!r} among {len(costs)} agents with "
-            f"{[s.size for _, s, _ in costs]} pieces left residual {residual:.3e}"
-            + (" and a share outside the ball" if outside else "")
-        )
-    return SharingPoint(
-        x=(x,),
-        shares=tuple((y,) for y in shares),
-        price=(u,),
-        multipliers=tuple(nus),
-        residual=residual,
-        iterations=0,
-    )
+    responses, U, X = _response_table(profile, c - R, c + R)
+    k = np.searchsorted(X, xs)
+    u = U[np.minimum(k, U.size - 1)]  # U[0] below the knots, U[-1] above
+    mid = (k > 0) & (k < U.size)
+    km = k[mid]
+    u[mid] = U[km - 1] + (xs[mid] - X[km - 1]) * (U[km] - U[km - 1]) / (X[km] - X[km - 1])
+    shares, nus = np.empty((xs.size, len(responses))), np.zeros((xs.size, len(responses)))
+    for i, (q, slopes, b, uk, yk) in enumerate(responses):
+        y = shares[:, i] = np.interp(u, uk, yk)
+        on = np.abs(y - c) >= R * (1.0 - SPHERE_SLACK)
+        if on.any():
+            yo = y[on]
+            lead = slopes[np.argmax(slopes * yo[:, None] + b, axis=1)]
+            nu = (u[on] - q * yo - lead) / (yo - c)
+            nus[on, i] = np.where(nu > 0.0, nu, 0.0)
+    return u, shares, nus
+
+
+def _outside_domain(x: list[float], p: int, ball) -> Optional[XOutsideDomain]:
+    """The error for an ``x`` outside the sum of ``p`` copies of the ball, else None."""
+    # the sum of p copies of the convex ball B is pB: x is in it when x/p is in B
+    if ball.contains([v / p for v in x]):
+        return None
+    return XOutsideDomain(f"x = {tuple(x)} lies outside the sum of {p} copies of the ball")
+
+
+def _split_1d(profile, xs, ball, tol):
+    """Exact splits of the scalars ``xs``, each certified as ``share_point``
+    certifies one.
+
+    The atoms are taken in order as if split one by one: the first that
+    fails raises, ``XOutsideDomain`` or ``NoConvergence``.  Returns the
+    prices, shares ``(n, p)``, multipliers ``(n, p)`` and residuals.
+    """
+    p, n, values = profile.n_agents, xs.size, xs.tolist()
+    end, off_domain = n, None
+    for k, x in enumerate(values):
+        off_domain = _outside_domain([x], p, ball)
+        if off_domain is not None:
+            end = k
+            break
+    prices, shares, nus = _price_solve_1d(profile, xs[:end], ball)
+    residuals = np.empty(end)
+    for k, ys in enumerate(shares.tolist()):
+        x = values[k]
+        residuals[k] = residual = abs(x - math.fsum(ys))
+        outside = not all(ball.contains((y,)) for y in ys)
+        if residual > tol * (1.0 + abs(x)) or outside:
+            raise NoConvergence(
+                f"1-D sharing of x = {x!r} among {p} agents with "
+                f"{[profile.piece_arrays(i)[1].size for i in range(p)]} pieces "
+                f"left residual {residual:.3e}"
+                + (" and a share outside the ball" if outside else "")
+            )
+    if off_domain is not None:
+        raise off_domain
+    return prices, shares, nus, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +577,9 @@ def share_point(
     ``method="auto"`` uses the exact closed form when every cost is purely
     quadratic and the unconstrained optimum stays inside the ball.
     Otherwise, and always with ``method="dual"``, a one-dimensional profile
-    is split by the exact piecewise-linear price solve (``q0`` and
-    ``max_iter`` are ignored there), and ``d >= 2`` solves the price
+    is split by the exact piecewise-linear price solve, the array pass of
+    ``share_points`` on one row (``q0`` and ``max_iter`` are ignored
+    there), and ``d >= 2`` solves the price
     equation ``sum_i y_i(q) = x`` by regularized Newton steps with the exact
     Jacobian, from ``q0`` and for at most ``max_iter`` steps.  Either way
     the split is certified: ``|sum(shares) - x| <= tol (1 + |x|)`` with
@@ -508,18 +591,23 @@ def share_point(
     if x.shape != (profile.dim,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({profile.dim},)")
     p, d = profile.n_agents, profile.dim
-    # the sum of p copies of the convex ball B is pB: x is in it when x/p is in B
-    if not ball.contains((x / p).tolist()):
-        raise XOutsideDomain(
-            f"x = {tuple(x.tolist())} lies outside the sum of {p} copies of the ball"
-        )
-
+    outside = _outside_domain(x.tolist(), p, ball)
+    if outside is not None:
+        raise outside
     if method == "auto" and profile.is_pure_quadratic():
         closed = _closed_form_quadratic(profile, x, ball)
         if closed is not None:
             return closed
-    if profile.dim == 1:
-        return _share_point_1d(profile, float(x[0]), ball, tol)
+    if d == 1:
+        prices, shares, nus, residuals = _split_1d(profile, x, ball, tol)
+        return SharingPoint(
+            x=(float(x[0]),),
+            shares=tuple((y,) for y in shares[0].tolist()),
+            price=(float(prices[0]),),
+            multipliers=tuple(nus[0].tolist()),
+            residual=float(residuals[0]),
+            iterations=0,
+        )
 
     q = np.zeros(d) if q0 is None else np.asarray([float(v) for v in q0], dtype=float)
     if q.shape != (d,):
@@ -580,6 +668,32 @@ def share_point(
     )
 
 
+def share_points(
+    profile: StrictlyConvexProfile,
+    xs,
+    ball: BallConfig,
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """Optimal splits of the rows of the ``(n, d)`` array ``xs``:
+    ``shares[k, i]`` is agent ``i``'s share of ``xs[k]``.
+
+    The splits, certificates and errors are those of ``share_point`` called
+    on each row in turn.  A one-dimensional profile with a sloped piece
+    sends all rows through one array pass of the exact map; otherwise
+    (``d >= 2``, or the closed form first for pure quadratics) each row
+    goes through ``share_point``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    p, d = profile.n_agents, profile.dim
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise DimensionMismatch(f"xs has shape {xs.shape}, expected (n, {d})")
+    if d == 1 and not profile.is_pure_quadratic():
+        return _split_1d(profile, xs[:, 0], ball, tol)[1][:, :, None]
+    return np.array(
+        [share_point(profile, x, ball, tol=tol).shares for x in xs], dtype=float
+    ).reshape(len(xs), p, d)
+
+
 def inf_convolution_value(
     profile: StrictlyConvexProfile,
     x: Sequence[float],
@@ -602,11 +716,12 @@ def sharing_law(
     """Pushforward of ``m0`` through the sharing map."""
     if m0.dim != profile.dim:
         raise DimensionMismatch(f"measure dimension {m0.dim} != profile {profile.dim}")
-    atoms = []
-    for coords, w in m0.atoms:
-        sp = share_point(profile, coords, ball, tol=tol)
-        atoms.append((sp.shares, w))
-    return validate_joint_law(atoms, agents=profile.n_agents, dim=profile.dim)
+    shares = share_points(profile, [x for x, _ in m0.atoms], ball, tol=tol)
+    return validate_joint_law(
+        zip(shares.tolist(), (w for _, w in m0.atoms)),
+        agents=profile.n_agents,
+        dim=profile.dim,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -738,15 +853,11 @@ def profile_from_obj(obj: dict) -> StrictlyConvexProfile:
                 for piece in entry.get("pieces", [])
             )
             quad = entry.get("quad")
+            if quad is not None:
+                quad = np.asarray(quad, dtype=float)  # a ragged matrix raises here
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed agent profile: {exc}") from exc
-        agents.append(
-            AgentProfile(
-                eps=eps,
-                pieces=pieces,
-                quad=None if quad is None else np.asarray(quad, dtype=float),
-            )
-        )
+        agents.append(AgentProfile(eps=eps, pieces=pieces, quad=quad))
     return StrictlyConvexProfile(dim=dim, agents=tuple(agents))
 
 

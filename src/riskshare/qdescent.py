@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InputError, NumericalBreakdown
 from .improve import default_radius
-from .infconv import AgentProfile, StrictlyConvexProfile, share_point
+from .infconv import AgentProfile, StrictlyConvexProfile, share_points
 from .measures import (
     DEFAULT_TOL,
     BallConfig,
@@ -68,35 +68,43 @@ def _check_shapes(profile: StrictlyConvexProfile, gamma0: JointLaw) -> None:
         )
 
 
+def _atom_arrays(law) -> tuple[np.ndarray, list[float]]:
+    """The support points of a measure ``(n, d)`` or joint law ``(n, p, d)``
+    as one array, and the weights."""
+    return np.array([x for x, _ in law.atoms], dtype=float), [w for _, w in law.atoms]
+
+
+def _expected_cost(
+    profile: StrictlyConvexProfile, points: np.ndarray, weights: list[float]
+) -> float:
+    """``E[sum_i psi_i(X_i)]`` over the atoms ``points[k]`` (one row per agent)."""
+    values = [profile.psi_values(i, points[:, i]).tolist() for i in range(profile.n_agents)]
+    return math.fsum(w * math.fsum(row) for row, w in zip(zip(*values), weights))
+
+
 def _evaluate(
     profile: StrictlyConvexProfile,
-    gamma0: JointLaw,
-    m0: DiscreteMeasure,
+    baseline: tuple[np.ndarray, list[float]],
+    aggregate: tuple[np.ndarray, list[float]],
     ball: BallConfig,
-) -> tuple[float, list]:
-    """J(profile) together with the raw atoms of the induced sharing law of
-    ``m0``; only the iterates that are kept need them canonicalised."""
-    first = math.fsum(
-        w * math.fsum(profile.psi_value(i, np.asarray(x)) for i, x in enumerate(xs))
-        for xs, w in gamma0.atoms
-    )
-    split_atoms = []
-    second_terms = []
-    for coords, w in m0.atoms:
-        sp = share_point(profile, coords, ball)
-        split_atoms.append((sp.shares, w))
-        second_terms.append(
-            w
-            * math.fsum(
-                profile.psi_value(i, np.asarray(y)) for i, y in enumerate(sp.shares)
-            )
-        )
-    j = first - math.fsum(second_terms)
+) -> tuple[float, np.ndarray]:
+    """J(profile) together with the shares ``(n, p, d)`` of the optimal splits
+    of the aggregate atoms, from the atom arrays of the baseline law and of
+    its aggregate; only the iterates that are kept need their law."""
+    xs, weights = aggregate
+    shares = share_points(profile, xs, ball)
+    j = _expected_cost(profile, *baseline) - _expected_cost(profile, shares, weights)
     if j < _NEGATIVE_J_FLOOR:
         raise NumericalBreakdown(
             f"objective evaluated to {j:.3e}; an optimal split was overestimated"
         )
-    return j, split_atoms
+    return j, shares
+
+
+def _split_law(shares: np.ndarray, aggregate: tuple[np.ndarray, list[float]]) -> JointLaw:
+    """The canonical joint law of the splits ``shares`` of the aggregate atoms."""
+    p, d = shares.shape[1:]
+    return validate_joint_law(zip(shares.tolist(), aggregate[1]), agents=p, dim=d)
 
 
 def j_value(
@@ -108,7 +116,8 @@ def j_value(
     _check_shapes(profile, gamma0)
     ball = ball if ball is not None else BallConfig(radius=default_radius(gamma0))
     require_shares_in_ball(gamma0, ball)
-    j, _ = _evaluate(profile, gamma0, sum_pushforward(gamma0), ball)
+    aggregate = _atom_arrays(sum_pushforward(gamma0))
+    j, _ = _evaluate(profile, _atom_arrays(gamma0), aggregate, ball)
     return j
 
 
@@ -175,10 +184,9 @@ def _with_cuts(
     beyond z (where the induced law over-allocates) more than at z itself.
     Returns None when every cut duplicates an existing piece.
     """
-    agents = list(profile.agents)
-    changed = False
+    new = {}
     for i, z, _ in cuts:
-        ag = agents[i]
+        ag = profile.agents[i]
         a = tuple(sigma * ag.eps * zk for zk in z)
         b = -sigma * ag.eps * 0.5 * sum(zk * zk for zk in z)
         duplicate = any(
@@ -188,13 +196,9 @@ def _with_cuts(
             )
             for p, pb in ag.pieces
         )
-        if duplicate:
-            continue
-        agents[i] = AgentProfile(eps=ag.eps, pieces=ag.pieces + ((a, b),), quad=ag.quad)
-        changed = True
-    if not changed:
-        return None
-    return StrictlyConvexProfile(dim=profile.dim, agents=tuple(agents))
+        if not duplicate:
+            new[i] = (a, b)
+    return profile.with_pieces(new) if new else None
 
 
 def minimize_q(
@@ -230,10 +234,10 @@ def minimize_q(
     _check_shapes(profile, gamma0)
     ball = ball if ball is not None else BallConfig(radius=default_radius(gamma0))
     require_shares_in_ball(gamma0, ball)
-    m0 = sum_pushforward(gamma0)
+    baseline, aggregate = _atom_arrays(gamma0), _atom_arrays(sum_pushforward(gamma0))
 
-    j_cur, split_atoms = _evaluate(profile, gamma0, m0, ball)
-    law_cur = validate_joint_law(split_atoms, agents=p, dim=gamma0.dim)
+    j_cur, shares = _evaluate(profile, baseline, aggregate, ball)
+    law_cur = _split_law(shares, aggregate)
     history = [j_cur]
     stop_at = 1e-9 if target is None else max(target, 0.0) + 1e-6
     iterations = 0
@@ -259,16 +263,16 @@ def minimize_q(
                 trial = _with_cuts(profile, cut_set, sigma)
                 if trial is None:
                     continue
-                j_t, atoms_t = _evaluate(trial, gamma0, m0, ball)
+                j_t, shares_t = _evaluate(trial, baseline, aggregate, ball)
                 if best is None or j_t < best[0]:
-                    best = (j_t, atoms_t, trial)
+                    best = (j_t, shares_t, trial)
             if best is not None and best[0] < accept_below:
                 break  # the joint cut already improves; skip the fallback
         iterations += 1
         if best is None or best[0] >= accept_below:
             break  # no step-scaled cut improves: local stall
-        j_cur, split_atoms, profile = best
-        law_cur = validate_joint_law(split_atoms, agents=p, dim=gamma0.dim)
+        j_cur, shares, profile = best
+        law_cur = _split_law(shares, aggregate)
         history.append(j_cur)
     else:
         hit_cap = j_cur > stop_at
