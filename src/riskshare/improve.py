@@ -9,6 +9,12 @@ baseline's own splits always included), and the agent-wise dominance
 constraints become linear through mean-preserving transition kernels
 linking the unknown marginals to the baseline marginals.
 
+The baseline itself is always a feasible point of that program: each of
+its atoms is a candidate split of the aggregate atom it sums to, and each
+agent's identity kernel links its marginal to itself.  The program keeps
+that point (``ImprovementProblem.baseline``) and the simplex starts from
+its vertex, so phase 1 takes no pivot.
+
 The drop from the baseline's cost to the optimal cost is the efficiency
 statistic: zero (at tolerance) certifies that the baseline is already
 undominated on the grid, while a positive value comes with a concrete
@@ -27,13 +33,15 @@ import numpy as np
 
 from . import lp
 from .convex_order import AllocationVerdict, allocation_dominates
-from .errors import EmptyCandidateSet, InputError, SolverFailure
+from .errors import InputError, SolverFailure
 from .measures import (
     DEFAULT_TOL,
     BallConfig,
     Coords,
     DiscreteMeasure,
     JointLaw,
+    _merge_targets,
+    _tuple_sum,
     marginal,
     require_shares_in_ball,
     sum_pushforward,
@@ -46,9 +54,6 @@ _DEDUP_RES = 1e-9
 #: Slack on the lattice index bounds, so a lattice point on the ball's
 #: bounding box is not lost to rounding in ``(c ± radius) / h``.
 _LATTICE_SLACK = 1e-12
-#: A baseline split whose shares sum to within this of an aggregate atom
-#: is a candidate split of that atom.
-_BASELINE_SPLIT_TOL = 1e-9
 #: Optimal weights at or below this are read as zero in the improved law.
 _WEIGHT_FLOOR = 1e-12
 #: The statistic (baseline cost minus optimum) may be negative by at most
@@ -74,12 +79,18 @@ def _key(values) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SplitGrid:
-    """Candidate splits of every aggregate atom, baseline splits included."""
+    """Candidate splits of every aggregate atom, baseline splits included.
+
+    ``baseline_splits`` gives, for each baseline atom, the aggregate atom
+    that ``sum_pushforward`` merged it into and the index of its own split
+    among that atom's candidates.
+    """
 
     aggregate: DiscreteMeasure
     candidates: tuple[tuple[Split, ...], ...]
     h: float
     ball: BallConfig
+    baseline_splits: tuple[tuple[int, int], ...]
 
     @property
     def total_candidates(self) -> int:
@@ -123,8 +134,10 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
             f"exceed the limit of {MAX_GRID_SPLITS}"
         )
     lattice = _lattice_points(h, ball, bounds)
+    _, atom_of = _merge_targets([_tuple_sum(tup, d) for tup, _ in gamma0.atoms])
+    baseline_splits = [(0, 0)] * gamma0.size
     per_atom: list[tuple[Split, ...]] = []
-    for s, _ in m0.atoms:
+    for t, (s, _) in enumerate(m0.atoms):
         seen: dict[tuple[int, ...], Split] = {}
         s_arr = np.asarray(s)
         for combo in itertools.product(lattice, repeat=p - 1):
@@ -133,24 +146,42 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
                 continue
             split = tuple(combo) + (tuple(float(v) for v in y_last),)
             seen.setdefault(_key([v for pt in split for v in pt]), split)
-        for tup, _w in gamma0.atoms:
-            total = tuple(math.fsum(pt[k] for pt in tup) for k in range(d))
-            if np.linalg.norm(np.subtract(total, s)) <= _BASELINE_SPLIT_TOL:
-                seen.setdefault(_key([v for pt in tup for v in pt]), tup)
-        if not seen:
-            raise EmptyCandidateSet(f"no candidate split for aggregate atom {s!r}")
+        # each baseline split is a candidate of the atom it sums to, and of
+        # no other: a split of an atom 1e-11 away would change the sum law
+        own = {
+            a: _key([v for pt in tup for v in pt])
+            for a, (tup, _) in enumerate(gamma0.atoms)
+            if atom_of[a] == t
+        }
+        for a, k in own.items():
+            seen.setdefault(k, gamma0.atoms[a][0])
+        index = {k: u for u, k in enumerate(seen)}
+        for a, k in own.items():
+            baseline_splits[a] = (t, index[k])
         per_atom.append(tuple(seen.values()))
-    return SplitGrid(aggregate=m0, candidates=tuple(per_atom), h=float(h), ball=ball)
+    return SplitGrid(
+        aggregate=m0,
+        candidates=tuple(per_atom),
+        h=float(h),
+        ball=ball,
+        baseline_splits=tuple(baseline_splits),
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class ImprovementProblem:
-    """Assembled equality-form program; column layout is gamma then kernels."""
+    """Assembled equality-form program; column layout is gamma then kernels.
+
+    ``baseline`` is the baseline law embedded in the program, a feasible
+    point of it: each baseline atom's weight on its own split, and each
+    agent's identity kernel.
+    """
 
     program: lp.LinearProgram
     grid: SplitGrid
     gamma_cols: tuple[tuple[int, ...], ...]  # per aggregate atom, per candidate
     split_costs: tuple[tuple[float, ...], ...]
+    baseline: np.ndarray
 
 
 def _floor_cost(split: Split, eps: Sequence[float]) -> float:
@@ -248,11 +279,22 @@ def build_improvement_problem(
         for u, col_idx in enumerate(gamma_cols[t]):
             c[col_idx] = costs[t][u]
     program = lp.LinearProgram(c=c, A=np.array(rows), b=np.array(rhs))
+
+    # the baseline embedding: atom a's weight goes on its own split, and on
+    # agent i's kernel entry from its share (as a candidate point z) to the
+    # same share (as the atom j of the marginal that merged it)
+    baseline = np.zeros(n_vars)
+    share_of = [_merge_targets([tup[i] for tup, _ in gamma0.atoms])[1] for i in range(p)]
+    for a, ((tup, w), (t, u)) in enumerate(zip(gamma0.atoms, grid.baseline_splits)):
+        baseline[gamma_cols[t][u]] += w
+        for i in range(p):
+            baseline[kcol(i, points[i][_key(tup[i])], share_of[i][a])] += w
     return ImprovementProblem(
         program=program,
         grid=grid,
         gamma_cols=tuple(gamma_cols),
         split_costs=costs,
+        baseline=baseline,
     )
 
 
@@ -314,7 +356,7 @@ def solve_improvement_lp(
     if any(not (math.isfinite(e) and e > 0) for e in eps):
         raise InputError(f"floor strengths must be positive, got {eps}")
     problem = build_improvement_problem(gamma0, grid, eps)
-    out = lp.solve(problem.program)
+    out = lp.solve(problem.program, start=problem.baseline)
     if out.status is not lp.LPStatus.OPTIMAL:
         raise SolverFailure(
             f"improvement program ended with status {out.status.value}; the "

@@ -1,7 +1,22 @@
 """Linear programming in standard form with certified outcomes.
 
 Solves ``minimize c·v  subject to  A v = b, v >= 0`` with a two-phase
-revised simplex method.  Programs are passed in as dense arrays and stay
+revised simplex method.
+
+Phase 1 starts from the basis of a feasible point's support when the
+caller knows one (``solve(lp, start=x0)``), completed by artificials on the
+rows that support does not cover; without one it starts from the
+all-artificial basis, the empty support's.  The support is pivoted into
+the identity basis column by column, each on the artificial row where its
+entry is largest.  A support column with no usable entry there is a
+combination of the columns already in, and the point is moved along that
+dependency until a weight reaches zero (purification), so the basis holds
+the whole support and its basic solution is the point itself.  The
+artificials then sum to at most ``FEAS_TOL``, and phase 1 takes no pivot.
+Each artificial still basic is then replaced by the structural column with
+the largest entry in its tableau row, or its row is dropped as redundant.
+
+Programs are passed in as dense arrays and stay
 at desk scale (a few hundred rows, at most a few thousand variables), but
 the ones built elsewhere in the package are about 99% zeros.  Each simplex
 run therefore takes a column-compressed copy of its matrix once, and every
@@ -257,42 +272,100 @@ def _simplex_iterations(
         return verdict, basis, xB, y, invB, pivots
 
 
+def _refactored(A: np.ndarray, basis: list[int], why: str) -> np.ndarray:
+    """A fresh inverse of ``basis`` on the system ``[A | I]``."""
+    m = A.shape[0]
+    return _inverse(np.hstack([A, np.eye(m)])[:, basis], why, 0)
+
+
+def _crash(A: np.ndarray, x: np.ndarray, basis: list[int], invB: np.ndarray) -> int:
+    """Pivot the support of a feasible point ``x`` into the all-artificial basis.
+
+    ``x`` (``A x = b``, ``x >= 0``), ``basis`` and ``invB`` are updated in
+    place.  Each support column enters on the row, still held by an
+    artificial, where its entry of ``B⁻¹a`` is largest.  A column with no
+    entry above ``PIVOT_TOL`` on those rows is the combination ``d`` of the
+    columns already in, so ``x`` can move along that dependency, the column
+    down and the basic columns by ``d``, until a weight reaches zero
+    (purification).  If the column's own weight does, it stays out;
+    otherwise it takes the slot of the basic column whose weight did.  The
+    basis then holds the whole support, so its basic solution is ``x``.
+
+    Returns the rank-one updates made to ``invB`` since it was last fresh.
+    """
+    m, n = A.shape
+    columns = _Columns(A)
+    held = np.ones(m, dtype=bool)  # slots still held by artificials
+    updates = 0
+    for j in np.flatnonzero(x > 0).tolist():
+        if updates >= REFACTOR_INTERVAL:
+            invB[:] = _refactored(A, basis, "singular basis while crashing the start")
+            updates = 0
+        d = columns.ftran(invB, j)
+        on_held = np.where(held, np.abs(d), 0.0)
+        r = int(np.argmax(on_held))
+        if on_held[r] <= PIVOT_TOL:
+            slots = (~held).nonzero()[0]
+            falling = slots[d[slots] < -PIVOT_TOL]
+            ratios = x[[basis[k] for k in falling]] / -d[falling]
+            step = float(np.min(ratios, initial=np.inf))
+            stays_out = x[j] <= step + DEGENERATE_STEP_TOL
+            if stays_out:
+                step = x[j]
+            cols = [basis[k] for k in slots]
+            x[cols] = np.maximum(x[cols] + step * d[slots], 0.0)
+            x[j] -= step
+            if stays_out:
+                continue
+            ties = falling[ratios <= step + DEGENERATE_STEP_TOL]
+            r = int(ties[np.argmax(np.abs(d[ties]))])
+            x[basis[r]] = 0.0
+        _pivot(invB, d, r)
+        basis[r] = j
+        held[r] = False
+        updates += 1
+    return updates
+
+
 def _drive_out_artificials(
     A: np.ndarray,
     b: np.ndarray,
     basis: list[int],
     invB: np.ndarray,
+    updates: int,
 ) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
     """Replace basic artificials by structural columns or drop their rows.
 
-    ``basis`` and its inverse ``invB`` (updated in place) are phase 1's, on
-    the system ``[A | I]``.  When a basic artificial's tableau row has no
-    usable structural entry, the original row it stands for is redundant:
-    the artificial stays basic, at zero, until the end, and then the row
-    and the artificial's slot are removed together.  Leaving it basic in
-    the meantime changes no other tableau row, because the artificial's
-    column is a unit vector, so the inverse's column for that row is a unit
-    vector too.
+    ``basis`` and its inverse ``invB`` (updated in place, ``updates``
+    rank-one steps since it was fresh) are phase 1's, on the system
+    ``[A | I]``.  Each basic artificial is replaced by the nonbasic
+    structural column with the largest entry in its tableau row.  When the
+    row has no entry above ``REDUNDANCY_TOL``, the original row it stands
+    for is redundant: the artificial stays basic, at zero, until the end,
+    and then the row and the artificial's slot are removed together.
+    Leaving it basic in the meantime changes no other tableau row, because
+    the artificial's column is a unit vector, so the inverse's column for
+    that row is a unit vector too.
 
     Returns the reduced (A, b), the all-structural basis, and the surviving
     original row indices.
     """
     m0, n = A.shape
     columns = _Columns(A)
+    in_basis = np.zeros(n, dtype=bool)
+    in_basis[[j for j in basis if j < n]] = True
     redundant = []
-    updates = 0
     for k in [k for k, j in enumerate(basis) if j >= n]:
         if updates >= REFACTOR_INTERVAL:
-            B = np.hstack([A, np.eye(m0)])[:, basis]
-            invB = _inverse(B, "singular basis while removing artificials", 0)
+            invB = _refactored(A, basis, "singular basis while removing artificials")
             updates = 0
-        row_vec = columns.row_times(invB[k])
-        row_vec[[jb for jb in basis if jb < n]] = 0.0
-        cand = np.flatnonzero(np.abs(row_vec) > REDUNDANCY_TOL)
-        if cand.size:
-            j = int(cand[0])
+        row_vec = np.abs(columns.row_times(invB[k]))
+        row_vec[in_basis] = 0.0
+        j = int(np.argmax(row_vec))
+        if row_vec[j] > REDUNDANCY_TOL:
             _pivot(invB, columns.ftran(invB, j), k)
             basis[k] = j
+            in_basis[j] = True
             updates += 1
         else:
             # the tableau row certifies a ~0 combination of rows in which the
@@ -303,20 +376,36 @@ def _drive_out_artificials(
 
 
 def _phase_one(
-    A: np.ndarray, b: np.ndarray
-) -> tuple[float, list[int], np.ndarray, np.ndarray, np.ndarray, int]:
-    """Minimize the sum of artificial variables; returns value, basis, x, y, invB, pivots."""
+    A: np.ndarray, b: np.ndarray, start: Optional[np.ndarray] = None
+) -> tuple[float, list[int], np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Minimize the sum of artificial variables from the basis of ``start``'s support.
+
+    ``start`` (purified in place) is a feasible point, or None for the
+    empty support, which leaves the all-artificial basis.  When the start
+    basis's artificials already sum to at most ``FEAS_TOL``, it is phase 1's
+    answer and no pivot is taken.  Returns value, basis, x, y, invB, pivots
+    and the rank-one updates of invB since it was fresh.
+    """
     m, n = A.shape
-    A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    status, basis, xB, y, invB, pivots = _simplex_iterations(A1, b, c1, basis)
-    if status != "optimal":
-        raise _Breakdown("phase 1 reported unbounded; objective is bounded below", pivots)
+    invB = np.eye(m)
+    updates = 0
+    if start is not None:
+        updates = _crash(A, start, basis, invB)
+    xB = invB @ b
+    if float(np.sum(np.abs(xB[c1[basis] > 0]))) <= FEAS_TOL:
+        y, pivots = invB.T @ c1[basis], 0
+    else:
+        A1 = np.hstack([A, np.eye(m)])
+        status, basis, xB, y, invB, pivots = _simplex_iterations(A1, b, c1, basis)
+        if status != "optimal":
+            raise _Breakdown("phase 1 reported unbounded; objective is bounded below", pivots)
+        updates = 0
     x = np.zeros(n + m)
     x[basis] = xB
     value = float(c1 @ x)
-    return value, basis, x, y, invB, pivots
+    return value, basis, x, y, invB, pivots, updates
 
 
 def _map_duals(
@@ -346,20 +435,44 @@ def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, value: float) -> N
         raise _Breakdown(f"duality gap {gap:.3e} exceeds tolerance")
 
 
-def solve(lp: LinearProgram) -> LPOutcome:
-    """Solve the program; Optimal outcomes are certified, or an error is raised."""
+def _checked_start(lp: LinearProgram, start) -> np.ndarray:
+    """``start`` as a float vector, or ``InputError`` unless it is feasible."""
+    try:
+        x0 = np.array(start, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"start is not a vector of numbers: {exc}") from exc
+    if x0.shape != (lp.n_vars,):
+        raise InputError(f"start has shape {x0.shape}, expected ({lp.n_vars},)")
+    if not np.all(np.isfinite(x0)):
+        raise InputError("non-finite entry in start")
+    if np.any(x0 < 0.0):
+        raise InputError(f"start has a negative entry {float(np.min(x0)):.3e}")
+    residual = float(np.max(np.abs(lp.A @ x0 - lp.b), initial=0.0))
+    if residual > FEAS_TOL:
+        raise InputError(f"start misses A x = b by {residual:.3e}, more than {FEAS_TOL}")
+    return x0
+
+
+def solve(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LPOutcome:
+    """Solve the program; Optimal outcomes are certified, or an error is raised.
+
+    ``start``, when given, is a point with ``A x = b`` and ``x >= 0`` to
+    within ``FEAS_TOL`` (``InputError`` otherwise); phase 1 starts from the
+    basis of its support instead of the all-artificial one.
+    """
     m0, n = lp.A.shape
+    x0 = None if start is None else _checked_start(lp, start)
     signs = np.where(lp.b < 0, -1.0, 1.0)
     A = lp.A * signs[:, None]
     b = lp.b * signs
     pivots = 0
     try:
-        p1_value, basis, x1, y1, invB, pivots = _phase_one(A, b)
+        p1_value, basis, x1, y1, invB, pivots, updates = _phase_one(A, b, x0)
         if p1_value > FEAS_TOL:
             duals = _map_duals(y1, list(range(m0)), signs, m0)
             return LPOutcome(LPStatus.INFEASIBLE, p1_value, None, duals, pivots)
 
-        A2, b2, basis, kept = _drive_out_artificials(A, b, basis, invB)
+        A2, b2, basis, kept = _drive_out_artificials(A, b, basis, invB, updates)
 
         status, basis, xB, y, _, pivots2 = _simplex_iterations(A2, b2, lp.c.copy(), basis)
         pivots += pivots2
@@ -392,7 +505,7 @@ def feasible(A: np.ndarray, b: np.ndarray) -> LPOutcome:
     Af = lp.A * signs[:, None]
     bf = lp.b * signs
     try:
-        value, basis, x1, y1, _, pivots = _phase_one(Af, bf)
+        value, basis, x1, y1, _, pivots, _ = _phase_one(Af, bf)
     except _Breakdown as exc:
         raise _numerical_breakdown(lp, exc, 0) from exc
     duals = _map_duals(y1, list(range(m0)), signs, m0)

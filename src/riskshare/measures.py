@@ -90,30 +90,50 @@ class BallConfig:
         return math.dist(coords, center) <= self.radius * (1.0 + BALL_TOL) + MERGE_TOL
 
 
-def _merge_weighted(
-    items: list[tuple[Coords, float]], merge_tol: float = MERGE_TOL
-) -> list[tuple[Coords, float]]:
-    """Merge support points closer than ``merge_tol``, summing weights.
+def _merge_targets(
+    points: list[Coords], merge_tol: float = MERGE_TOL
+) -> tuple[list[int], list[int]]:
+    """Group support points closer than ``merge_tol``.
 
-    Works on lexicographically sorted items; candidates for a merge always
-    sit inside the window where the first coordinate differs by <= merge_tol,
-    so the scan is near-linear.
+    Returns the indices of ``points`` in lexicographic order, and for each
+    point the index of the group it joins.  Groups are numbered in that
+    order and each is represented by its first point; candidates for a
+    merge always sit inside the window where the first coordinate differs
+    by <= merge_tol, so the scan is near-linear.
     """
-    items = sorted(items, key=lambda a: a[0])
-    merged: list[tuple[Coords, float]] = []
-    for coords, w in items:
-        hit = None
-        for k in range(len(merged) - 1, -1, -1):
-            ref = merged[k][0]
+    order = sorted(range(len(points)), key=points.__getitem__)
+    heads: list[Coords] = []
+    target = [0] * len(points)
+    for k in order:
+        coords = points[k]
+        hit = len(heads)
+        for q in range(len(heads) - 1, -1, -1):
+            ref = heads[q]
             if coords[0] - ref[0] > merge_tol:
                 break
             if math.dist(coords, ref) <= merge_tol:
-                hit = k
+                hit = q
                 break
-        if hit is None:
+        if hit == len(heads):
+            heads.append(coords)
+        target[k] = hit
+    return order, target
+
+
+def _merge_weighted(
+    items: list[tuple[Coords, float]], merge_tol: float = MERGE_TOL
+) -> list[tuple[Coords, float]]:
+    """Merge support points closer than ``merge_tol``, summing weights in
+    lexicographic order; each merged point is the first of its group."""
+    order, target = _merge_targets([c for c, _ in items], merge_tol)
+    merged: list[tuple[Coords, float]] = []
+    for k in order:
+        coords, w = items[k]
+        t = target[k]
+        if t == len(merged):
             merged.append((coords, w))
         else:
-            merged[hit] = (merged[hit][0], merged[hit][1] + w)
+            merged[t] = (merged[t][0], merged[t][1] + w)
     return merged
 
 
@@ -254,12 +274,13 @@ def marginal(law: JointLaw, agent: int) -> DiscreteMeasure:
     )
 
 
+def _tuple_sum(tup: tuple[Coords, ...], dim: int) -> Coords:
+    return tuple(math.fsum(pt[k] for pt in tup) for k in range(dim))
+
+
 def sum_pushforward(law: JointLaw) -> DiscreteMeasure:
     """Law of the coordinate sum Y_1 + ... + Y_p; colliding sums merge."""
-    items = []
-    for tup, w in law.atoms:
-        total = tuple(math.fsum(pt[k] for pt in tup) for k in range(law.dim))
-        items.append((total, w))
+    items = [(_tuple_sum(tup, law.dim), w) for tup, w in law.atoms]
     return validate_measure(items, dim=law.dim)
 
 

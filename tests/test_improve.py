@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import riskshare.improve
 from riskshare.convex_order import AllocationVerdict, allocation_dominates
 from riskshare.errors import InputError, SolverFailure, SumLawMismatch
 from riskshare.improve import (
+    _baseline_objective,
+    build_improvement_problem,
     build_split_grid,
     default_radius,
     default_step,
@@ -94,6 +97,21 @@ class TestBuildSplitGrid:
         bound = (2 * int(R / h) + 1) + gamma0.size
         for cands in grid.candidates:
             assert len(cands) <= bound
+
+    def test_baseline_splits_index_their_own_atom(self):
+        # aggregates 5e-12 apart stay two atoms, and neither atom gets the
+        # other's baseline split
+        gamma0 = validate_joint_law(
+            [(((-1.25,), (-1.25,)), 0.5), (((-1.25,), (-1.249999999995,)), 0.5)]
+        )
+        grid = build_split_grid(gamma0, h=0.5, ball=BallConfig(radius=1.25))
+        assert grid.aggregate.size == 2
+        for (tup, _), (t, u) in zip(gamma0.atoms, grid.baseline_splits):
+            assert grid.candidates[t][u] == tup
+            assert sum_pushforward(validate_joint_law([(tup, 1.0)])).atoms[0][0] == (
+                grid.aggregate.atoms[t][0]
+            )
+        assert ((-1.25,), (-1.249999999995,)) not in grid.candidates[0]
 
     def test_invalid_inputs(self):
         gamma0 = validate_joint_law(ANTI)
@@ -225,6 +243,62 @@ class TestInvariants:
         coarse_stat = solve_improvement_lp(gamma0, coarse).statistic
         fine_stat = solve_improvement_lp(gamma0, fine).statistic
         assert fine_stat >= coarse_stat - 1e-9
+
+
+def _catalogue():
+    """The laws the benchmark solves: its grid ladder at the coarsest step,
+    and the sandwich laws (the 17 random laws of acceptance criterion 4 and
+    the 3 designed ones) at h = 0.5 in a ball of radius 6."""
+    ladder = [
+        ([(((2.0,), (-1.0,)), 0.25), (((-1.0,), (1.0,)), 0.35), (((0.0,), (-2.0,)), 0.4)], 2.5, 0.25),
+        ([(((-1.0,), (-2.0,)), 0.3), (((0.0,), (0.0,)), 0.3), (((1.0,), (2.0,)), 0.4)], 2.5, 0.25),
+        ([(((1.0, 0.0), (-1.0, 1.0)), 0.5), (((0.0, 1.0), (1.0, -1.0)), 0.5)], 2.0, 1.0),
+        ([(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.0, 1.0), (1.0, 0.0)), 0.5)], 2.0, 1.0),
+    ]
+    cases = [(validate_joint_law(atoms), R, h) for atoms, R, h in ladder]
+    rng = np.random.RandomState(404)
+    for _ in range(17):
+        n = rng.randint(2, 6)
+        pts = rng.randint(-2, 3, size=(n, 2, 1)).astype(float)
+        w = rng.rand(n) + 0.2
+        w /= w.sum()
+        cases.append((validate_joint_law([(tuple(map(tuple, pts[i])), w[i]) for i in range(n)]), 6.0, 0.5))
+    for atoms in (ANTI, COMO, [(((0.0,), (0.0,)), 0.3), (((0.5,), (0.5,)), 0.3), (((1.0,), (1.0,)), 0.4)]):
+        cases.append((validate_joint_law(atoms), 6.0, 0.5))
+    return cases
+
+
+class TestBaselineEmbedding:
+    """``ImprovementProblem.baseline`` is the baseline law, feasible in its program."""
+
+    @pytest.mark.parametrize("gamma0, R, h", _catalogue())
+    def test_baseline_is_feasible_with_the_baseline_cost(self, gamma0, R, h):
+        eps = [1.0] * gamma0.agents
+        grid = build_split_grid(gamma0, h=h, ball=BallConfig(radius=R))
+        problem = build_improvement_problem(gamma0, grid, eps)
+        lp, x0 = problem.program, problem.baseline
+        assert np.min(x0) >= 0.0
+        assert np.max(np.abs(lp.A @ x0 - lp.b)) <= 1e-12
+        assert lp.c @ x0 == pytest.approx(_baseline_objective(gamma0, eps), rel=1e-14, abs=1e-14)
+
+    def test_dependent_baseline_support_matches_highs(self):
+        # the six permutations of (0, 1, 2) among three agents: 15 baseline
+        # columns of rank 14, so the start must be purified
+        atoms = [
+            (tuple((float(v),) for v in perm), 1.0 / 6.0)
+            for perm in itertools.permutations((0, 1, 2))
+        ]
+        gamma0 = validate_joint_law(atoms)
+        grid = build_split_grid(gamma0, h=1.0, ball=BallConfig(radius=2.5))
+        problem = build_improvement_problem(gamma0, grid, [1.0] * 3)
+        lp, support = problem.program, problem.baseline > 0
+        assert lp.A.shape == (34, 46)
+        assert np.linalg.matrix_rank(lp.A[:, support]) < np.count_nonzero(support)
+        ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        rep = solve_improvement_lp(gamma0, grid)
+        assert rep.statistic == pytest.approx(rep.objective_at_input - ref.fun, abs=1e-9)
+        assert rep.statistic == pytest.approx(1.0, abs=1e-9)
 
 
 class TestConvenience:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import riskshare.lp
 from riskshare.errors import InputError, NumericalBreakdown
 from riskshare.improve import build_improvement_problem, build_split_grid
 from riskshare.lp import (
@@ -321,19 +322,40 @@ def sparse_program(m, n, density, seed, zero_cols, zero_rows, duplicates, feasib
     freely (often infeasible); both give negative entries of ``b``.
     """
     rng = np.random.default_rng(seed)
+    A = _sparse_matrix(rng, m, n, density, zero_cols, zero_rows, duplicates)
+    if feasible_rhs:
+        b = A @ _sparse_point(rng, n)
+    else:
+        b = np.round(rng.normal(size=m), 2)
+    c = np.round(rng.normal(size=n), 2)
+    return LinearProgram(c=c, A=A, b=b)
+
+
+def _sparse_matrix(rng, m, n, density, zero_cols, zero_rows, duplicates):
     A = np.where(rng.random((m, n)) < density, np.round(rng.normal(size=(m, n)), 2), 0.0)
     A[:, rng.random(n) < zero_cols] = 0.0
     A[rng.random(m) < zero_rows] = 0.0
     for _ in range(duplicates):
         i, k = rng.integers(m, size=2)
         A[i] = A[k]
-    if feasible_rhs:
-        x0 = np.where(rng.random(n) < 0.5, np.round(rng.random(n), 2), 0.0)
-        b = A @ x0
-    else:
-        b = np.round(rng.normal(size=m), 2)
+    return A
+
+
+def _sparse_point(rng, n):
+    return np.where(rng.random(n) < 0.5, np.round(rng.random(n), 2), 0.0)
+
+
+def started_program(m, n, density, seed, zero_cols, zero_rows, duplicates):
+    """``sparse_program`` with ``b = A x0``, returned with its ``x0``.
+
+    About half the columns carry weight in ``x0``, so with more columns than
+    rows its support is often dependent and must be purified.
+    """
+    rng = np.random.default_rng(seed)
+    A = _sparse_matrix(rng, m, n, density, zero_cols, zero_rows, duplicates)
+    x0 = _sparse_point(rng, n)
     c = np.round(rng.normal(size=n), 2)
-    return LinearProgram(c=c, A=A, b=b)
+    return LinearProgram(c=c, A=A, b=A @ x0), x0
 
 
 sparse_programs = st.builds(
@@ -358,6 +380,100 @@ def test_sparse_programs_match_highs(lp):
     if status is LPStatus.OPTIMAL:
         assert out.value == pytest.approx(value, abs=VALUE_TOL * (1 + abs(value)))
         assert_certified(lp, out)
+
+
+started_programs = st.builds(
+    started_program,
+    m=st.integers(1, 40),
+    n=st.integers(1, 80),
+    density=st.floats(0.02, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+    zero_cols=st.sampled_from([0.0, 0.1]),
+    zero_rows=st.sampled_from([0.0, 0.1]),
+    duplicates=st.integers(0, 3),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(started_programs)
+def test_started_programs_match_cold_start_and_highs(case):
+    lp, x0 = case
+    status, value = highs_status(lp)
+    out = solve(lp, start=x0)
+    assert out.status is status
+    if status is LPStatus.OPTIMAL:
+        assert out.value == pytest.approx(value, abs=VALUE_TOL * (1 + abs(value)))
+        assert_certified(lp, out)
+        assert out.value == pytest.approx(solve(lp).value, abs=VALUE_TOL * (1 + abs(value)))
+
+
+class TestStart:
+    """A feasible start replaces the all-artificial basis of phase 1."""
+
+    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]])
+    b = np.array([2.0, 0.0])
+    c = np.array([1.0, 2.0, 0.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "A, b, c, start",
+        [
+            # all four columns carry weight on two rows, so two depend on
+            # the others
+            (A, b, c, [0.5, 0.75, 0.75, 0.25]),
+            # a support of one column, with a row left over
+            (A, b, c, [0.0, 0.0, 2.0, 0.0]),
+            # the second column is -2 times the first: left out, its weight
+            # would make the first one's basic value -1.5
+            ([[1.0, -2.0]], [-1.5], [1.0, 1.0], [0.5, 1.0]),
+        ],
+        ids=["dependent-support", "small-support", "purified-swap"],
+    )
+    def test_phase_two_starts_at_a_feasible_basis(self, A, b, c, start, monkeypatch):
+        starts = []
+        iterations = riskshare.lp._simplex_iterations
+
+        def recorded(A, b, c, basis):
+            starts.append(np.linalg.solve(A[:, basis], b))
+            return iterations(A, b, c, basis)
+
+        monkeypatch.setattr(riskshare.lp, "_simplex_iterations", recorded)
+        lp = LinearProgram(c=c, A=A, b=b)
+        out = solve(lp, start=start)
+        # phase 1 ran no iterations, and phase 2 started at nonnegative values
+        assert len(starts) == 1
+        assert np.min(starts[0]) >= -1e-12
+        assert_matches_highs(lp, out)
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ([1.0, 1.0, 0.0, 0.1], "misses A x = b"),
+            ([2.0, 0.0, 0.0, -2.0], "negative entry"),
+            ([1.0, 1.0, 0.0], "has shape"),
+            ([[1.0, 1.0, 0.0, 0.0]], "has shape"),
+            ([1.0, np.nan, 0.0, 0.0], "non-finite"),
+            (["a", 1.0, 0.0, 0.0], "not a vector"),
+        ],
+    )
+    def test_infeasible_start_is_an_input_error(self, start, message):
+        lp = LinearProgram(c=self.c, A=self.A, b=self.b)
+        with pytest.raises(InputError, match=message):
+            solve(lp, start=start)
+
+    def test_start_within_feas_tol_is_accepted(self):
+        lp = LinearProgram(c=self.c, A=self.A, b=self.b)
+        out = solve(lp, start=[1.0 + 0.5 * FEAS_TOL, 1.0, 0.0, 0.0])
+        assert_matches_highs(lp, out)
+
+    def test_redundant_row_the_support_misses_is_dropped(self):
+        # the start's two columns take the two independent rows; the copy
+        # of the first row keeps its artificial, at 0, until the drive-out
+        # finds it redundant
+        A = np.vstack([self.A, self.A[0]])
+        lp = LinearProgram(c=self.c, A=A, b=np.append(self.b, 2.0))
+        out = solve(lp, start=[1.0, 1.0, 0.0, 0.0])
+        assert out.duals.shape == (3,)
+        assert_matches_highs(lp, out)
 
 
 @pytest.mark.xfail(raises=NumericalBreakdown, strict=False)

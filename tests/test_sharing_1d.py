@@ -190,12 +190,12 @@ def test_1d_sharing_law_is_efficient(case):
     assert abs(solve_improvement_lp(law, grid).statistic) <= _STATISTIC_SLACK
 
 
-@pytest.mark.xfail(raises=NumericalBreakdown, strict=False)
 def test_efficient_law_with_a_near_zero_pivot():
-    # a drawn case of the test above: HiGHS solves its 80 x 147 program
-    # (rank 76) as optimal with statistic 0, but the simplex pivots on
-    # entries of 1.0e-11 and 5.1e-11, just above PIVOT_TOL, and the next
-    # refactorisation finds the working basis singular
+    # a drawn case of the test above: its 80 x 147 program (rank 76) made
+    # a simplex from the all-artificial basis pivot on entries of 1.0e-11
+    # and 5.1e-11, just above PIVOT_TOL, and break down; from the baseline's
+    # own vertex, which is optimal here, it solves with statistic 0 as
+    # HiGHS does
     agents = tuple(
         AgentProfile(eps=e, pieces=(((-2.0,), 0.0),)) for e in (2.0, 1.75, 1.75)
     )
@@ -204,4 +204,32 @@ def test_efficient_law_with_a_near_zero_pivot():
     m0 = validate_measure([((-6.306790127589163,), 0.5), ((1.5361092020589533,), 0.5)])
     law = sharing_law(profile, m0, ball)
     grid = build_split_grid(law, 0.5, ball)
+    assert abs(solve_improvement_lp(law, grid).statistic) <= _STATISTIC_SLACK
+
+
+def _two_flat_agents():
+    agents = tuple(AgentProfile(eps=1.0, pieces=(((-2.0,), 0.0),)) for _ in range(2))
+    return StrictlyConvexProfile(dim=1, agents=agents)
+
+
+def test_aggregate_on_the_edge_of_the_ball():
+    # each share is 1.00000000001, on the ball's sphere: from the
+    # all-artificial basis phase 1 called this program infeasible, though
+    # the baseline itself is a feasible point of it
+    ball = BallConfig(radius=1.0, center=(1e-11,))
+    m0 = validate_measure([((2.00000000002,), 1.0)])
+    law = sharing_law(_two_flat_agents(), m0, ball)
+    grid = build_split_grid(law, 0.5, ball)
+    assert abs(solve_improvement_lp(law, grid).statistic) <= _STATISTIC_SLACK
+
+
+def test_aggregates_5e_12_apart():
+    # two aggregate atoms, each with only its own baseline split: offered
+    # each other's split, the optimum could move mass onto a split of the
+    # other aggregate, and the improved law's sum law no longer matched
+    ball = BallConfig(radius=1.25)
+    m0 = validate_measure([((-2.5,), 0.5), ((-2.499999999995,), 0.5)])
+    law = sharing_law(_two_flat_agents(), m0, ball)
+    grid = build_split_grid(law, 0.5, ball)
+    assert grid.aggregate.size == 2
     assert abs(solve_improvement_lp(law, grid).statistic) <= _STATISTIC_SLACK
