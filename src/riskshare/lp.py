@@ -1,7 +1,8 @@
 """Linear programming in standard form with certified outcomes.
 
 Solves ``minimize c·v  subject to  A v = b, v >= 0`` with a two-phase
-revised simplex method.
+revised simplex method on the system ``[A | I]``, the program's columns
+followed by one artificial per row, built once per solve.
 
 Phase 1 starts from the basis of a feasible point's support when the
 caller knows one (``solve(lp, start=x0)``), completed by artificials on the
@@ -13,22 +14,28 @@ combination of the columns already in, and the point is moved along that
 dependency until a weight reaches zero (purification), so the basis holds
 the whole support and its basic solution is the point itself.  The
 artificials then sum to at most ``FEAS_TOL``, and phase 1 takes no pivot.
-Each artificial still basic is then replaced by the structural column with
-the largest entry in its tableau row, or its row is dropped as redundant.
+
+Phase 2 runs on the same system from phase 1's basis and inverse, with no
+new inversion.  Artificial columns never enter it, and an artificial still
+basic is a variable fixed at 0: when the entering column's entry on its
+row exceeds ``PIVOT_TOL`` in absolute value, with either sign, it blocks at
+step 0 and leaves (the largest such entry, among several).  An artificial
+on a redundant row never leaves, and its row's dual is exactly 0; no row
+is dropped.  The pivot count includes the pivots that take an artificial
+out.
 
 Programs are passed in as dense arrays and stay
 at desk scale (a few hundred rows, at most a few thousand variables), but
-the ones built elsewhere in the package are about 99% zeros.  Each simplex
-run therefore takes a column-compressed copy of its matrix once, and every
+the ones built elsewhere in the package are about 99% zeros.  Each solve
+therefore takes a column-compressed copy of its system once, and every
 product with a column of it costs its nonzeros, not its rows: pricing
-``c - Aᵀy`` and the entering column ``B⁻¹a`` (FTRAN) in the pivots, and the
-tableau rows and columns used to drive artificials out of the basis.
+``c - Aᵀy`` and the entering column ``B⁻¹a`` (FTRAN).
 
-The working basis is held as an explicit dense inverse.  Each simplex run
-inverts its start basis once; every pivot then updates the inverse by a
-rank-one (eta) step on the rows where ``B⁻¹a`` is nonzero, and moves the
-basic values and the duals along with it, instead of re-inverting in
-O(m³).  The inverse, the basic values and the duals are recomputed from
+The working basis is held as an explicit dense inverse.  A simplex run
+inverts its start basis once, unless it is handed one; every pivot then
+updates the inverse by a rank-one (eta) step on the rows where ``B⁻¹a`` is
+nonzero, and moves the basic values and the duals along with it, instead
+of re-inverting in O(m³).  The inverse, the basic values and the duals are recomputed from
 scratch every ``REFACTOR_INTERVAL`` pivots to stop rounding from building
 up.  No verdict is read off an updated inverse: before a run reports
 optimal or unbounded it refactorises, so the final basic values and duals
@@ -37,11 +44,12 @@ come from a fresh inverse.
 Every ``Optimal`` outcome is certified before it is returned: primal
 residual, complementary slackness and the duality gap are all checked
 against the *original* data, and a violation raises
-``NumericalBreakdown`` instead of returning a wrong answer.
+``NumericalBreakdown`` instead of returning a wrong answer.  So does an
+artificial left basic above ``FEAS_TOL`` at the end of phase 2.
 
 Anti-cycling: pivoting starts under Dantzig's rule and switches to
 Bland's rule permanently once ``3 * n_columns`` consecutive degenerate
-steps have been taken.
+steps have been taken, counted over the columns that may enter.
 """
 
 from __future__ import annotations
@@ -58,8 +66,6 @@ from .errors import InputError, NumericalBreakdown
 PIVOT_TOL = 1e-11
 #: Phase-1 objective above this means the system is infeasible.
 FEAS_TOL = 1e-8
-#: Rows whose eliminated coefficients all fall below this are dropped.
-REDUNDANCY_TOL = 1e-10
 #: Reduced costs above -OPT_TOL count as nonnegative (optimality).
 OPT_TOL = 1e-9
 #: A column whose entries are all <= this is an unbounded ray.
@@ -193,22 +199,36 @@ def _simplex_iterations(
     b: np.ndarray,
     c: np.ndarray,
     basis: list[int],
+    columns: _Columns,
+    n_enter: int,
+    invB: Optional[np.ndarray] = None,
+    updates: int = 0,
 ) -> tuple[str, list[int], np.ndarray, np.ndarray, np.ndarray, int]:
     """Run simplex to optimality/unboundedness from a feasible basis.
+
+    ``A`` is the system ``[A | I]`` and ``columns`` its compressed copy.
+    Only the first ``n_enter`` columns may enter; a basic column past them
+    is a variable fixed at 0.  It blocks any entering column whose entry on
+    its row exceeds ``PIVOT_TOL`` in absolute value, with either sign, at
+    step 0, and among several the one with the largest entry leaves.
+    ``invB``, when given, is the start basis's inverse, ``updates`` rank-one
+    steps since it was fresh; otherwise the run inverts the start basis.
 
     Returns (status, basis, basic values, duals, basis inverse, pivot
     count) with status "optimal" or "unbounded"; the inverse, the basic
     values and the duals are fresh.  Between refactorisations the basic
     values and the duals are moved along with each pivot.
     """
-    m, n = A.shape
-    columns = _Columns(A)
+    m = A.shape[0]
+    held = np.flatnonzero(np.array(basis) >= n_enter)  # slots of variables fixed at 0
     pivots = 0
-    updates = 0
-    refactor = True
+    refactor = invB is None
+    if invB is not None:
+        xB = invB @ b
+        y = invB.T @ c[basis]
     degen_run = 0
     bland = False
-    max_iter = 200 * (m + n) + 5000
+    max_iter = 200 * (m + n_enter) + 5000
     while True:
         if pivots > max_iter:
             raise _Breakdown(f"iteration limit {max_iter} exceeded", pivots)
@@ -220,7 +240,7 @@ def _simplex_iterations(
         z = c - columns.row_times(y)
         z[basis] = 0.0
 
-        negative = (z < -OPT_TOL).nonzero()[0]
+        negative = (z[:n_enter] < -OPT_TOL).nonzero()[0]
         if bland:
             candidates = negative  # already in ascending index order
         else:
@@ -229,25 +249,32 @@ def _simplex_iterations(
         verdict: Optional[str] = "optimal"
         for j in candidates:
             d = columns.ftran(invB, j)
-            eligible = (d > PIVOT_TOL).nonzero()[0]
-            if eligible.size == 0:
-                if np.max(d, initial=-np.inf) <= UNBOUNDED_TOL:
-                    verdict = "unbounded"
-                    break
-                verdict = "stalled"  # positive entries exist but all < PIVOT_TOL
-                continue
-            ratios = xB[eligible] / d[eligible]
-            theta = np.min(ratios)
-            ties = eligible[ratios <= theta + DEGENERATE_STEP_TOL]
-            # leave on the smallest variable index (Bland-compatible, deterministic)
-            r = min(ties, key=lambda i: basis[i])
+            # a variable fixed at 0 blocks at step 0; of several, the one
+            # with the largest entry leaves
+            k = int(np.argmax(np.abs(d[held]))) if held.size else -1
+            if k >= 0 and abs(d[held[k]]) > PIVOT_TOL:
+                r, theta, step = int(held[k]), 0.0, 0.0
+                held = held[held != r]
+            else:
+                eligible = (d > PIVOT_TOL).nonzero()[0]
+                if eligible.size == 0:
+                    if np.max(np.delete(d, held), initial=-np.inf) <= UNBOUNDED_TOL:
+                        verdict = "unbounded"
+                        break
+                    verdict = "stalled"  # positive entries exist but all < PIVOT_TOL
+                    continue
+                ratios = xB[eligible] / d[eligible]
+                theta = np.min(ratios)
+                ties = eligible[ratios <= theta + DEGENERATE_STEP_TOL]
+                # leave on the smallest variable index (Bland-compatible, deterministic)
+                r = min(ties, key=lambda i: basis[i])
+                step = xB[r] / d[r]
             if theta <= DEGENERATE_STEP_TOL:
                 degen_run += 1
             else:
                 degen_run = 0
-            if not bland and degen_run >= 3 * n:
+            if not bland and degen_run >= 3 * n_enter:
                 bland = True
-            step = xB[r] / d[r]
             _pivot(invB, d, r)
             xB -= step * d
             xB[r] = step
@@ -272,13 +299,9 @@ def _simplex_iterations(
         return verdict, basis, xB, y, invB, pivots
 
 
-def _refactored(A: np.ndarray, basis: list[int], why: str) -> np.ndarray:
-    """A fresh inverse of ``basis`` on the system ``[A | I]``."""
-    m = A.shape[0]
-    return _inverse(np.hstack([A, np.eye(m)])[:, basis], why, 0)
-
-
-def _crash(A: np.ndarray, x: np.ndarray, basis: list[int], invB: np.ndarray) -> int:
+def _crash(
+    A: np.ndarray, columns: _Columns, x: np.ndarray, basis: list[int], invB: np.ndarray
+) -> int:
     """Pivot the support of a feasible point ``x`` into the all-artificial basis.
 
     ``x`` (``A x = b``, ``x >= 0``), ``basis`` and ``invB`` are updated in
@@ -290,16 +313,17 @@ def _crash(A: np.ndarray, x: np.ndarray, basis: list[int], invB: np.ndarray) -> 
     (purification).  If the column's own weight does, it stays out;
     otherwise it takes the slot of the basic column whose weight did.  The
     basis then holds the whole support, so its basic solution is ``x``.
+    ``A`` is the system ``[A | I]``, whose first ``len(x)`` columns are the
+    program's, and ``columns`` its compressed copy.
 
     Returns the rank-one updates made to ``invB`` since it was last fresh.
     """
-    m, n = A.shape
-    columns = _Columns(A)
+    m = A.shape[0]
     held = np.ones(m, dtype=bool)  # slots still held by artificials
     updates = 0
     for j in np.flatnonzero(x > 0).tolist():
         if updates >= REFACTOR_INTERVAL:
-            invB[:] = _refactored(A, basis, "singular basis while crashing the start")
+            invB[:] = _inverse(A[:, basis], "singular basis while crashing the start", 0)
             updates = 0
         d = columns.ftran(invB, j)
         on_held = np.where(held, np.abs(d), 0.0)
@@ -327,78 +351,31 @@ def _crash(A: np.ndarray, x: np.ndarray, basis: list[int], invB: np.ndarray) -> 
     return updates
 
 
-def _drive_out_artificials(
-    A: np.ndarray,
-    b: np.ndarray,
-    basis: list[int],
-    invB: np.ndarray,
-    updates: int,
-) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-    """Replace basic artificials by structural columns or drop their rows.
-
-    ``basis`` and its inverse ``invB`` (updated in place, ``updates``
-    rank-one steps since it was fresh) are phase 1's, on the system
-    ``[A | I]``.  Each basic artificial is replaced by the nonbasic
-    structural column with the largest entry in its tableau row.  When the
-    row has no entry above ``REDUNDANCY_TOL``, the original row it stands
-    for is redundant: the artificial stays basic, at zero, until the end,
-    and then the row and the artificial's slot are removed together.
-    Leaving it basic in the meantime changes no other tableau row, because
-    the artificial's column is a unit vector, so the inverse's column for
-    that row is a unit vector too.
-
-    Returns the reduced (A, b), the all-structural basis, and the surviving
-    original row indices.
-    """
-    m0, n = A.shape
-    columns = _Columns(A)
-    in_basis = np.zeros(n, dtype=bool)
-    in_basis[[j for j in basis if j < n]] = True
-    redundant = []
-    for k in [k for k, j in enumerate(basis) if j >= n]:
-        if updates >= REFACTOR_INTERVAL:
-            invB = _refactored(A, basis, "singular basis while removing artificials")
-            updates = 0
-        row_vec = np.abs(columns.row_times(invB[k]))
-        row_vec[in_basis] = 0.0
-        j = int(np.argmax(row_vec))
-        if row_vec[j] > REDUNDANCY_TOL:
-            _pivot(invB, columns.ftran(invB, j), k)
-            basis[k] = j
-            in_basis[j] = True
-            updates += 1
-        else:
-            # the tableau row certifies a ~0 combination of rows in which the
-            # artificial's own row has coefficient exactly 1, so that row goes
-            redundant.append(basis[k] - n)
-    rows = [i for i in range(m0) if i not in redundant]
-    return A[rows], b[rows], [j for j in basis if j < n], rows
-
-
 def _phase_one(
-    A: np.ndarray, b: np.ndarray, start: Optional[np.ndarray] = None
+    A: np.ndarray, b: np.ndarray, columns: _Columns, start: Optional[np.ndarray] = None
 ) -> tuple[float, list[int], np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Minimize the sum of artificial variables from the basis of ``start``'s support.
 
+    ``A`` is the system ``[A | I]`` and ``columns`` its compressed copy.
     ``start`` (purified in place) is a feasible point, or None for the
     empty support, which leaves the all-artificial basis.  When the start
     basis's artificials already sum to at most ``FEAS_TOL``, it is phase 1's
     answer and no pivot is taken.  Returns value, basis, x, y, invB, pivots
     and the rank-one updates of invB since it was fresh.
     """
-    m, n = A.shape
+    m = A.shape[0]
+    n = A.shape[1] - m
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
     invB = np.eye(m)
     updates = 0
     if start is not None:
-        updates = _crash(A, start, basis, invB)
+        updates = _crash(A, columns, start, basis, invB)
     xB = invB @ b
     if float(np.sum(np.abs(xB[c1[basis] > 0]))) <= FEAS_TOL:
         y, pivots = invB.T @ c1[basis], 0
     else:
-        A1 = np.hstack([A, np.eye(m)])
-        status, basis, xB, y, invB, pivots = _simplex_iterations(A1, b, c1, basis)
+        status, basis, xB, y, invB, pivots = _simplex_iterations(A, b, c1, basis, columns, n + m)
         if status != "optimal":
             raise _Breakdown("phase 1 reported unbounded; objective is bounded below", pivots)
         updates = 0
@@ -408,18 +385,15 @@ def _phase_one(
     return value, basis, x, y, invB, pivots, updates
 
 
-def _map_duals(
-    y_reduced: Optional[np.ndarray],
-    kept_rows: list[int],
-    signs: np.ndarray,
-    m_original: int,
-) -> Optional[np.ndarray]:
-    if y_reduced is None:
-        return None
-    y = np.zeros(m_original)
-    for pos, row in enumerate(kept_rows):
-        y[row] = y_reduced[pos] * signs[row]
-    return y
+def _with_artificials(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The system ``[A | I]`` with each row signed so that ``b >= 0``.
+
+    Returns the system, the signed ``b`` and the row signs, which turn the
+    system's duals back into the program's.
+    """
+    signs = np.where(lp.b < 0, -1.0, 1.0)
+    A = np.hstack([lp.A * signs[:, None], np.eye(lp.n_rows)])
+    return A, lp.b * signs, signs
 
 
 def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, value: float) -> None:
@@ -460,33 +434,40 @@ def solve(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LPOutcome:
     within ``FEAS_TOL`` (``InputError`` otherwise); phase 1 starts from the
     basis of its support instead of the all-artificial one.
     """
-    m0, n = lp.A.shape
+    m, n = lp.A.shape
     x0 = None if start is None else _checked_start(lp, start)
-    signs = np.where(lp.b < 0, -1.0, 1.0)
-    A = lp.A * signs[:, None]
-    b = lp.b * signs
+    A, b, signs = _with_artificials(lp)
+    columns = _Columns(A)
     pivots = 0
     try:
-        p1_value, basis, x1, y1, invB, pivots, updates = _phase_one(A, b, x0)
+        p1_value, basis, _, y1, invB, pivots, updates = _phase_one(A, b, columns, x0)
         if p1_value > FEAS_TOL:
-            duals = _map_duals(y1, list(range(m0)), signs, m0)
-            return LPOutcome(LPStatus.INFEASIBLE, p1_value, None, duals, pivots)
+            return LPOutcome(LPStatus.INFEASIBLE, p1_value, None, y1 * signs, pivots)
 
-        A2, b2, basis, kept = _drive_out_artificials(A, b, basis, invB, updates)
-
-        status, basis, xB, y, _, pivots2 = _simplex_iterations(A2, b2, lp.c.copy(), basis)
+        # phase 2 keeps phase 1's basis and inverse; the artificials still
+        # basic are fixed at 0 and leave as soon as a column's entry allows
+        c = np.concatenate([lp.c, np.zeros(m)])
+        status, basis, xB, y, _, pivots2 = _simplex_iterations(
+            A, b, c, basis, columns, n, invB, updates
+        )
         pivots += pivots2
         if status == "unbounded":
             return LPOutcome(LPStatus.UNBOUNDED, float("-inf"), None, None, pivots)
 
-        x = np.zeros(n)
+        x = np.zeros(n + m)
         x[basis] = xB
+        artificial = float(np.max(np.abs(x[n:]), initial=0.0))
+        if artificial > FEAS_TOL:
+            raise _Breakdown(f"artificial basic value {artificial:.3e} after phase 2")
+        x = x[:n]
         if float(np.min(x, initial=0.0)) < -FEAS_TOL:
             raise _Breakdown(f"negative basic value {np.min(x):.3e} after phase 2")
         np.clip(x, 0.0, None, out=x)
         value = float(lp.c @ x)
-        duals = _map_duals(y, kept, signs, m0)
-        assert duals is not None
+        # a row whose artificial is still basic has dual 0 exactly, not the
+        # rounding that the inverse leaves there
+        y[[j - n for j in basis if j >= n]] = 0.0
+        duals = y * signs
         _certify(lp, x, duals, value)
     except _Breakdown as exc:
         raise _numerical_breakdown(lp, exc, pivots) from exc
@@ -500,16 +481,13 @@ def feasible(A: np.ndarray, b: np.ndarray) -> LPOutcome:
     out <= FEAS_TOL, otherwise Infeasible with the residual as the value.
     """
     lp = LinearProgram(c=np.zeros(np.asarray(A).shape[1]), A=A, b=b)
-    m0, n = lp.A.shape
-    signs = np.where(lp.b < 0, -1.0, 1.0)
-    Af = lp.A * signs[:, None]
-    bf = lp.b * signs
+    A1, b1, signs = _with_artificials(lp)
     try:
-        value, basis, x1, y1, _, pivots, _ = _phase_one(Af, bf)
+        value, _, x1, y1, _, pivots, _ = _phase_one(A1, b1, _Columns(A1))
     except _Breakdown as exc:
         raise _numerical_breakdown(lp, exc, 0) from exc
-    duals = _map_duals(y1, list(range(m0)), signs, m0)
+    duals = y1 * signs
     if value > FEAS_TOL:
         return LPOutcome(LPStatus.INFEASIBLE, value, None, duals, pivots)
-    x = np.clip(x1[:n], 0.0, None)
+    x = np.clip(x1[: lp.n_vars], 0.0, None)
     return LPOutcome(LPStatus.OPTIMAL, value, x, duals, pivots)

@@ -432,9 +432,9 @@ class TestStart:
         starts = []
         iterations = riskshare.lp._simplex_iterations
 
-        def recorded(A, b, c, basis):
+        def recorded(A, b, c, basis, *args):
             starts.append(np.linalg.solve(A[:, basis], b))
-            return iterations(A, b, c, basis)
+            return iterations(A, b, c, basis, *args)
 
         monkeypatch.setattr(riskshare.lp, "_simplex_iterations", recorded)
         lp = LinearProgram(c=c, A=A, b=b)
@@ -467,22 +467,39 @@ class TestStart:
 
     def test_redundant_row_the_support_misses_is_dropped(self):
         # the start's two columns take the two independent rows; the copy
-        # of the first row keeps its artificial, at 0, until the drive-out
-        # finds it redundant
+        # of the first row keeps its artificial, fixed at 0, through phase 2,
+        # because no column has an entry on that row of the tableau
         A = np.vstack([self.A, self.A[0]])
         lp = LinearProgram(c=self.c, A=A, b=np.append(self.b, 2.0))
         out = solve(lp, start=[1.0, 1.0, 0.0, 0.0])
         assert out.duals.shape == (3,)
         assert_matches_highs(lp, out)
 
+    def test_artificial_leaves_on_a_negative_entry(self):
+        # the start's column covers the first row, so the second keeps its
+        # artificial, at 0.  The first column to enter, the third, has entry
+        # -1 on that row: the artificial blocks it at step 0 and leaves.
+        # Were that row left out of the ratio test, the third column would
+        # take the first row at step 1 and lift the artificial to 1.
+        lp = LinearProgram(
+            c=np.array([0.0, 0.5, -1.0]),
+            A=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]),
+            b=np.array([1.0, 0.0]),
+        )
+        out = solve(lp, start=[1.0, 0.0, 0.0])
+        assert_matches_highs(lp, out)
+        np.testing.assert_allclose(out.solution, [0.0, 1.0, 1.0])
+        assert out.pivots == 2
 
-@pytest.mark.xfail(raises=NumericalBreakdown, strict=False)
+
 def test_near_zero_pivot_entry():
-    # Phase 2 of this degenerate program (two redundant rows dropped)
-    # pivots on an entry of about 3e-11, just above PIVOT_TOL, that is zero
-    # up to rounding; the next refactorisation finds the basis singular.
+    # A degenerate, unbounded program with two redundant rows.  With those
+    # rows dropped before phase 2, phase 2 pivoted on an entry of about
+    # 3e-11, just above PIVOT_TOL and zero up to rounding, and the next
+    # refactorisation found the basis singular.
     lp = sparse_program(33, 49, 0.09773584063847204, 1782441655, 0.0, 0.0, 2, True)
-    assert_matches_highs(lp, solve(lp))
+    assert highs_status(lp) == (LPStatus.UNBOUNDED, -np.inf)
+    assert solve(lp).status is LPStatus.UNBOUNDED
 
 
 class TestPastRefactorInterval:
@@ -653,6 +670,20 @@ class TestBreakdownReport:
         # refactorisation per REFACTOR_INTERVAL pivots
         per_interval = out.pivots // REFACTOR_INTERVAL
         assert per_interval <= len(calls) <= per_interval + 4
+
+    def test_phase_two_takes_over_the_start_inverse(self, monkeypatch):
+        # efficient-2d at h = 1/2 (300 x 260): the crash's rank-one updates
+        # carry over into phase 2, whose only inversion is the one before
+        # its verdict
+        law = validate_joint_law([(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.0, 1.0), (1.0, 0.0)), 0.5)])
+        problem = build_improvement_problem(
+            law, build_split_grid(law, 0.5, BallConfig(radius=2.0)), [1.0, 1.0]
+        )
+        assert problem.program.A.shape == (300, 260)
+        calls = self._inverse_failing_at(monkeypatch, 0)
+        out = solve(problem.program, start=problem.baseline)
+        assert out.status is LPStatus.OPTIMAL
+        assert len(calls) == 1
 
     def test_failure_at_first_refactorisation(self, monkeypatch):
         lp = assignment(30, 0)
