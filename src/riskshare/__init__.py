@@ -25,7 +25,6 @@ from .convex_order import (
 )
 from .errors import (
     DimensionMismatch,
-    EmptyCandidateSet,
     IndexOutOfRange,
     InputError,
     NoConvergence,
@@ -102,7 +101,6 @@ __all__ = [
     "DiscreteMeasure",
     "DominanceVerdict",
     "EfficiencyReport",
-    "EmptyCandidateSet",
     "GapReport",
     "IndexOutOfRange",
     "InputError",

@@ -200,7 +200,7 @@ def _cmd_comonotone_check(args):
 def _cmd_maxcorr(args):
     xi = _load(args.measure, "measure")
     mu = _load(args.mu, "measure") if args.mu else default_baseline(xi.dim)
-    result = max_correlation(xi, mu, args.tol)
+    result = max_correlation(xi, mu)
     fields = {
         "tol": args.tol,
         "value": result.value,
@@ -220,7 +220,7 @@ def _cmd_comonotone_gap(args):
     law = _load(args.law, "joint_law")
     mu = _load(args.mu, "measure") if args.mu else None
     ball = BallConfig(radius=args.radius) if args.radius else None
-    gap = comonotonicity_gap(law, mu, args.tol, ball=ball)
+    gap = comonotonicity_gap(law, mu, ball=ball)
     ok = gap.comonotone_at(args.tol)
     fields = {
         "tol": args.tol,
@@ -357,7 +357,6 @@ def _cmd_qdescent(args):
         eps=eps,
         max_iters=args.max_iters,
         target=statistic,
-        tol=args.tol,
     )
     fields = {
         "tol": args.tol,
@@ -518,7 +517,10 @@ _COMMANDS = {
             _Arg("measure", "measure JSON file"),
             _MU,
             _EMIT_CSV._replace(help="write the coupling as CSV"),
-            _tol("coupling solve"),
+            _tol("report")._replace(
+                help="tolerance recorded in the report; the coupling is solved "
+                "exactly and does not read it (default: %(default)g)"
+            ),
         ),
     ),
     "comonotone-gap": _Command(
@@ -563,7 +565,7 @@ _COMMANDS = {
             _MAX_ITERS,
             _WEIGHTS,
             _RADIUS._replace(help=f"share ball radius (default: {_LAW_RADIUS})"),
-            _tol("descent"),
+            _tol("improvement statistic that the descent targets"),
         ),
     ),
     "counterexample": _Command(

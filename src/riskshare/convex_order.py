@@ -11,6 +11,7 @@ certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -92,39 +93,23 @@ def dominates_1d(
     return DominanceVerdict(dom, strict, None, worst)
 
 
-def _coupling_system(
-    mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equality system for pi >= 0: marginals plus per-row mean preservation."""
-    n_mu, n_nu, d = mu.size, nu.size, mu.dim
-    mu_w, nu_w = mu.weights_array(), nu.weights_array()
-    mu_x, nu_x = mu.support_array(), nu.support_array()
-    nvar = n_mu * n_nu
+def plan_rows(
+    X: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constraint rows of a plan pi from the points ``X`` (n, d) to ``Y`` (m, d).
 
-    def idx(i: int, j: int) -> int:
-        return i * n_nu + j
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for i in range(n_mu):
-        r = np.zeros(nvar)
-        r[idx(i, 0) : idx(i, n_nu - 1) + 1] = 1.0
-        rows.append(r)
-        rhs.append(mu_w[i])
-    for j in range(n_nu):
-        r = np.zeros(nvar)
-        r[j::n_nu] = 1.0
-        rows.append(r)
-        rhs.append(nu_w[j])
-    # sum_j pi_ij (x0_j - x_i) = 0, one row per (i, coordinate)
-    for i in range(n_mu):
-        for k in range(d):
-            r = np.zeros(nvar)
-            for j in range(n_nu):
-                r[idx(i, j)] = nu_x[j, k] - mu_x[i, k]
-            rows.append(r)
-            rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+    The plan is flattened row-major: pi_ij is column ``i * m + j``.  Returns
+    the row sums (n rows), the column sums (m rows) and the barycenter
+    defects ``sum_j pi_ij (Y_j - X_i)``, one row per ``(i, k)`` in that
+    order (n * d rows).
+    """
+    n, m, d = X.shape[0], Y.shape[0], X.shape[1]
+    row_sums = np.kron(np.eye(n), np.ones(m))
+    col_sums = np.tile(np.eye(m), n)
+    bary = np.zeros((n, d, n, m))
+    i = np.arange(n)
+    bary[i, :, i, :] = (Y[None, :, :] - X[:, None, :]).transpose(0, 2, 1)
+    return row_sums, col_sums, bary.reshape(n * d, n * m)
 
 
 def dominates_md(
@@ -133,7 +118,9 @@ def dominates_md(
     """Dominance in any dimension via mean-preserving-kernel feasibility."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    A, b = _coupling_system(mu, nu)
+    # pi >= 0 with marginals mu and nu, each row averaging back to its atom
+    A = np.vstack(plan_rows(mu.support_array(), nu.support_array()))
+    b = np.concatenate([mu.weights_array(), nu.weights_array(), np.zeros(mu.size * mu.dim)])
     out = lp.feasible(A, b)
     worst = float(out.value)
     dom = worst <= tol
@@ -205,8 +192,8 @@ def is_comonotone_pairwise(
         rows = []
         for values, w in samples:
             w = float(w)
-            if w < 0:
-                raise NonPositiveWeight(f"sample weight {w!r} is negative")
+            if not (w >= 0 and math.isfinite(w)):
+                raise NonPositiveWeight(f"sample weight {w!r} is negative or not finite")
             if w == 0.0:
                 continue
             row = []
@@ -218,6 +205,8 @@ def is_comonotone_pairwise(
                         )
                     v = v[0]
                 row.append(float(v))
+            if not all(math.isfinite(v) for v in row):
+                raise InputError(f"sample values {row!r} are not all finite")
             rows.append(row)
         if not rows:
             return True

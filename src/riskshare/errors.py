@@ -55,10 +55,6 @@ class ParameterOutOfRange(RiskShareError, ValueError):
     """A scalar parameter lies outside its documented range."""
 
 
-class EmptyCandidateSet(RiskShareError, RuntimeError):
-    """A split grid ended up with no candidates for some aggregate atom."""
-
-
 class SolverFailure(RiskShareError, RuntimeError):
     """The linear-program solver failed or returned an unusable status."""
 

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lp
-from .convex_order import AllocationVerdict, allocation_dominates
+from .convex_order import AllocationVerdict, allocation_dominates, plan_rows
 from .errors import InputError, SolverFailure
 from .measures import (
     DEFAULT_TOL,
@@ -180,7 +180,6 @@ class ImprovementProblem:
     program: lp.LinearProgram
     grid: SplitGrid
     gamma_cols: tuple[tuple[int, ...], ...]  # per aggregate atom, per candidate
-    split_costs: tuple[tuple[float, ...], ...]
     baseline: np.ndarray
 
 
@@ -195,26 +194,24 @@ def build_improvement_problem(
 ) -> ImprovementProblem:
     d, p = gamma0.dim, gamma0.agents
     m0 = grid.aggregate
+    splits = [split for cands in grid.candidates for split in cands]
+    n_gamma = len(splits)
 
-    # distinct per-agent candidate points (kernel rows)
-    points: list[dict[tuple[int, ...], int]] = [dict() for _ in range(p)]
-    coords: list[list[Coords]] = [[] for _ in range(p)]
-    for cands in grid.candidates:
-        for split in cands:
-            for i in range(p):
-                k = _key(split[i])
-                if k not in points[i]:
-                    points[i][k] = len(coords[i])
-                    coords[i].append(split[i])
+    # per agent, the distinct candidate points (kernel rows) in order of
+    # first appearance, and the point each split gives the agent
+    coords: list[list[Coords]] = []
+    point_of: list[list[int]] = []
+    for i in range(p):
+        seen: dict[tuple[int, ...], Coords] = {}
+        for split in splits:
+            seen.setdefault(_key(split[i]), split[i])
+        index = {k: z for z, k in enumerate(seen)}
+        coords.append(list(seen.values()))
+        point_of.append([index[_key(split[i])] for split in splits])
     margs = [marginal(gamma0, i) for i in range(p)]
 
-    n_gamma = grid.total_candidates
-    kernel_off = []
-    off = n_gamma
-    for i in range(p):
-        kernel_off.append(off)
-        off += len(coords[i]) * margs[i].size
-    n_vars = off
+    kernel_off = np.cumsum([n_gamma] + [len(coords[i]) * margs[i].size for i in range(p)])
+    n_vars = int(kernel_off[-1])
     # an aggregate row per atom; per agent, a link row and d barycenter rows
     # per point and a marginal row per baseline atom
     n_rows = m0.size + sum(len(coords[i]) * (1 + d) + margs[i].size for i in range(p))
@@ -224,76 +221,50 @@ def build_improvement_problem(
             f"more than the limit of {MAX_LP_ENTRIES} entries; use a coarser grid step"
         )
 
-    def kcol(i: int, z: int, j: int) -> int:
-        return kernel_off[i] + z * margs[i].size + j
-
-    gamma_cols: list[tuple[int, ...]] = []
-    col = 0
-    for cands in grid.candidates:
-        gamma_cols.append(tuple(range(col, col + len(cands))))
-        col += len(cands)
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    sizes = [len(cands) for cands in grid.candidates]
+    starts = np.cumsum([0] + sizes)
+    gamma_cols = tuple(tuple(range(starts[t], starts[t + 1])) for t in range(len(sizes)))
+    A = np.zeros((n_rows, n_vars))
+    b = np.zeros(n_rows)
     # aggregate rows: candidate masses of atom t sum to the atom's weight
-    for t, (_, w) in enumerate(m0.atoms):
-        r = np.zeros(n_vars)
-        r[list(gamma_cols[t])] = 1.0
-        rows.append(r)
-        rhs.append(w)
+    A[np.repeat(np.arange(m0.size), sizes), np.arange(n_gamma)] = 1.0
+    b[: m0.size] = m0.weights_array()
+    row = m0.size
     for i in range(p):
         n_z, n_j = len(coords[i]), margs[i].size
-        # marginal-link rows: kernel row mass equals the marginal of gamma at z
-        link = [np.zeros(n_vars) for _ in range(n_z)]
-        for t, cands in enumerate(grid.candidates):
-            for u, split in enumerate(cands):
-                link[points[i][_key(split[i])]][gamma_cols[t][u]] = 1.0
-        for z in range(n_z):
-            for j in range(n_j):
-                link[z][kcol(i, z, j)] = -1.0
-            rows.append(link[z])
-            rhs.append(0.0)
+        kernel = slice(kernel_off[i], kernel_off[i + 1])
+        link, marg, bary = plan_rows(np.array(coords[i]), margs[i].support_array())
+        # marginal-link rows: the mass of gamma's marginal at z minus the
+        # kernel's row mass at z
+        A[row + np.array(point_of[i]), np.arange(n_gamma)] = 1.0
+        A[row : row + n_z, kernel] -= link
+        row += n_z
         # baseline-marginal rows: kernel columns reproduce gamma0's marginal
-        for j, (_, wj) in enumerate(margs[i].atoms):
-            r = np.zeros(n_vars)
-            for z in range(n_z):
-                r[kcol(i, z, j)] = 1.0
-            rows.append(r)
-            rhs.append(wj)
+        A[row : row + n_j, kernel] = marg
+        b[row : row + n_j] = margs[i].weights_array()
+        row += n_j
         # conditional-barycenter rows: each kernel row averages back to z
-        v = margs[i].support_array()
-        for z in range(n_z):
-            zc = np.asarray(coords[i][z])
-            for k in range(d):
-                r = np.zeros(n_vars)
-                for j in range(n_j):
-                    r[kcol(i, z, j)] = v[j, k] - zc[k]
-                rows.append(r)
-                rhs.append(0.0)
+        A[row : row + n_z * d, kernel] = bary
+        row += n_z * d
 
-    costs = tuple(
-        tuple(_floor_cost(split, eps) for split in cands) for cands in grid.candidates
-    )
     c = np.zeros(n_vars)
-    for t in range(len(grid.candidates)):
-        for u, col_idx in enumerate(gamma_cols[t]):
-            c[col_idx] = costs[t][u]
-    program = lp.LinearProgram(c=c, A=np.array(rows), b=np.array(rhs))
+    c[:n_gamma] = [_floor_cost(split, eps) for split in splits]
+    program = lp.LinearProgram(c=c, A=A, b=b)
 
     # the baseline embedding: atom a's weight goes on its own split, and on
     # agent i's kernel entry from its share (as a candidate point z) to the
     # same share (as the atom j of the marginal that merged it)
     baseline = np.zeros(n_vars)
     share_of = [_merge_targets([tup[i] for tup, _ in gamma0.atoms])[1] for i in range(p)]
-    for a, ((tup, w), (t, u)) in enumerate(zip(gamma0.atoms, grid.baseline_splits)):
-        baseline[gamma_cols[t][u]] += w
+    for a, ((_, w), (t, u)) in enumerate(zip(gamma0.atoms, grid.baseline_splits)):
+        col = gamma_cols[t][u]
+        baseline[col] += w
         for i in range(p):
-            baseline[kcol(i, points[i][_key(tup[i])], share_of[i][a])] += w
+            baseline[kernel_off[i] + point_of[i][col] * margs[i].size + share_of[i][a]] += w
     return ImprovementProblem(
         program=program,
         grid=grid,
-        gamma_cols=tuple(gamma_cols),
-        split_costs=costs,
+        gamma_cols=gamma_cols,
         baseline=baseline,
     )
 

@@ -396,8 +396,12 @@ def _with_artificials(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.nda
     return A, lp.b * signs, signs
 
 
+def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
+    return float(np.max(np.abs(lp.A @ x - lp.b), initial=0.0))
+
+
 def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, value: float) -> None:
-    primal = float(np.max(np.abs(lp.A @ x - lp.b), initial=0.0))
+    primal = _primal_residual(lp, x)
     z = lp.c - lp.A.T @ y
     comp = float(np.max(np.abs(x * z), initial=0.0))
     gap = abs(float(lp.c @ x) - float(y @ lp.b))
@@ -421,7 +425,7 @@ def _checked_start(lp: LinearProgram, start) -> np.ndarray:
         raise InputError("non-finite entry in start")
     if np.any(x0 < 0.0):
         raise InputError(f"start has a negative entry {float(np.min(x0)):.3e}")
-    residual = float(np.max(np.abs(lp.A @ x0 - lp.b), initial=0.0))
+    residual = _primal_residual(lp, x0)
     if residual > FEAS_TOL:
         raise InputError(f"start misses A x = b by {residual:.3e}, more than {FEAS_TOL}")
     return x0
@@ -479,15 +483,24 @@ def feasible(A: np.ndarray, b: np.ndarray) -> LPOutcome:
 
     Returns Optimal with a feasible point when the residual objective comes
     out <= FEAS_TOL, otherwise Infeasible with the residual as the value.
+    The point is certified as ``solve``'s are: a basic value below
+    ``-FEAS_TOL``, or a primal residual above ``FEAS_TOL`` against the
+    original data, raises ``NumericalBreakdown``.
     """
     lp = LinearProgram(c=np.zeros(np.asarray(A).shape[1]), A=A, b=b)
     A1, b1, signs = _with_artificials(lp)
+    pivots = 0
     try:
         value, _, x1, y1, _, pivots, _ = _phase_one(A1, b1, _Columns(A1))
+        duals = y1 * signs
+        if value > FEAS_TOL:
+            return LPOutcome(LPStatus.INFEASIBLE, value, None, duals, pivots)
+        if float(np.min(x1, initial=0.0)) < -FEAS_TOL:
+            raise _Breakdown(f"negative basic value {np.min(x1):.3e} after phase 1")
+        x = np.clip(x1[: lp.n_vars], 0.0, None)
+        primal = _primal_residual(lp, x)
+        if primal > FEAS_TOL:
+            raise _Breakdown(f"primal residual {primal:.3e} exceeds {FEAS_TOL}")
     except _Breakdown as exc:
-        raise _numerical_breakdown(lp, exc, 0) from exc
-    duals = y1 * signs
-    if value > FEAS_TOL:
-        return LPOutcome(LPStatus.INFEASIBLE, value, None, duals, pivots)
-    x = np.clip(x1[: lp.n_vars], 0.0, None)
+        raise _numerical_breakdown(lp, exc, pivots) from exc
     return LPOutcome(LPStatus.OPTIMAL, value, x, duals, pivots)

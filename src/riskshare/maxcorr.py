@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import lp
+from .convex_order import plan_rows
 from .errors import DimensionMismatch, SolverFailure
 from .measures import (
     DEFAULT_TOL,
@@ -105,19 +106,10 @@ def _lp_coupling(xi: DiscreteMeasure, mu: DiscreteMeasure):
     n, m = xi.size, mu.size
     X, Y = xi.support_array(), mu.support_array()
     c = -(X @ Y.T).reshape(n * m)
-    rows = []
-    rhs = []
-    for i in range(n):
-        r = np.zeros(n * m)
-        r[i * m : (i + 1) * m] = 1.0
-        rows.append(r)
-        rhs.append(xi.weights_array()[i])
-    for j in range(m):
-        r = np.zeros(n * m)
-        r[j::m] = 1.0
-        rows.append(r)
-        rhs.append(mu.weights_array()[j])
-    out = lp.solve(lp.LinearProgram(c=c, A=np.array(rows), b=np.array(rhs)))
+    row_sums, col_sums, _ = plan_rows(X, Y)
+    A = np.vstack([row_sums, col_sums])
+    b = np.concatenate([xi.weights_array(), mu.weights_array()])
+    out = lp.solve(lp.LinearProgram(c=c, A=A, b=b))
     if out.status is not lp.LPStatus.OPTIMAL:
         raise SolverFailure(
             f"coupling program reported {out.status.value}; couplings always exist"
@@ -132,9 +124,7 @@ def _lp_coupling(xi: DiscreteMeasure, mu: DiscreteMeasure):
     return -out.value, pairs
 
 
-def max_correlation(
-    xi: DiscreteMeasure, mu: DiscreteMeasure, tol: float = DEFAULT_TOL
-) -> CorrelationResult:
+def max_correlation(xi: DiscreteMeasure, mu: DiscreteMeasure) -> CorrelationResult:
     """Largest E[X · Y~] over couplings of ``xi`` with the baseline ``mu``."""
     if xi.dim != mu.dim:
         raise DimensionMismatch(f"dimension mismatch: {xi.dim} vs {mu.dim}")
@@ -165,22 +155,22 @@ def default_baseline(dim: int, ball: Optional[BallConfig] = None) -> DiscreteMea
 def comonotonicity_gap(
     gamma: JointLaw,
     mu: Optional[DiscreteMeasure] = None,
-    tol: float = DEFAULT_TOL,
     ball: Optional[BallConfig] = None,
 ) -> GapReport:
     """Subadditivity defect of the maximal correlation across agents.
 
     A strictly positive gap refutes simultaneous comonotonicity relative to
-    ``mu``; a gap within ``tol`` of zero is consistent with it.
+    ``mu``; a gap within a tolerance of zero (``GapReport.comonotone_at``)
+    is consistent with it.
     """
     if mu is None:
         mu = default_baseline(gamma.dim, ball)
     if mu.dim != gamma.dim:
         raise DimensionMismatch(f"dimension mismatch: {mu.dim} vs {gamma.dim}")
     per_agent = tuple(
-        max_correlation(marginal(gamma, i), mu, tol).value for i in range(gamma.agents)
+        max_correlation(marginal(gamma, i), mu).value for i in range(gamma.agents)
     )
-    rho_total = max_correlation(sum_pushforward(gamma), mu, tol).value
+    rho_total = max_correlation(sum_pushforward(gamma), mu).value
     rho_sum = float(sum(per_agent))
     return GapReport(
         rho_sum=rho_sum,

@@ -24,7 +24,6 @@ from .errors import DimensionMismatch, InputError, NumericalBreakdown
 from .improve import default_radius
 from .infconv import AgentProfile, StrictlyConvexProfile, share_points
 from .measures import (
-    DEFAULT_TOL,
     BallConfig,
     Coords,
     DiscreteMeasure,
@@ -209,7 +208,6 @@ def minimize_q(
     eps: Optional[Sequence[float]] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     target: Optional[float] = None,
-    tol: float = DEFAULT_TOL,
 ) -> QState:
     """Descend J from ``profile`` (default: the pure quadratic costs).
 

@@ -9,9 +9,16 @@ from riskshare.convex_order import (
     dominates_1d,
     dominates_md,
     is_comonotone_pairwise,
+    plan_rows,
     stop_loss,
 )
-from riskshare.errors import DimensionMismatch, SumLawMismatch
+from riskshare.errors import (
+    DimensionMismatch,
+    InputError,
+    NonPositiveWeight,
+    NumericalBreakdown,
+    SumLawMismatch,
+)
 from riskshare.measures import dirac, validate_joint_law, validate_measure
 
 TOL = 1e-8
@@ -33,6 +40,31 @@ def spread_of(m, rng, max_splits=3):
         else:
             out.append(((x,), w))
     return validate_measure(out)
+
+
+def spread_md(rng, d):
+    """A law on a 0.1-lattice and a mean-preserving spread of it in dimension d.
+
+    Each atom is kept, or split with probability 0.6 into two points on a
+    random line through it, weighted so that their mean is the atom.
+    """
+    n = rng.randint(2, 7)
+    x = rng.randint(-3, 4, size=(n, d)) / 10.0
+    w = rng.rand(n) + 0.2
+    w /= w.sum()
+    mu = validate_measure([(tuple(x[i]), float(w[i])) for i in range(n)], dim=d)
+    atoms = []
+    for pt, wi in mu.atoms:
+        if rng.rand() < 0.6:
+            delta = rng.randn(d)
+            a, b = rng.rand(2) + 0.2
+            atoms += [
+                (tuple(np.asarray(pt) - a * delta), wi * b / (a + b)),
+                (tuple(np.asarray(pt) + b * delta), wi * a / (a + b)),
+            ]
+        else:
+            atoms.append((pt, wi))
+    return mu, validate_measure(atoms, dim=d)
 
 
 class TestStopLoss:
@@ -79,6 +111,16 @@ class TestDominates1d:
             dominates_1d(dirac((0.0, 0.0)), dirac((0.0, 0.0)))
 
 
+def test_plan_rows_layout():
+    # pi_ij is column i * m + j; barycenter rows go by (i, k)
+    rng = np.random.RandomState(5)
+    X, Y, pi = rng.randn(3, 2), rng.randn(4, 2), rng.rand(3, 4)
+    row_sums, col_sums, bary = plan_rows(X, Y)
+    np.testing.assert_allclose(row_sums @ pi.ravel(), pi.sum(axis=1))
+    np.testing.assert_allclose(col_sums @ pi.ravel(), pi.sum(axis=0))
+    np.testing.assert_allclose(bary @ pi.ravel(), (pi @ Y - pi.sum(axis=1)[:, None] * X).ravel())
+
+
 class TestDominatesMd:
     def test_center_dominates_four_corners(self):
         mu = dirac((0.0, 0.0))
@@ -106,6 +148,55 @@ class TestDominatesMd:
     def test_dim_guard(self):
         with pytest.raises(DimensionMismatch):
             dominates_md(dirac((0.0,)), dirac((0.0, 0.0)))
+
+    def test_phase_one_point_with_cancelling_artificials(self):
+        # phase 1 ends here with structural basic values down to -0.16 and
+        # artificials of -0.062 and +0.045 that cancel in its objective; the
+        # kernel read off that point misses its invariants by 0.35
+        mu = validate_measure(
+            [
+                ((-0.30000000000000004, 0.0, 0.30000000000000004), 0.2958333277602416),
+                ((-0.1, 0.1, 0.2), 0.2024715511257469),
+                ((0.0, 0.2, 0.2), 0.25722694632505905),
+                ((0.2, 0.30000000000000004, -0.1), 0.1459752119788568),
+                ((0.30000000000000004, 0.30000000000000004, -0.1), 0.09849296281009563),
+            ]
+        )
+        nu = validate_measure(
+            [
+                ((-1.6973519869338245, 1.1237083070393183, -1.0422233536534362), 0.049246481405047816),
+                ((-1.2989409883187653, -0.8616519497593532, 1.1482544064228128), 0.1479166638801208),
+                ((-0.1, 0.1, 0.2), 0.2024715511257469),
+                ((0.0, 0.2, 0.2), 0.25722694632505905),
+                ((0.2, 0.30000000000000004, -0.1), 0.1459752119788568),
+                ((0.6989409883187652, 0.8616519497593533, -0.5482544064228126), 0.1479166638801208),
+                ((2.2973519869338244, -0.5237083070393181, 0.8422233536534361), 0.049246481405047816),
+            ]
+        )
+        try:
+            v = dominates(mu, nu, TOL)
+        except NumericalBreakdown as exc:
+            assert "27 x 35 program" in str(exc) and "pivots taken" in str(exc)
+            return
+        if v.dominates:
+            v.certificate.validate(TOL)
+
+    def test_random_spreads_carry_valid_certificates(self):
+        # d = 2 and 3.  Draw 313 ends phase 1 at a point whose kernel
+        # violates its invariants by 1.3, which must not be returned.  A
+        # breakdown is the simplex's known failure (ROADMAP item 2).
+        rng = np.random.RandomState(0)
+        breakdowns = 0
+        for trial in range(400):
+            mu, nu = spread_md(rng, 2 + trial % 2)
+            try:
+                v = dominates_md(mu, nu, TOL)
+            except NumericalBreakdown:
+                breakdowns += 1
+                continue
+            assert v.dominates, trial  # a spread by construction
+            assert v.certificate.max_violation() <= 1e-7, trial
+        assert breakdowns <= 4
 
 
 class TestRouteAgreement:
@@ -200,6 +291,16 @@ class TestComonotone:
         assert is_comonotone_pairwise(
             [((0.0, 1.0), 1.0), ((1.0, 0.0), 0.0)]
         )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(InputError):
+            is_comonotone_pairwise([((0.0, bad), 0.5), ((1.0, 0.0), 0.5)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(NonPositiveWeight):
+            is_comonotone_pairwise([((0.0, 1.0), bad), ((1.0, 0.0), 0.5)])
 
     def test_multivariate_rejected(self):
         law = validate_joint_law([((((0.0, 0.0)), ((0.0, 0.0))), 1.0)])
