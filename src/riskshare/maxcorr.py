@@ -37,6 +37,11 @@ from .measures import (
 
 #: Points per axis in the default baseline lattice.
 _LATTICE_SIDE = 5
+#: Quantile mass at or below this is rounding's leftover: the sorted merge
+#: pairs none of it and moves on to the next atom.
+_MERGE_MASS_TOL = 1e-15
+#: Plan entries at or below this are left out of the reported coupling.
+_COUPLING_MASS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,15 +92,15 @@ def _sorted_merge(xi: DiscreteMeasure, mu: DiscreteMeasure):
     pairs: list[tuple[tuple[Coords, Coords], float]] = []
     while i < nx and j < ny:
         t = min(a, b)
-        if t > 1e-15:
+        if t > _MERGE_MASS_TOL:
             value += t * xs[i][0] * ys[j][0]
             pairs.append((((xs[i][0],), (ys[j][0],)), t))
         a -= t
         b -= t
-        if a <= 1e-15:
+        if a <= _MERGE_MASS_TOL:
             i += 1
             a = xs[i][1] if i < nx else 0.0
-        if b <= 1e-15:
+        if b <= _MERGE_MASS_TOL:
             j += 1
             b = ys[j][1] if j < ny else 0.0
     return value, tuple(pairs)
@@ -119,7 +124,7 @@ def _lp_coupling(xi: DiscreteMeasure, mu: DiscreteMeasure):
         ((tuple(X[i]), tuple(Y[j])), float(pi[i, j]))
         for i in range(n)
         for j in range(m)
-        if pi[i, j] > 1e-12
+        if pi[i, j] > _COUPLING_MASS_FLOOR
     )
     return -out.value, pairs
 

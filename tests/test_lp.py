@@ -13,12 +13,15 @@ from riskshare.lp import (
     COMP_SLACK_TOL,
     FEAS_TOL,
     GAP_TOL,
+    OPT_TOL,
+    PIVOT_TOL,
     REFACTOR_INTERVAL,
     LinearProgram,
     LPOutcome,
     LPStatus,
     _Columns,
     _pivot,
+    _presolve,
     feasible,
     solve,
 )
@@ -524,12 +527,16 @@ class TestPastRefactorInterval:
     @pytest.mark.parametrize(
         "atoms, weights, h",
         [
-            ([((2.0,), (-1.0,)), ((-1.0,), (1.0,)), ((0.0,), (-2.0,))], (0.25, 0.35, 0.4), 0.0625),
-            ([((-1.0,), (-2.0,)), ((0.0,), (0.0,)), ((1.0,), (2.0,))], (0.3, 0.3, 0.4), 0.0625),
+            ([((2.0,), (-2.0,)), ((-2.0,), (1.0,)), ((0.0,), (2.0,))], (0.25, 0.35, 0.4), 0.0625),
+            ([((-2.0,), (-2.0,)), ((0.0,), (0.0,)), ((2.0,), (2.0,))], (0.3, 0.3, 0.4), 0.0625),
         ],
         ids=["improvable", "efficient"],
     )
     def test_improvement_program_matches_highs(self, atoms, weights, h):
+        # marginals that reach ±2 keep most candidate points inside the
+        # hull of their supports, so the presolve leaves programs of about
+        # 265 x 450 to 530 (from 333 x 601 to 681) that still pivot past
+        # the interval three times
         gamma0 = validate_joint_law(list(zip(atoms, weights)))
         grid = build_split_grid(gamma0, h, BallConfig(radius=2.5))
         lp = build_improvement_problem(gamma0, grid, [1.0, 1.0]).program
@@ -584,6 +591,133 @@ class TestRedundantRows:
         # every redundant row was dropped: its dual is exactly zero
         assert out.duals.shape == (23,)
         assert np.count_nonzero(out.duals) <= 9
+
+
+def assert_farkas(lp: LinearProgram, out: LPOutcome) -> None:
+    """An infeasible outcome's duals certify it on the full program."""
+    assert out.status is LPStatus.INFEASIBLE
+    assert np.max(lp.A.T @ out.duals) <= OPT_TOL
+    assert lp.b @ out.duals > FEAS_TOL
+
+
+#: The laws of the benchmark's grid-ladder workload, each solved at every
+#: step: (atoms, weights, ball radius, steps).
+GRID_LADDER = (
+    (
+        [((2.0,), (-1.0,)), ((-1.0,), (1.0,)), ((0.0,), (-2.0,))],
+        (0.25, 0.35, 0.4),
+        2.5,
+        (0.25, 0.125, 0.0625),
+    ),
+    (
+        [((-1.0,), (-2.0,)), ((0.0,), (0.0,)), ((1.0,), (2.0,))],
+        (0.3, 0.3, 0.4),
+        2.5,
+        (0.25, 0.125, 0.0625),
+    ),
+    ([((1.0, 0.0), (-1.0, 1.0)), ((0.0, 1.0), (1.0, -1.0))], (0.5, 0.5), 2.0, (1.0, 0.5)),
+    ([((0.0, 0.0), (0.0, 0.0)), ((1.0, 1.0), (1.0, 0.0))], (0.5, 0.5), 2.0, (1.0, 0.5)),
+)
+
+
+class TestPresolve:
+    """Rows with b = 0 and entries of one sign fix their columns at 0."""
+
+    def test_forcing_row_on_a_start_weighted_column_is_kept(self):
+        # the start weights the first column, whose only other entry is the
+        # 1e-10 of a row with b = 0: it misses that row by 1e-10, within
+        # FEAS_TOL, and it is the optimum, as HiGHS (which drops entries
+        # that small) says.  Removed, the row would fix the first column at
+        # 0 and cost the start its support.
+        lp = LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0], [1e-10, 0.0]], b=[1.0, 0.0])
+        rows, owner = _presolve(lp.A, lp.b, np.array([1.0, 0.0]))
+        assert rows.all() and np.all(owner == -1)
+        out = solve(lp, start=[1.0, 0.0])
+        assert out.status is LPStatus.OPTIMAL
+        assert_matches_highs(lp, out)
+        np.testing.assert_array_equal(out.solution, [1.0, 0.0])
+
+    def test_row_with_an_entry_at_pivot_tol_is_kept(self):
+        # entries of one sign and b = 0, but one of them is too small to
+        # tell from rounding, so the row may not fix its columns
+        A = np.array([[1.0, 1.0, 1.0], [1.0, PIVOT_TOL, 0.0]])
+        lp = LinearProgram(c=[-1.0, -2.0, 1.0], A=A, b=[1.0, 0.0])
+        rows, owner = _presolve(lp.A, lp.b, None)
+        assert rows.all() and np.all(owner == -1)
+        assert_matches_highs(lp, solve(lp))
+        # just above PIVOT_TOL the row is forcing
+        A[1, 1] = 2.0 * PIVOT_TOL
+        rows, owner = _presolve(A, lp.b, None)
+        np.testing.assert_array_equal(rows, [True, False])
+        np.testing.assert_array_equal(owner, [1, 1, -1])
+
+    @pytest.mark.parametrize(
+        "A, b, c, start",
+        [
+            # the first row fixes both columns, and the second, left empty,
+            # goes with it
+            ([[1.0, 2.0], [0.0, 3.0]], [0.0, 0.0], [1.0, -1.0], None),
+            # an empty row: no rows are left, and the start weights a
+            # column with no entries
+            ([[0.0]], [0.0], [1.0], [1.0]),
+            # both rows and all columns; the second row's entries are
+            # negative, so its dual is the largest one that prices them
+            ([[1.0, 1.0, 0.0], [0.0, -1.0, -2.0]], [0.0, 0.0], [3.0, -1.0, 2.0], None),
+        ],
+        ids=["rows-and-columns", "empty-row-with-start", "negative-row"],
+    )
+    def test_every_row_removed(self, A, b, c, start):
+        lp = LinearProgram(c=c, A=A, b=b)
+        rows, _ = _presolve(lp.A, lp.b, None if start is None else np.array(start))
+        assert not rows.any()
+        out = solve(lp, start=start)
+        assert out.pivots == 0
+        np.testing.assert_array_equal(out.solution, np.zeros(lp.n_vars))
+        assert np.min(lp.c - lp.A.T @ out.duals) >= 0.0
+        assert_matches_highs(lp, out)
+
+    def test_every_column_removed_leaves_an_infeasible_row(self):
+        # the first row fixes both columns, and the second cannot reach 1
+        lp = LinearProgram(c=[1.0, 1.0], A=[[1.0, 1.0], [1.0, -1.0]], b=[0.0, 1.0])
+        rows, owner = _presolve(lp.A, lp.b, None)
+        np.testing.assert_array_equal(rows, [False, True])
+        np.testing.assert_array_equal(owner, [0, 0])
+        out = solve(lp)
+        assert highs_status(lp)[0] is LPStatus.INFEASIBLE
+        assert_farkas(lp, out)
+
+    def test_infeasible_program_keeps_its_farkas_certificate(self):
+        # the first row fixes x0 and x1; then x2 + x3 = -1 has no solution.
+        # The second row's dual is -1, so x0's column prices 1 > 0 unless
+        # the first row's dual makes up for it
+        lp = LinearProgram(
+            c=np.zeros(4),
+            A=[[1.0, 2.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 1.0]],
+            b=[0.0, -1.0],
+        )
+        out = solve(lp)
+        assert highs_status(lp)[0] is LPStatus.INFEASIBLE
+        assert_farkas(lp, out)
+        np.testing.assert_allclose(out.duals, [-1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "law, weights, radius, steps",
+        GRID_LADDER,
+        ids=["improvable-1d", "efficient-1d", "improvable-2d", "efficient-2d"],
+    )
+    def test_postsolved_duals_price_every_column(self, law, weights, radius, steps):
+        gamma0 = validate_joint_law(list(zip(law, weights)))
+        for h in steps:
+            problem = build_improvement_problem(
+                gamma0, build_split_grid(gamma0, h, BallConfig(radius=radius)), [1.0, 1.0]
+            )
+            lp = problem.program
+            rows, _ = _presolve(lp.A, lp.b, problem.baseline)
+            assert not rows.all()
+            out = solve(lp, start=problem.baseline)
+            assert_certified(lp, out)
+            z = lp.c - lp.A.T @ out.duals
+            assert np.min(z + OPT_TOL * (1.0 + np.abs(lp.c))) >= 0.0
 
 
 class TestFeasibilityMode:

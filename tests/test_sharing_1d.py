@@ -9,13 +9,11 @@ function is convex, so the nesting stays unimodal).
 import math
 
 import numpy as np
-import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from riskshare.convex_order import is_comonotone_pairwise
-from riskshare.errors import NumericalBreakdown
 from riskshare.improve import _STATISTIC_SLACK, build_split_grid, solve_improvement_lp
 from riskshare.infconv import AgentProfile, StrictlyConvexProfile, share_point, sharing_law
 from riskshare.maxcorr import comonotonicity_gap
@@ -173,11 +171,10 @@ def test_1d_sharing_law_is_comonotone(case):
     assert comonotonicity_gap(law).gap <= TOL
 
 
-# The simplex can break down on these improvement programs, which are
-# degenerate and rank-deficient (see test_near_zero_pivot_entry); any other
-# failure, a nonzero statistic included, fails the test.  A breakdown is not
-# shrunk: shrinking it would take a minute of the suite's time.
-@pytest.mark.xfail(raises=NumericalBreakdown, strict=False)
+# These improvement programs are degenerate and rank-deficient: the simplex
+# still breaks down on about 1% of such laws (ROADMAP item 2), though on none
+# of the draws here.  A failure is not shrunk: shrinking it would take a
+# minute of the suite's time.
 @settings(
     max_examples=30, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate)
 )
