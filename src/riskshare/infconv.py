@@ -18,10 +18,11 @@ conditions; the price equation is solved by Newton's method with the exact
 Jacobian of the responses, damped in proportion to |r| / R (so the steps
 do not depend on the data's units) and safeguarded by dual ascent.
 
-Pure-quadratic profiles enjoy the closed form ``y_i = S_i (sum_j S_j)^{-1} x``
-with ``S_i`` the inverse quadratic; the same matrices generate the explicit
-two-agent families whose sharing maps have unbounded norm and whose set is
-not convex, reproduced by ``counterexample_family``.
+In ``d >= 2`` pure-quadratic profiles enjoy the closed form
+``y_i = S_i (sum_j S_j)^{-1} x`` with ``S_i`` the inverse quadratic; the same
+matrices generate the explicit two-agent families whose sharing maps have
+unbounded norm and whose set is not convex, reproduced by
+``counterexample_family``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ TIE_TOL = 1e-12
 SPHERE_SLACK = 1e-12
 #: Fraction of |r| a Newton step must remove to be taken over dual ascent.
 SUFFICIENT = 1e-4
+SPD_TOL = 1e-12
+#: ``_affine_minimizer``'s normal equations square the condition number, so
+#: slopes within sqrt(machine epsilon) of dependence count as dependent.
+DEPENDENCE_RATIO = 1e-8
+ZERO_JACOBIAN = 1e-12
+SHARING_DEFECT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +96,6 @@ class StrictlyConvexProfile:
     dim: int
     agents: tuple[AgentProfile, ...]
     _arrays: tuple = field(init=False, repr=False)
-    _pure_quadratic: bool = field(init=False, repr=False)
     _knots: tuple = field(init=False, repr=False)
     _tables: dict = field(init=False, repr=False)
 
@@ -119,7 +125,6 @@ class StrictlyConvexProfile:
             )
         object.__setattr__(self, "agents", tuple(normalized))
         object.__setattr__(self, "_arrays", tuple(arrays))
-        object.__setattr__(self, "_pure_quadratic", not any(A.any() for _, A, _ in arrays))
         object.__setattr__(self, "_knots", tuple({} for _ in arrays))
         object.__setattr__(self, "_tables", {})
 
@@ -132,7 +137,6 @@ class StrictlyConvexProfile:
         left as it is.
         """
         agents, arrays, knots = list(self.agents), list(self._arrays), list(self._knots)
-        pure = self._pure_quadratic
         for i, (a, b) in new.items():
             if i not in range(self.n_agents):
                 raise InputError(f"no agent {i!r} among {self.n_agents}")
@@ -141,13 +145,11 @@ class StrictlyConvexProfile:
             agents[i] = AgentProfile(eps=ag.eps, pieces=ag.pieces + ((a, b),), quad=ag.quad)
             arrays[i] = (Q, _read_only(np.vstack((A, [a]))), _read_only(np.append(bs, b)))
             knots[i] = {}
-            pure = pure and not any(a)
         out = object.__new__(StrictlyConvexProfile)
         for name, value in (
             ("dim", self.dim),
             ("agents", tuple(agents)),
             ("_arrays", tuple(arrays)),
-            ("_pure_quadratic", pure),
             ("_knots", tuple(knots)),
             ("_tables", {}),
         ):
@@ -184,7 +186,7 @@ class StrictlyConvexProfile:
 
     def is_pure_quadratic(self) -> bool:
         """True when no agent has a sloped affine piece."""
-        return self._pure_quadratic
+        return not any(A.any() for _, A, _ in self._arrays)
 
 
 def _checked_piece(i: int, a, b, dim: int) -> tuple[Coords, float]:
@@ -211,13 +213,13 @@ def _check_spd(S: np.ndarray, dim: int, what: str) -> None:
     if not np.all(np.isfinite(S)):
         raise NotPositiveDefinite(f"{what}: non-finite entries")
     scale = float(np.max(np.abs(S), initial=0.0))
-    if float(np.max(np.abs(S - S.T), initial=0.0)) > 1e-12 * (1.0 + scale):
+    if float(np.max(np.abs(S - S.T), initial=0.0)) > SPD_TOL * (1.0 + scale):
         raise NotPositiveDefinite(f"{what}: not symmetric")
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{what}: not positive definite") from exc
-    if float(np.min(np.diag(L))) ** 2 <= 1e-12 * (1.0 + scale):
+    if float(np.min(np.diag(L))) ** 2 <= SPD_TOL * (1.0 + scale):
         raise NotPositiveDefinite(f"{what}: pivot below threshold")
 
 
@@ -276,9 +278,7 @@ def _affine_minimizer(Minv, A, b, v, W):
         return np.ones(1), None
     a0, D = A[W[0]], A[W[1:]] - A[W[0]]
     _, s, Vt = np.linalg.svd(D.T)
-    # the normal equations below square the condition number of D, so
-    # slopes within sqrt(machine epsilon) of dependence count as dependent
-    if D.shape[0] > s.size or s[-1] <= 1e-8 * s[0]:
+    if D.shape[0] > s.size or s[-1] <= DEPENDENCE_RATIO * s[0]:
         ray = np.concatenate(([-Vt[-1].sum()], Vt[-1]))
         return None, ray / ray[-1]
     MD = Minv @ D.T
@@ -343,7 +343,7 @@ def _certify(Q, A, b, u, ball, y, active, mu) -> bool:
     sc = 1.0 + abs(top) + float(np.abs(u) @ np.abs(y)) + abs(float(y @ Q @ y))
     return (
         ball.contains(y)
-        and float(np.min(mu)) >= -1e-9
+        and float(np.min(mu)) >= -CERT_TOL
         and float(np.min(vals[active])) >= top - CERT_TOL * sc
     )
 
@@ -541,7 +541,7 @@ def _split_1d(profile, xs, ball, tol):
 
 
 def _closed_form_quadratic(profile, x, ball):
-    """Unconstrained optimum for pure quadratics; None when it leaves B."""
+    """Unconstrained optimum for pure quadratics (d >= 2); None when it leaves B."""
     S = [np.linalg.inv(profile.quad_matrix(i)) for i in range(profile.n_agents)]
     total = sum(S)
     try:
@@ -568,22 +568,21 @@ def share_point(
     x: Sequence[float],
     ball: BallConfig,
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_OUTER_ITER,
     method: str = "auto",
     q0: Optional[Sequence[float]] = None,
 ) -> SharingPoint:
     """Unique optimal split of ``x`` among the agents, subject to the ball.
 
+    A one-dimensional profile, pure quadratics included, is split by the
+    exact piecewise-linear price solve, the array pass of ``share_points``
+    on one row (``method`` and ``q0`` are ignored there).  In ``d >= 2``,
     ``method="auto"`` uses the exact closed form when every cost is purely
-    quadratic and the unconstrained optimum stays inside the ball.
-    Otherwise, and always with ``method="dual"``, a one-dimensional profile
-    is split by the exact piecewise-linear price solve, the array pass of
-    ``share_points`` on one row (``q0`` and ``max_iter`` are ignored
-    there), and ``d >= 2`` solves the price
-    equation ``sum_i y_i(q) = x`` by regularized Newton steps with the exact
-    Jacobian, from ``q0`` and for at most ``max_iter`` steps.  Either way
-    the split is certified: ``|sum(shares) - x| <= tol (1 + |x|)`` with
-    every share in the ball.
+    quadratic and the unconstrained optimum stays inside the ball;
+    otherwise, and always with ``method="dual"``, the price equation
+    ``sum_i y_i(q) = x`` is solved by regularized Newton steps with the
+    exact Jacobian, from ``q0`` and for at most ``MAX_OUTER_ITER`` steps.
+    Either way the split is certified: ``|sum(shares) - x| <= tol (1 + |x|)``
+    with every share in the ball.
     """
     if method not in ("auto", "dual"):
         raise InputError(f"unknown method {method!r}")
@@ -594,10 +593,6 @@ def share_point(
     outside = _outside_domain(x.tolist(), p, ball)
     if outside is not None:
         raise outside
-    if method == "auto" and profile.is_pure_quadratic():
-        closed = _closed_form_quadratic(profile, x, ball)
-        if closed is not None:
-            return closed
     if d == 1:
         prices, shares, nus, residuals = _split_1d(profile, x, ball, tol)
         return SharingPoint(
@@ -608,6 +603,10 @@ def share_point(
             residual=float(residuals[0]),
             iterations=0,
         )
+    if method == "auto" and profile.is_pure_quadratic():
+        closed = _closed_form_quadratic(profile, x, ball)
+        if closed is not None:
+            return closed
 
     q = np.zeros(d) if q0 is None else np.asarray([float(v) for v in q0], dtype=float)
     if q.shape != (d,):
@@ -635,14 +634,14 @@ def share_point(
     inner, r = respond(q)
     residual = float(np.linalg.norm(r))
     while not residual <= threshold:
-        if it == max_iter:
-            raise failure(f"target {threshold:.3e} not reached in {max_iter} iterations")
+        if it == MAX_OUTER_ITER:
+            raise failure(f"target {threshold:.3e} not reached in {MAX_OUTER_ITER} iterations")
         it += 1
         # Levenberg-Marquardt, scale-free: mu = lambda_max(J) |r| / R, in J's
         # units; L stands in where J is 0 up to roundoff (agents at vertices)
         J = sum(Ji for _, _, Ji in inner)
         lam = float(np.linalg.eigvalsh(J)[-1])
-        mu = (lam if lam > 1e-12 * lipschitz else lipschitz) * residual / ball.radius
+        mu = (lam if lam > ZERO_JACOBIAN * lipschitz else lipschitz) * residual / ball.radius
         q_try = q + np.linalg.solve(J + mu * np.eye(d), r)
         inner_try, r_try = respond(q_try)
         if not np.linalg.norm(r_try) <= (1.0 - SUFFICIENT) * residual:
@@ -678,16 +677,15 @@ def share_points(
     ``shares[k, i]`` is agent ``i``'s share of ``xs[k]``.
 
     The splits, certificates and errors are those of ``share_point`` called
-    on each row in turn.  A one-dimensional profile with a sloped piece
-    sends all rows through one array pass of the exact map; otherwise
-    (``d >= 2``, or the closed form first for pure quadratics) each row
-    goes through ``share_point``.
+    on each row in turn.  A one-dimensional profile sends all rows through
+    one array pass of the exact map; in ``d >= 2`` each row goes through
+    ``share_point``.
     """
     xs = np.asarray(xs, dtype=float)
     p, d = profile.n_agents, profile.dim
     if xs.ndim != 2 or xs.shape[1] != d:
         raise DimensionMismatch(f"xs has shape {xs.shape}, expected (n, {d})")
-    if d == 1 and not profile.is_pure_quadratic():
+    if d == 1:
         return _split_1d(profile, xs[:, 0], ball, tol)[1][:, :, None]
     return np.array(
         [share_point(profile, x, ball, tol=tol).shares for x in xs], dtype=float
@@ -744,7 +742,7 @@ def quadratic_sharing_matrix(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
         raise SingularSum("sum of the matrices is singular") from exc
     ts = [S @ inv_total for S in mats]
     defect = float(np.max(np.abs(sum(ts) - np.eye(d))))
-    if defect > 1e-12:
+    if defect > SHARING_DEFECT_TOL:
         raise SingularSum(
             f"sharing matrices do not sum to the identity (defect {defect:.3e}); "
             "the sum is too ill-conditioned"

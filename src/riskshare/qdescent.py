@@ -38,7 +38,13 @@ from .measures import (
 MATCH_TOL = 1e-7  # atom-matching resolution for marginal discrepancies
 DEFAULT_MAX_ITERS = 500
 _STEP_GRID = tuple(2.0**k for k in range(-6, 7))
-_NEGATIVE_J_FLOOR = -1e-9
+_ZERO_TOL = 1e-9
+_NEGATIVE_J_FLOOR = -_ZERO_TOL
+_TARGET_SLACK = 1e-6
+#: One rounding rule for a merged signed weight, a cut's estimated decrease
+#: and a step's decrease of J (relative to 1 + |J|): this much is not a change.
+_ROUNDING = 1e-12
+_DUPLICATE_PIECE_TOL = 1e-9
 
 SignedAtoms = tuple[tuple[Coords, float], ...]
 
@@ -124,20 +130,11 @@ def _signed_diff(a: DiscreteMeasure, b: DiscreteMeasure) -> SignedAtoms:
     """Atoms of the signed measure ``a - b``; points within MATCH_TOL merge."""
     entries = [(x, w) for x, w in a.atoms] + [(x, -w) for x, w in b.atoms]
     merged = _merge_weighted(entries, MATCH_TOL)
-    return tuple((x, float(w)) for x, w in merged if abs(w) > 1e-12)
+    return tuple((x, float(w)) for x, w in merged if abs(w) > _ROUNDING)
 
 
-def _discrepancies(gamma0: JointLaw, law: JointLaw) -> tuple[SignedAtoms, ...]:
-    return tuple(
-        _signed_diff(marginal(gamma0, i), marginal(law, i))
-        for i in range(gamma0.agents)
-    )
-
-
-def _piece_max(ag: AgentProfile, x: Coords) -> float:
-    return max(
-        sum(ak * xk for ak, xk in zip(a, x)) + b for a, b in ag.pieces
-    )
+def _discrepancies(baseline: list[DiscreteMeasure], law: JointLaw) -> tuple[SignedAtoms, ...]:
+    return tuple(_signed_diff(m, marginal(law, i)) for i, m in enumerate(baseline))
 
 
 def _best_cut_atoms(
@@ -152,19 +149,22 @@ def _best_cut_atoms(
     """
     cuts = []
     for i, entries in enumerate(disc):
-        ag = profile.agents[i]
+        eps = profile.agents[i].eps
+        A, b = profile.piece_arrays(i)
+        X = np.array([x for x, _ in entries], dtype=float).reshape(-1, profile.dim)
+        tops = (X @ A.T + b).max(axis=1).tolist()
         best = None
         for z, _ in entries:
             if all(c == 0.0 for c in z):
                 continue
             half_nz = 0.5 * sum(c * c for c in z)
             der = 0.0
-            for x, w in entries:
-                lin = ag.eps * (sum(zc * xc for zc, xc in zip(z, x)) - half_nz)
-                inc = lin - _piece_max(ag, x)
+            for (x, w), top in zip(entries, tops):
+                lin = eps * (sum(zc * xc for zc, xc in zip(z, x)) - half_nz)
+                inc = lin - top
                 if inc > 0.0:
                     der += w * inc
-            if der < -1e-12 and (best is None or der < best[0]):
+            if der < -_ROUNDING and (best is None or der < best[0]):
                 best = (der, z)
         if best is not None:
             cuts.append((i, best[1], -best[0]))
@@ -189,11 +189,11 @@ def _with_cuts(
         a = tuple(sigma * ag.eps * zk for zk in z)
         b = -sigma * ag.eps * 0.5 * sum(zk * zk for zk in z)
         duplicate = any(
-            abs(pb - b) <= 1e-9 * (1.0 + abs(b))
-            and all(
-                abs(pa - av) <= 1e-9 * (1.0 + abs(av)) for pa, av in zip(p, a)
+            all(
+                abs(old - v) <= _DUPLICATE_PIECE_TOL * (1.0 + abs(v))
+                for old, v in zip((*pa, pb), (*a, b))
             )
-            for p, pb in ag.pieces
+            for pa, pb in ag.pieces
         )
         if not duplicate:
             new[i] = (a, b)
@@ -202,14 +202,14 @@ def _with_cuts(
 
 def minimize_q(
     gamma0: JointLaw,
-    profile: Optional[StrictlyConvexProfile] = None,
     *,
     ball: Optional[BallConfig] = None,
     eps: Optional[Sequence[float]] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     target: Optional[float] = None,
 ) -> QState:
-    """Descend J from ``profile`` (default: the pure quadratic costs).
+    """Descend J from the pure quadratic costs ``(eps_i / 2) |y|^2``
+    (``eps`` defaults to all ones).
 
     Each iteration adds one tangent cutting piece per agent at that agent's
     most over-weighted baseline atom, with the scale chosen by a doubling
@@ -220,36 +220,35 @@ def minimize_q(
     returned state rather than raising.
     """
     p = gamma0.agents
-    if profile is None:
-        es = [1.0] * p if eps is None else [float(e) for e in eps]
-        if len(es) != p:
-            raise InputError(f"expected {p} cost weights, got {len(es)}")
-        if any(not (e > 0.0) for e in es):
-            raise InputError("cost weights must be positive")
-        profile = StrictlyConvexProfile(
-            dim=gamma0.dim, agents=tuple(AgentProfile(eps=e) for e in es)
-        )
-    _check_shapes(profile, gamma0)
+    es = [1.0] * p if eps is None else [float(e) for e in eps]
+    if len(es) != p:
+        raise InputError(f"expected {p} cost weights, got {len(es)}")
+    if any(not (e > 0.0) for e in es):
+        raise InputError("cost weights must be positive")
+    profile = StrictlyConvexProfile(
+        dim=gamma0.dim, agents=tuple(AgentProfile(eps=e) for e in es)
+    )
     ball = ball if ball is not None else BallConfig(radius=default_radius(gamma0))
     require_shares_in_ball(gamma0, ball)
     baseline, aggregate = _atom_arrays(gamma0), _atom_arrays(sum_pushforward(gamma0))
+    marginals = [marginal(gamma0, i) for i in range(p)]
 
     j_cur, shares = _evaluate(profile, baseline, aggregate, ball)
     law_cur = _split_law(shares, aggregate)
     history = [j_cur]
-    stop_at = 1e-9 if target is None else max(target, 0.0) + 1e-6
+    stop_at = _ZERO_TOL if target is None else max(target, 0.0) + _TARGET_SLACK
     iterations = 0
     hit_cap = False
     for _ in range(max_iters):
         if j_cur <= stop_at:
             break
-        disc = _discrepancies(gamma0, law_cur)
-        if max((abs(w) for d in disc for _, w in d), default=0.0) <= 1e-9:
+        disc = _discrepancies(marginals, law_cur)
+        if max((abs(w) for d in disc for _, w in d), default=0.0) <= _ZERO_TOL:
             break  # induced law matches the baseline: no descent direction
         cuts = _best_cut_atoms(profile, disc)
         if not cuts:
             break
-        accept_below = j_cur - 1e-12 * (1.0 + abs(j_cur))
+        accept_below = j_cur - _ROUNDING * (1.0 + abs(j_cur))
         best = None
         cut_sets = [cuts]
         if len(cuts) > 1:
@@ -279,7 +278,7 @@ def minimize_q(
         profile=profile,
         j=j_cur,
         gamma_psi=law_cur,
-        marginal_discrepancies=_discrepancies(gamma0, law_cur),
+        marginal_discrepancies=_discrepancies(marginals, law_cur),
         iterations=iterations,
         hit_cap=hit_cap,
         j_history=tuple(history),

@@ -171,6 +171,15 @@ class TestMinimizeQ:
         with pytest.raises(InputError):
             minimize_q(gamma0, ball=BALL, eps=[1.0, 0.0])
 
+    def test_start_is_the_pure_quadratics_of_eps(self):
+        gamma0 = validate_joint_law(ANTI)
+        state = minimize_q(gamma0, eps=[0.5, 2.0], max_iters=0)
+        start = StrictlyConvexProfile(
+            dim=1, agents=(AgentProfile(eps=0.5), AgentProfile(eps=2.0))
+        )
+        assert state.j.hex() == j_value(start, gamma0).hex()
+        assert [ag.eps for ag in state.profile.agents] == [0.5, 2.0]
+
 
 class TestSandwich:
     def test_j_stays_above_statistic(self):

@@ -7,6 +7,7 @@ error for the same inputs.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,3 +212,68 @@ def test_two_dimensional_rows_go_through_share_point():
     assert _same(got, _one_by_one(profile, xs, ball, TOL))
     beyond = xs + [(9.0, 0.0)]
     assert _same(_batched(profile, beyond, ball, TOL), _one_by_one(profile, beyond, ball, TOL))
+
+
+# ---------------------------------------------------------------------------
+# one 1-D path: pure quadratics are the exact map's zero-piece case
+# ---------------------------------------------------------------------------
+
+
+def _quadratics(eps):
+    return StrictlyConvexProfile(dim=1, agents=tuple(AgentProfile(eps=e) for e in eps))
+
+
+def test_1d_pure_quadratics_split_without_the_closed_form(monkeypatch):
+    import riskshare.infconv as infconv
+
+    def closed_form(*_):
+        raise AssertionError("the closed form serves d >= 2 only")
+
+    monkeypatch.setattr(infconv, "_closed_form_quadratic", closed_form)
+    profile = _quadratics([0.5, 2.0, 1.25])
+    c, R = 0.4, 3.0
+    ball = BallConfig(radius=R, center=(c,))
+    # the first agent takes 2 / 3.3 of the aggregate while no share binds,
+    # so at x = 6 its share 3.64 would pass c + R = 3.4: it is held there
+    xs = [(-2.5,), (0.0,), (1.7,), (6.0,)]
+    got = share_points(profile, xs, ball)
+    for x, row in zip(xs, got):
+        sp = share_point(profile, x, ball)
+        assert sp.shares == tuple(tuple(y) for y in row.tolist())
+        assert abs(math.fsum(row[:, 0]) - x[0]) <= TOL * (1.0 + abs(x[0]))
+        assert all(ball.contains(y) for y in sp.shares)
+    bound = share_point(profile, (6.0,), ball)
+    assert bound.shares[0] == (c + R,)
+    assert bound.multipliers[0] > 0.0 and bound.multipliers[1:] == (0.0, 0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3),
+    st.floats(0.5, 6.0),
+    st.floats(-2.0, 2.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+def test_1d_pure_quadratics_one_path(eps, radius, center, fractions):
+    """Each row's ``share_point`` is the array pass's row, bit for bit, with
+    no iteration, and off the sphere the shares are ``x (1/eps_i) /
+    sum_j (1/eps_j)`` up to rounding.
+
+    The map interpolates from knots up to a radius away, so its error grows
+    with R; the 1e-14 (1 + |x|) bound is drawn for R <= 6 and holds there
+    with a margin of about 4 (at R = 50 it reaches about 2e-14)."""
+    profile = _quadratics(eps)
+    ball = BallConfig(radius=radius, center=(center,))
+    p = len(eps)
+    xs = [(p * (center + radius * (2.0 * f - 1.0)),) for f in fractions]
+    got = share_points(profile, xs, ball)
+    weights = [1.0 / Fraction(e) for e in eps]
+    for x, row in zip(xs, got):
+        for method in ("auto", "dual"):
+            sp = share_point(profile, x, ball, method=method)
+            assert sp.shares == tuple(tuple(y) for y in row.tolist())
+            assert sp.iterations == 0
+        exact = [Fraction(x[0]) * v / sum(weights) for v in weights]
+        if all(abs(float(y) - center) < radius * (1.0 - 1e-9) for y in exact):
+            for y, want in zip(row[:, 0].tolist(), exact):
+                assert abs(Fraction(y) - want) <= 1e-14 * (1.0 + abs(x[0]))
