@@ -9,6 +9,11 @@ baseline's own splits always included), and the agent-wise dominance
 constraints become linear through mean-preserving transition kernels
 linking the unknown marginals to the baseline marginals.
 
+A kernel sends the mass at a candidate point only to atoms whose
+barycenter is that point, so a point beyond every atom of its agent's
+baseline marginal along some axis can carry no mass; the program leaves it
+out, with every split that uses it.
+
 The baseline itself is always a feasible point of that program: each of
 its atoms is a candidate split of the aggregate atom it sums to, and each
 agent's identity kernel links its marginal to itself.  The program keeps
@@ -54,8 +59,6 @@ _DEDUP_RES = 1e-9
 #: Slack on the lattice index bounds, so a lattice point on the ball's
 #: bounding box is not lost to rounding in ``(c ± radius) / h``.
 _LATTICE_SLACK = 1e-12
-#: Optimal weights at or below this are read as zero in the improved law.
-_WEIGHT_FLOOR = 1e-12
 #: The statistic (baseline cost minus optimum) may be negative by at most
 #: this much before the program is reported broken.
 _STATISTIC_SLACK = 1e-9
@@ -66,8 +69,8 @@ _VERIFY_TOL_FLOOR = 1e-7
 #: times the aggregate atoms.
 MAX_GRID_SPLITS = 100_000
 #: Cap on the entries (rows times columns) of the dense improvement program
-#: ``build_improvement_problem`` assembles: 40 MB as float64, about 20 times
-#: the largest program the tests or ``perfbench`` build (333 x 681).
+#: ``build_improvement_problem`` assembles: 40 MB as float64, about 35 times
+#: the largest program the tests or ``perfbench`` build (265 x 529).
 MAX_LP_ENTRIES = 5_000_000
 
 Split = tuple[Coords, ...]
@@ -179,7 +182,7 @@ class ImprovementProblem:
 
     program: lp.LinearProgram
     grid: SplitGrid
-    gamma_cols: tuple[tuple[int, ...], ...]  # per aggregate atom, per candidate
+    gamma_cols: tuple[tuple[int, ...], ...]  # per aggregate atom, per candidate; -1 if omitted
     baseline: np.ndarray
 
 
@@ -189,84 +192,126 @@ def _floor_cost(split: Split, eps: Sequence[float]) -> float:
     )
 
 
+def _reachable(
+    Z: np.ndarray, Y: np.ndarray, weighted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel entries from the points ``Z`` to the atoms ``Y`` that can carry mass.
+
+    Entry ``(z, j)`` has coefficient ``Y_jk - z_k`` on the barycenter row
+    ``(z, k)``.  A row whose nonzero coefficients on the open entries have
+    one sign, all above ``lp.PIVOT_TOL`` in absolute value and none on a
+    ``weighted`` entry, holds them at 0 and goes; this repeats until no row
+    qualifies.  Returns the open entries and the kept rows.
+    """
+    D = Y[None, :, :] - Z[:, None, :]
+    keeps = (np.abs(D) <= lp.PIVOT_TOL) | weighted[:, :, None]
+    entries = np.ones(D.shape[:2], dtype=bool)
+    rows = np.ones(Z.shape, dtype=bool)
+    while True:
+        on = (D != 0) & entries[:, :, None]
+        two_sided = (on & (D > 0)).any(axis=1) & (on & (D < 0)).any(axis=1)
+        forcing = rows & ~two_sided & ~(on & keeps).any(axis=1)
+        if not forcing.any():
+            return entries, rows
+        entries &= ~(on & forcing[:, None, :]).any(axis=2)
+        rows &= ~forcing
+
+
 def build_improvement_problem(
     gamma0: JointLaw, grid: SplitGrid, eps: Sequence[float]
 ) -> ImprovementProblem:
-    d, p = gamma0.dim, gamma0.agents
-    m0 = grid.aggregate
-    splits = [split for cands in grid.candidates for split in cands]
-    n_gamma = len(splits)
+    """The improvement program over the splits a mean-preserving kernel can reach.
 
-    # per agent, the distinct candidate points (kernel rows) in order of
-    # first appearance, and the point each split gives the agent
-    coords: list[list[Coords]] = []
-    point_of: list[list[int]] = []
+    Columns: one weight per split kept, in candidate order, then per agent
+    a kernel entry per kept point ``z`` and marginal atom ``j`` it reaches.
+    Rows: one per aggregate atom, then per agent a link row per kept point,
+    a marginal row per atom and the barycenter rows ``(z, k)`` kept.  A
+    kernel sends the mass at ``z`` only to atoms with barycenter ``z``, so
+    the program omits the entries and barycenter rows ``_reachable`` rules
+    out, every split one of whose points then reaches no atom, and every
+    point no kept split uses, with its rows and entries.  The baseline's
+    splits always stay.
+    """
+    p, m0 = gamma0.agents, grid.aggregate
+    splits = [split for cands in grid.candidates for split in cands]
+    sizes = [len(cands) for cands in grid.candidates]
+    starts = np.cumsum([0] + sizes)
+    own = [int(starts[t]) + u for t, u in grid.baseline_splits]
+    margs = [marginal(gamma0, i) for i in range(p)]
+    share_of = [_merge_targets([tup[i] for tup, _ in gamma0.atoms])[1] for i in range(p)]
+
+    # per agent: the distinct candidate points in order of first appearance,
+    # the point of each split, and what each point reaches, given that the
+    # baseline weighs each share (as a point) on itself (as a marginal atom)
+    agents = []
     for i in range(p):
         seen: dict[tuple[int, ...], Coords] = {}
         for split in splits:
             seen.setdefault(_key(split[i]), split[i])
         index = {k: z for z, k in enumerate(seen)}
-        coords.append(list(seen.values()))
-        point_of.append([index[_key(split[i])] for split in splits])
-    margs = [marginal(gamma0, i) for i in range(p)]
+        point_of = np.array([index[_key(split[i])] for split in splits])
+        weighted = np.zeros((len(seen), margs[i].size), dtype=bool)
+        weighted[point_of[own], share_of[i]] = True
+        Z = np.array(list(seen.values()))
+        agents.append((Z, point_of, *_reachable(Z, margs[i].support_array(), weighted)))
+    # a split stays when each of its points reaches an atom, and a point
+    # when a split that stays uses it; points are renumbered among those kept
+    kept = np.all([reach.any(axis=1)[point_of] for _, point_of, reach, _ in agents], axis=0)
+    for i, (Z, point_of, reach, bary_rows) in enumerate(agents):
+        used = np.isin(np.arange(len(Z)), point_of[kept])
+        agents[i] = (Z[used], (np.cumsum(used) - 1)[point_of], reach[used], bary_rows[used])
 
-    kernel_off = np.cumsum([n_gamma] + [len(coords[i]) * margs[i].size for i in range(p)])
-    n_vars = int(kernel_off[-1])
-    # an aggregate row per atom; per agent, a link row and d barycenter rows
-    # per point and a marginal row per baseline atom
-    n_rows = m0.size + sum(len(coords[i]) * (1 + d) + margs[i].size for i in range(p))
+    n_gamma = int(np.count_nonzero(kept))
+    n_vars = n_gamma + sum(int(reach.sum()) for _, _, reach, _ in agents)
+    n_rows = m0.size + sum(
+        len(Z) + m.size + int(r.sum()) for (Z, _, _, r), m in zip(agents, margs)
+    )
     if n_rows * n_vars > MAX_LP_ENTRIES:
         raise InputError(
             f"the improvement program would have {n_rows} rows and {n_vars} columns, "
             f"more than the limit of {MAX_LP_ENTRIES} entries; use a coarser grid step"
         )
 
-    sizes = [len(cands) for cands in grid.candidates]
-    starts = np.cumsum([0] + sizes)
-    gamma_cols = tuple(tuple(range(starts[t], starts[t + 1])) for t in range(len(sizes)))
-    A = np.zeros((n_rows, n_vars))
-    b = np.zeros(n_rows)
+    gamma_col = np.where(kept, np.cumsum(kept) - 1, -1)
+    gamma_cols = tuple(tuple(gamma_col[lo:hi].tolist()) for lo, hi in zip(starts, starts[1:]))
+    A, b = np.zeros((n_rows, n_vars)), np.zeros(n_rows)
     # aggregate rows: candidate masses of atom t sum to the atom's weight
-    A[np.repeat(np.arange(m0.size), sizes), np.arange(n_gamma)] = 1.0
+    A[np.repeat(np.arange(m0.size), sizes)[kept], np.arange(n_gamma)] = 1.0
     b[: m0.size] = m0.weights_array()
-    row = m0.size
-    for i in range(p):
-        n_z, n_j = len(coords[i]), margs[i].size
-        kernel = slice(kernel_off[i], kernel_off[i + 1])
-        link, marg, bary = plan_rows(np.array(coords[i]), margs[i].support_array())
+    row, col = m0.size, n_gamma
+    kernel_col = []  # per agent, the column of each entry a point reaches
+    for (Z, point_of, reach, bary_rows), margin in zip(agents, margs):
+        n_z, n_j, on = len(Z), margin.size, np.flatnonzero(reach)
+        kernel = slice(col, col + on.size)
+        link, marg, bary = plan_rows(Z, margin.support_array())
         # marginal-link rows: the mass of gamma's marginal at z minus the
         # kernel's row mass at z
-        A[row + np.array(point_of[i]), np.arange(n_gamma)] = 1.0
-        A[row : row + n_z, kernel] -= link
+        A[row + point_of[kept], np.arange(n_gamma)] = 1.0
+        A[row : row + n_z, kernel] -= link[:, on]
         row += n_z
         # baseline-marginal rows: kernel columns reproduce gamma0's marginal
-        A[row : row + n_j, kernel] = marg
-        b[row : row + n_j] = margs[i].weights_array()
+        A[row : row + n_j, kernel] = marg[:, on]
+        b[row : row + n_j] = margin.weights_array()
         row += n_j
         # conditional-barycenter rows: each kernel row averages back to z
-        A[row : row + n_z * d, kernel] = bary
-        row += n_z * d
+        kept_rows = np.flatnonzero(bary_rows)
+        A[row : row + kept_rows.size, kernel] = bary[np.ix_(kept_rows, on)]
+        row += kept_rows.size
+        kernel_col.append(col - 1 + np.cumsum(reach).reshape(reach.shape))
+        col += on.size
 
     c = np.zeros(n_vars)
-    c[:n_gamma] = [_floor_cost(split, eps) for split in splits]
-    program = lp.LinearProgram(c=c, A=A, b=b)
+    c[:n_gamma] = [_floor_cost(split, eps) for split in itertools.compress(splits, kept)]
 
     # the baseline embedding: atom a's weight goes on its own split, and on
     # agent i's kernel entry from its share (as a candidate point z) to the
     # same share (as the atom j of the marginal that merged it)
     baseline = np.zeros(n_vars)
-    share_of = [_merge_targets([tup[i] for tup, _ in gamma0.atoms])[1] for i in range(p)]
-    for a, ((_, w), (t, u)) in enumerate(zip(gamma0.atoms, grid.baseline_splits)):
-        col = gamma_cols[t][u]
-        baseline[col] += w
-        for i in range(p):
-            baseline[kernel_off[i] + point_of[i][col] * margs[i].size + share_of[i][a]] += w
-    return ImprovementProblem(
-        program=program,
-        grid=grid,
-        gamma_cols=gamma_cols,
-        baseline=baseline,
-    )
+    for a, (_, w) in enumerate(gamma0.atoms):
+        baseline[gamma_col[own[a]]] += w
+        for (_, point_of, _, _), cols, share in zip(agents, kernel_col, share_of):
+            baseline[cols[point_of[own[a]], share[a]]] += w
+    return ImprovementProblem(lp.LinearProgram(c=c, A=A, b=b), grid, gamma_cols, baseline)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,16 +338,16 @@ def _extract_law(
 ) -> JointLaw:
     """Read the optimal weights back into a law, conserving the aggregate.
 
-    Weights at or below ``_WEIGHT_FLOOR`` are dropped; the rest are
-    rescaled per aggregate atom so each atom's mass matches the baseline
-    aggregate exactly (the solver residual is at machine scale, so the
-    rescale is a no-op up to rounding).
+    Weights at or below ``lp.ZERO_WEIGHT`` are dropped, and so are the
+    splits the program omits; the rest are rescaled per aggregate atom so
+    each atom's mass matches the baseline aggregate exactly (the solver
+    residual is at machine scale, so the rescale is a no-op up to rounding).
     """
     atoms = []
     for t, (s, w_atom) in enumerate(grid.aggregate.atoms):
-        cols = problem.gamma_cols[t]
-        weights = np.array([x[c] for c in cols])
-        keep = weights > _WEIGHT_FLOOR
+        cols = np.array(problem.gamma_cols[t])
+        weights = np.where(cols >= 0, x[cols], 0.0)
+        keep = weights > lp.ZERO_WEIGHT
         if not np.any(keep):
             raise SolverFailure(f"optimal law lost all mass on aggregate atom {s!r}")
         weights = weights * (w_atom / weights[keep].sum())

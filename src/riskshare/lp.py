@@ -4,23 +4,6 @@ Solves ``minimize c·v  subject to  A v = b, v >= 0`` with a two-phase
 revised simplex method on the system ``[A | I]``, the program's columns
 followed by one artificial per row, built once per solve.
 
-Before the simplex, ``solve`` removes every forcing row: a row with
-``b_r == 0`` whose nonzero entries on the columns still in all have one
-sign and all exceed ``PIVOT_TOL`` in absolute value.  ``v >= 0`` then holds
-each of those columns at 0, so they are fixed at 0 and removed with the
-row, and the test repeats until no row qualifies.  A row with an entry on
-a column that the start weights is never forcing.  In the improvement
-programs, the barycenter row of a candidate point that lies beyond every
-atom of the baseline marginal along an axis is forcing (no mean-preserving
-kernel moves mass there), and once the point's kernel columns are gone so
-is its link row, which fixes every split that uses the point.  The simplex
-below runs on the reduced program, and the pivot count is its pivots.  The
-solution is padded with zeros, and the duals of the removed rows are set
-last removed first, each at the bound where every column it fixed prices
-``>= 0`` (with ``c = 0`` for the Farkas duals of an infeasible outcome), so
-they stay feasible for the full program.  ``feasible`` takes its program
-as given.
-
 Phase 1 starts from the basis of a feasible point's support when the
 caller knows one (``solve(lp, start=x0)``), completed by artificials on the
 rows that support does not cover; without one it starts from the
@@ -95,6 +78,8 @@ COMP_SLACK_TOL = 1e-7
 GAP_TOL = 1e-7
 #: Rank-one updates of the basis inverse between two refactorisations.
 REFACTOR_INTERVAL = 128
+#: A solution entry at or below this is rounding; callers read it as zero.
+ZERO_WEIGHT = 1e-12
 
 
 class LPStatus(Enum):
@@ -414,87 +399,6 @@ def _with_artificials(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.hstack([A * signs[:, None], np.eye(len(b))]), b * signs, signs
 
 
-def _presolve(
-    A: np.ndarray, b: np.ndarray, start: Optional[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The forcing rows of ``A v = b, v >= 0``, and the columns they fix at 0.
-
-    A row is forcing when ``b_r == 0`` and its nonzero entries on the
-    columns still in all have one sign and all exceed ``PIVOT_TOL`` in
-    absolute value: ``v >= 0`` then holds each of those columns at 0.  A
-    row with an entry on a column that ``start`` weights is never forcing,
-    so ``start`` stays a point of the reduced program.  Removal repeats
-    until no row qualifies; the forcing rows of one pass are removed in
-    row order, each fixing the columns that the rows before it left in.
-
-    Returns the mask of the rows kept, and for each column the row whose
-    removal fixed it, or -1 for a column kept.
-    """
-    m, n = A.shape
-    # row-major, so a column's first entry is on its lowest row
-    ri, ci = np.divmod(np.flatnonzero(A != 0), n)
-    a = A[ri, ci]
-    weighted = np.zeros(n, dtype=bool) if start is None else start > 0
-    # an entry that keeps its row in: too small to pivot on, or weighted
-    keeps = (np.abs(a) <= PIVOT_TOL) | weighted[ci]
-    rows = np.ones(m, dtype=bool)
-    owner = np.full(n, -1)
-    candidates = b == 0
-    while True:
-        live = owner[ci] < 0
-        positive = np.bincount(ri, weights=live & (a > 0), minlength=m)
-        negative = np.bincount(ri, weights=live & (a < 0), minlength=m)
-        kept = np.bincount(ri, weights=live & keeps, minlength=m)
-        forcing = candidates & ((positive == 0) | (negative == 0)) & (kept == 0)
-        if not forcing.any():
-            return rows, owner
-        on = live & forcing[ri]
-        fixed, first = np.unique(ci[on], return_index=True)
-        owner[fixed] = ri[on][first]
-        rows &= ~forcing
-        candidates &= ~forcing
-
-
-def _postsolve_duals(
-    A: np.ndarray, c: np.ndarray, y: np.ndarray, rows: np.ndarray, owner: np.ndarray
-) -> None:
-    """Set the duals of the removed rows (``~rows``, zero in ``y``) in place.
-
-    Each removed row takes the largest dual (the smallest, on a row of
-    negative entries) at which every column its removal fixed prices
-    ``c_j - Σ_i a_ij y_i >= 0``.  Such a column has entries on no row
-    removed before its owner, so the rows are set last removed first: a row
-    waits while a row removed after it, with an entry on one of its
-    columns, has no dual yet, and the rows that wait on none are set
-    together.  A kept column has no entry on a removed row, so it prices
-    as it did, and the duals stay feasible for the full program; ``b`` is
-    0 on the removed rows, so ``b·y`` does not move either.
-    """
-    if rows.all():
-        return
-    removed, fixed = np.flatnonzero(~rows), np.flatnonzero(owner >= 0)
-    E = A[removed][:, fixed]
-    on = (E != 0).astype(float)
-    z = (c - y @ A)[fixed]
-    slot = np.searchsorted(removed, owner[fixed])  # each fixed column's row in E
-    entry = E[slot, np.arange(fixed.size)]
-    sign = np.ones(removed.size)
-    sign[slot] = np.sign(entry)
-    pending = np.ones(removed.size)
-    while pending.any():
-        # a column waits while a row other than its owner is pending on it
-        waits = pending @ on > pending[slot]
-        ready = pending > 0
-        ready[slot[waits]] = False
-        best = np.full(removed.size, np.inf)
-        mine = ready[slot]
-        np.minimum.at(best, slot[mine], z[mine] / np.abs(entry[mine]))
-        dual = np.where(ready & (best < np.inf), sign * best, 0.0)
-        y[removed] += dual
-        z -= dual @ E
-        pending[ready] = 0.0
-
-
 def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(np.max(np.abs(lp.A @ x - lp.b), initial=0.0))
 
@@ -537,26 +441,19 @@ def solve(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LPOutcome:
     within ``FEAS_TOL`` (``InputError`` otherwise); phase 1 starts from the
     basis of its support instead of the all-artificial one.
     """
+    m, n = lp.A.shape
     x0 = None if start is None else _checked_start(lp, start)
-    rows, owner = _presolve(lp.A, lp.b, x0)
-    cols = owner < 0
-    A, b, signs = _with_artificials(lp.A[rows][:, cols], lp.b[rows])
-    m, n = len(b), int(np.count_nonzero(cols))
+    A, b, signs = _with_artificials(lp.A, lp.b)
     columns = _Columns(A)
-    duals = np.zeros(lp.n_rows)
     pivots = 0
     try:
-        p1_value, basis, _, y1, invB, pivots, updates = _phase_one(
-            A, b, columns, None if x0 is None else x0[cols]
-        )
+        p1_value, basis, _, y1, invB, pivots, updates = _phase_one(A, b, columns, x0)
         if p1_value > FEAS_TOL:
-            duals[rows] = y1 * signs
-            _postsolve_duals(lp.A, np.zeros(lp.n_vars), duals, rows, owner)
-            return LPOutcome(LPStatus.INFEASIBLE, p1_value, None, duals, pivots)
+            return LPOutcome(LPStatus.INFEASIBLE, p1_value, None, y1 * signs, pivots)
 
         # phase 2 keeps phase 1's basis and inverse; the artificials still
         # basic are fixed at 0 and leave as soon as a column's entry allows
-        c = np.concatenate([lp.c[cols], np.zeros(m)])
+        c = np.concatenate([lp.c, np.zeros(m)])
         status, basis, xB, y, _, pivots2 = _simplex_iterations(
             A, b, c, basis, columns, n, invB, updates
         )
@@ -564,21 +461,20 @@ def solve(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LPOutcome:
         if status == "unbounded":
             return LPOutcome(LPStatus.UNBOUNDED, float("-inf"), None, None, pivots)
 
-        xr = np.zeros(n + m)
-        xr[basis] = xB
-        artificial = float(np.max(np.abs(xr[n:]), initial=0.0))
+        x = np.zeros(n + m)
+        x[basis] = xB
+        artificial = float(np.max(np.abs(x[n:]), initial=0.0))
         if artificial > FEAS_TOL:
             raise _Breakdown(f"artificial basic value {artificial:.3e} after phase 2")
-        if float(np.min(xr[:n], initial=0.0)) < -FEAS_TOL:
-            raise _Breakdown(f"negative basic value {np.min(xr[:n]):.3e} after phase 2")
-        x = np.zeros(lp.n_vars)
-        x[cols] = np.clip(xr[:n], 0.0, None)
+        x = x[:n]
+        if float(np.min(x, initial=0.0)) < -FEAS_TOL:
+            raise _Breakdown(f"negative basic value {np.min(x):.3e} after phase 2")
+        np.clip(x, 0.0, None, out=x)
         value = float(lp.c @ x)
         # a row whose artificial is still basic has dual 0 exactly, not the
         # rounding that the inverse leaves there
         y[[j - n for j in basis if j >= n]] = 0.0
-        duals[rows] = y * signs
-        _postsolve_duals(lp.A, lp.c, duals, rows, owner)
+        duals = y * signs
         _certify(lp, x, duals, value)
     except _Breakdown as exc:
         raise _numerical_breakdown(lp, exc, pivots) from exc

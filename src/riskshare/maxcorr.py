@@ -40,8 +40,6 @@ _LATTICE_SIDE = 5
 #: Quantile mass at or below this is rounding's leftover: the sorted merge
 #: pairs none of it and moves on to the next atom.
 _MERGE_MASS_TOL = 1e-15
-#: Plan entries at or below this are left out of the reported coupling.
-_COUPLING_MASS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +122,7 @@ def _lp_coupling(xi: DiscreteMeasure, mu: DiscreteMeasure):
         ((tuple(X[i]), tuple(Y[j])), float(pi[i, j]))
         for i in range(n)
         for j in range(m)
-        if pi[i, j] > _COUPLING_MASS_FLOOR
+        if pi[i, j] > lp.ZERO_WEIGHT
     )
     return -out.value, pairs
 

@@ -261,7 +261,8 @@ def minimize_q(
                 if trial is None:
                     continue
                 j_t, shares_t = _evaluate(trial, baseline, aggregate, ball)
-                if best is None or j_t < best[0]:
+                # a later trial must lower J beyond rounding to replace the best one
+                if best is None or j_t < best[0] - _ROUNDING * (1.0 + abs(best[0])):
                     best = (j_t, shares_t, trial)
             if best is not None and best[0] < accept_below:
                 break  # the joint cut already improves; skip the fallback

@@ -213,7 +213,7 @@ class TestExitCodes:
 
     def test_near_lattice_share_is_solved(self, tmp_path, capsys):
         # a share 1e-7 off a lattice point makes near-duplicate rows in the
-        # improvement program (rank 93 of 96); the solve must still finish
+        # improvement program (rank 55 of 58); the solve must still finish
         # and agree with HiGHS on the same program
         atoms = [(((1.0000001,), (-1.0,)), 0.5), (((0.0,), (1.0,)), 0.5)]
         path = tmp_path / "near.json"
@@ -235,7 +235,7 @@ class TestExitCodes:
             law, riskshare.improve.default_step(law, ball), ball
         )
         program = riskshare.improve.build_improvement_problem(law, grid, [1.0, 1.0]).program
-        assert program.A.shape == (96, 125)
+        assert program.A.shape == (58, 71)
         ref = linprog(program.c, A_eq=program.A, b_eq=program.b, bounds=(0, None), method="highs")
         assert ref.status == 0
         baseline = sum(w * sum(0.5 * float(np.dot(y, y)) for y in tup) for tup, w in law.atoms)

@@ -19,6 +19,7 @@ from riskshare.improve import (
     solve_improvement_lp,
 )
 from riskshare.infconv import AgentProfile, StrictlyConvexProfile, sharing_law
+from riskshare.lp import PIVOT_TOL, LPStatus, solve
 from riskshare.measures import (
     BallConfig,
     joint_laws_equal,
@@ -245,17 +246,28 @@ class TestInvariants:
         assert fine_stat >= coarse_stat - 1e-9
 
 
+#: The benchmark's grid ladder: (atoms, ball radius, steps).
+LADDER = (
+    (
+        [(((2.0,), (-1.0,)), 0.25), (((-1.0,), (1.0,)), 0.35), (((0.0,), (-2.0,)), 0.4)],
+        2.5,
+        (0.25, 0.125, 0.0625),
+    ),
+    (
+        [(((-1.0,), (-2.0,)), 0.3), (((0.0,), (0.0,)), 0.3), (((1.0,), (2.0,)), 0.4)],
+        2.5,
+        (0.25, 0.125, 0.0625),
+    ),
+    ([(((1.0, 0.0), (-1.0, 1.0)), 0.5), (((0.0, 1.0), (1.0, -1.0)), 0.5)], 2.0, (1.0, 0.5)),
+    ([(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.0, 1.0), (1.0, 0.0)), 0.5)], 2.0, (1.0, 0.5)),
+)
+
+
 def _catalogue():
     """The laws the benchmark solves: its grid ladder at the coarsest step,
     and the sandwich laws (the 17 random laws of acceptance criterion 4 and
     the 3 designed ones) at h = 0.5 in a ball of radius 6."""
-    ladder = [
-        ([(((2.0,), (-1.0,)), 0.25), (((-1.0,), (1.0,)), 0.35), (((0.0,), (-2.0,)), 0.4)], 2.5, 0.25),
-        ([(((-1.0,), (-2.0,)), 0.3), (((0.0,), (0.0,)), 0.3), (((1.0,), (2.0,)), 0.4)], 2.5, 0.25),
-        ([(((1.0, 0.0), (-1.0, 1.0)), 0.5), (((0.0, 1.0), (1.0, -1.0)), 0.5)], 2.0, 1.0),
-        ([(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.0, 1.0), (1.0, 0.0)), 0.5)], 2.0, 1.0),
-    ]
-    cases = [(validate_joint_law(atoms), R, h) for atoms, R, h in ladder]
+    cases = [(validate_joint_law(atoms), R, steps[0]) for atoms, R, steps in LADDER]
     rng = np.random.RandomState(404)
     for _ in range(17):
         n = rng.randint(2, 6)
@@ -266,6 +278,74 @@ def _catalogue():
     for atoms in (ANTI, COMO, [(((0.0,), (0.0,)), 0.3), (((0.5,), (0.5,)), 0.3), (((1.0,), (1.0,)), 0.4)]):
         cases.append((validate_joint_law(atoms), 6.0, 0.5))
     return cases
+
+
+def _problem(gamma0, R, h):
+    grid = build_split_grid(gamma0, h=h, ball=BallConfig(radius=R))
+    return build_improvement_problem(gamma0, grid, [1.0] * gamma0.agents)
+
+
+def forcing_rows(problem):
+    """Rows that hold every column they touch at 0: b_r = 0, entries of one
+    sign, all above PIVOT_TOL, none on a column the baseline weights."""
+    A, b = problem.program.A, problem.program.b
+    weighted = problem.baseline > 0
+    found = []
+    for r in np.flatnonzero(b == 0):
+        on = A[r] != 0
+        a = A[r, on]
+        one_sign = np.all(a > 0) or np.all(a < 0)
+        if one_sign and np.all(np.abs(a) > PIVOT_TOL) and not weighted[on].any():
+            found.append(int(r))
+    return found
+
+
+class TestReachableProgram:
+    """The program omits the points and splits no mean-preserving kernel reaches."""
+
+    @pytest.mark.parametrize(
+        "gamma0, R, h",
+        [(validate_joint_law(atoms), R, h) for atoms, R, steps in LADDER for h in steps]
+        + _catalogue()[len(LADDER) :],
+    )
+    def test_no_forcing_row(self, gamma0, R, h):
+        assert forcing_rows(_problem(gamma0, R, h)) == []
+
+    @pytest.mark.parametrize(
+        "ladder, h, shape",
+        [(0, 0.0625, (201, 385)), (1, 0.0625, (141, 231)), (3, 0.5, (10, 6))],
+        ids=["improvable-1d", "efficient-1d", "efficient-2d"],
+    )
+    def test_pinned_shapes(self, ladder, h, shape):
+        atoms, R, _ = LADDER[ladder]
+        assert _problem(validate_joint_law(atoms), R, h).program.A.shape == shape
+
+    def test_near_lattice_share_keeps_its_point(self):
+        # the second share is 5e-12 off -1.25, the point it is deduplicated
+        # to: the kernel entry between them (5e-12, below PIVOT_TOL) keeps
+        # its barycenter row, and the baseline misses that row by 0.5 * 5e-12
+        gamma0 = validate_joint_law(
+            [(((-1.25,), (-1.25,)), 0.5), (((-1.25,), (-1.249999999995,)), 0.5)]
+        )
+        problem = _problem(gamma0, 1.25, 0.5)
+        lp, x0 = problem.program, problem.baseline
+        for (_, w), (t, u) in zip(gamma0.atoms, problem.grid.baseline_splits):
+            assert problem.gamma_cols[t][u] >= 0
+            assert x0[problem.gamma_cols[t][u]] == w
+        tiny = (lp.A != 0) & (np.abs(lp.A) <= PIVOT_TOL)
+        assert np.any(tiny[:, x0 > 0])
+        assert np.max(np.abs(lp.A @ x0 - lp.b)) <= 3e-12
+        assert solve(lp, start=x0).status is LPStatus.OPTIMAL
+
+    def test_size_cap_counts_the_emitted_program(self, monkeypatch):
+        # efficient-2d at h = 1/2: 10 x 6 emitted, of 300 x 260 candidates
+        atoms, R, _ = LADDER[3]
+        gamma0 = validate_joint_law(atoms)
+        monkeypatch.setattr(riskshare.improve, "MAX_LP_ENTRIES", 60)
+        _problem(gamma0, R, 0.5)
+        monkeypatch.setattr(riskshare.improve, "MAX_LP_ENTRIES", 59)
+        with pytest.raises(InputError, match="10 rows and 6 columns"):
+            _problem(gamma0, R, 0.5)
 
 
 class TestBaselineEmbedding:
@@ -292,7 +372,7 @@ class TestBaselineEmbedding:
         grid = build_split_grid(gamma0, h=1.0, ball=BallConfig(radius=2.5))
         problem = build_improvement_problem(gamma0, grid, [1.0] * 3)
         lp, support = problem.program, problem.baseline > 0
-        assert lp.A.shape == (34, 46)
+        assert lp.A.shape == (22, 22)
         assert np.linalg.matrix_rank(lp.A[:, support]) < np.count_nonzero(support)
         ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
         assert ref.status == 0

@@ -21,7 +21,6 @@ from riskshare.lp import (
     LPStatus,
     _Columns,
     _pivot,
-    _presolve,
     feasible,
     solve,
 )
@@ -534,9 +533,8 @@ class TestPastRefactorInterval:
     )
     def test_improvement_program_matches_highs(self, atoms, weights, h):
         # marginals that reach ±2 keep most candidate points inside the
-        # hull of their supports, so the presolve leaves programs of about
-        # 265 x 450 to 530 (from 333 x 601 to 681) that still pivot past
-        # the interval three times
+        # hull of their supports, so the programs (about 265 x 450 to 530)
+        # still pivot past the interval three times
         gamma0 = validate_joint_law(list(zip(atoms, weights)))
         grid = build_split_grid(gamma0, h, BallConfig(radius=2.5))
         lp = build_improvement_problem(gamma0, grid, [1.0, 1.0]).program
@@ -621,17 +619,17 @@ GRID_LADDER = (
 
 
 class TestPresolve:
-    """Rows with b = 0 and entries of one sign fix their columns at 0."""
+    """Forcing rows: b = 0 and entries of one sign hold their columns at 0.
+
+    The simplex solves such programs as they are, with certified duals.
+    """
 
     def test_forcing_row_on_a_start_weighted_column_is_kept(self):
         # the start weights the first column, whose only other entry is the
         # 1e-10 of a row with b = 0: it misses that row by 1e-10, within
         # FEAS_TOL, and it is the optimum, as HiGHS (which drops entries
-        # that small) says.  Removed, the row would fix the first column at
-        # 0 and cost the start its support.
+        # that small) says
         lp = LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0], [1e-10, 0.0]], b=[1.0, 0.0])
-        rows, owner = _presolve(lp.A, lp.b, np.array([1.0, 0.0]))
-        assert rows.all() and np.all(owner == -1)
         out = solve(lp, start=[1.0, 0.0])
         assert out.status is LPStatus.OPTIMAL
         assert_matches_highs(lp, out)
@@ -639,57 +637,49 @@ class TestPresolve:
 
     def test_row_with_an_entry_at_pivot_tol_is_kept(self):
         # entries of one sign and b = 0, but one of them is too small to
-        # tell from rounding, so the row may not fix its columns
+        # tell from rounding
         A = np.array([[1.0, 1.0, 1.0], [1.0, PIVOT_TOL, 0.0]])
         lp = LinearProgram(c=[-1.0, -2.0, 1.0], A=A, b=[1.0, 0.0])
-        rows, owner = _presolve(lp.A, lp.b, None)
-        assert rows.all() and np.all(owner == -1)
         assert_matches_highs(lp, solve(lp))
-        # just above PIVOT_TOL the row is forcing
-        A[1, 1] = 2.0 * PIVOT_TOL
-        rows, owner = _presolve(A, lp.b, None)
-        np.testing.assert_array_equal(rows, [True, False])
-        np.testing.assert_array_equal(owner, [1, 1, -1])
 
     @pytest.mark.parametrize(
         "A, b, c, start",
         [
-            # the first row fixes both columns, and the second, left empty,
-            # goes with it
+            # the first row holds both columns at 0, which leaves the second
+            # without a column
             ([[1.0, 2.0], [0.0, 3.0]], [0.0, 0.0], [1.0, -1.0], None),
-            # an empty row: no rows are left, and the start weights a
-            # column with no entries
+            # an empty row, and a start that weights a column with no entries
             ([[0.0]], [0.0], [1.0], [1.0]),
-            # both rows and all columns; the second row's entries are
-            # negative, so its dual is the largest one that prices them
+            # both rows fix all columns; the second row's entries are negative
             ([[1.0, 1.0, 0.0], [0.0, -1.0, -2.0]], [0.0, 0.0], [3.0, -1.0, 2.0], None),
         ],
         ids=["rows-and-columns", "empty-row-with-start", "negative-row"],
     )
     def test_every_row_removed(self, A, b, c, start):
         lp = LinearProgram(c=c, A=A, b=b)
-        rows, _ = _presolve(lp.A, lp.b, None if start is None else np.array(start))
-        assert not rows.any()
         out = solve(lp, start=start)
-        assert out.pivots == 0
         np.testing.assert_array_equal(out.solution, np.zeros(lp.n_vars))
         assert np.min(lp.c - lp.A.T @ out.duals) >= 0.0
         assert_matches_highs(lp, out)
 
+    @pytest.mark.parametrize("start", [None, [1.0]], ids=["cold", "started"])
+    def test_program_without_rows(self, start):
+        lp = LinearProgram(c=[1.0], A=np.zeros((0, 1)), b=[])
+        out = solve(lp, start=start)
+        assert out.status is LPStatus.OPTIMAL
+        assert out.value == 0.0 and out.pivots == 0
+        np.testing.assert_array_equal(out.solution, [0.0])
+        assert out.duals.shape == (0,)
+
     def test_every_column_removed_leaves_an_infeasible_row(self):
         # the first row fixes both columns, and the second cannot reach 1
         lp = LinearProgram(c=[1.0, 1.0], A=[[1.0, 1.0], [1.0, -1.0]], b=[0.0, 1.0])
-        rows, owner = _presolve(lp.A, lp.b, None)
-        np.testing.assert_array_equal(rows, [False, True])
-        np.testing.assert_array_equal(owner, [0, 0])
         out = solve(lp)
         assert highs_status(lp)[0] is LPStatus.INFEASIBLE
         assert_farkas(lp, out)
 
     def test_infeasible_program_keeps_its_farkas_certificate(self):
-        # the first row fixes x0 and x1; then x2 + x3 = -1 has no solution.
-        # The second row's dual is -1, so x0's column prices 1 > 0 unless
-        # the first row's dual makes up for it
+        # the first row fixes x0 and x1; then x2 + x3 = -1 has no solution
         lp = LinearProgram(
             c=np.zeros(4),
             A=[[1.0, 2.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 1.0]],
@@ -698,7 +688,6 @@ class TestPresolve:
         out = solve(lp)
         assert highs_status(lp)[0] is LPStatus.INFEASIBLE
         assert_farkas(lp, out)
-        np.testing.assert_allclose(out.duals, [-1.0, -1.0])
 
     @pytest.mark.parametrize(
         "law, weights, radius, steps",
@@ -712,8 +701,6 @@ class TestPresolve:
                 gamma0, build_split_grid(gamma0, h, BallConfig(radius=radius)), [1.0, 1.0]
             )
             lp = problem.program
-            rows, _ = _presolve(lp.A, lp.b, problem.baseline)
-            assert not rows.all()
             out = solve(lp, start=problem.baseline)
             assert_certified(lp, out)
             z = lp.c - lp.A.T @ out.duals
@@ -806,14 +793,14 @@ class TestBreakdownReport:
         assert per_interval <= len(calls) <= per_interval + 4
 
     def test_phase_two_takes_over_the_start_inverse(self, monkeypatch):
-        # efficient-2d at h = 1/2 (300 x 260): the crash's rank-one updates
+        # efficient-2d at h = 1/2 (10 x 6): the crash's rank-one updates
         # carry over into phase 2, whose only inversion is the one before
         # its verdict
         law = validate_joint_law([(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.0, 1.0), (1.0, 0.0)), 0.5)])
         problem = build_improvement_problem(
             law, build_split_grid(law, 0.5, BallConfig(radius=2.0)), [1.0, 1.0]
         )
-        assert problem.program.A.shape == (300, 260)
+        assert problem.program.A.shape == (10, 6)
         calls = self._inverse_failing_at(monkeypatch, 0)
         out = solve(problem.program, start=problem.baseline)
         assert out.status is LPStatus.OPTIMAL

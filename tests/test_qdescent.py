@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import riskshare.qdescent
 from riskshare.errors import DimensionMismatch, InputError
 from riskshare.improve import build_split_grid, efficiency_statistic, solve_improvement_lp
 from riskshare.infconv import AgentProfile, StrictlyConvexProfile, sharing_law
@@ -179,6 +180,27 @@ class TestMinimizeQ:
         )
         assert state.j.hex() == j_value(start, gamma0).hex()
         assert [ag.eps for ag in state.profile.agents] == [0.5, 2.0]
+
+
+    def test_line_search_keeps_the_smaller_step_on_a_rounding_tie(self, monkeypatch):
+        # every step after the smallest gives a J one ulp lower: that is
+        # rounding, so the smallest step is kept
+        m0 = validate_measure([((0.0,), 0.5), ((2.0,), 0.5)])
+        gamma0 = sharing_law(kinked_generator(), m0, BALL)
+        real, profiles = riskshare.qdescent._evaluate, []
+
+        def evaluate(profile, *args):
+            j, shares = real(profile, *args)
+            profiles.append(profile)
+            if len(profiles) == 1:
+                return j, shares  # the start
+            return (0.0625 if len(profiles) == 2 else np.nextafter(0.0625, 0.0)), shares
+
+        monkeypatch.setattr(riskshare.qdescent, "_evaluate", evaluate)
+        state = minimize_q(gamma0, ball=BALL, max_iters=1)
+        assert len(profiles) > 2
+        assert state.profile is profiles[1]
+        assert state.j_history == (pytest.approx(0.125, abs=TOL), 0.0625)
 
 
 class TestSandwich:
