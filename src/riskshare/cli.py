@@ -27,6 +27,7 @@ from jsonschema.validators import validator_for
 from .convex_order import allocation_dominates, dominates, is_comonotone_pairwise
 from .errors import InputError, RiskShareError
 from .improve import (
+    _cost_weights,
     build_split_grid,
     default_radius,
     default_step,
@@ -43,7 +44,7 @@ from .measures import (
     parse_strict_json,
     validate_joint_law,
 )
-from .qdescent import minimize_q
+from .qdescent import DEFAULT_MAX_ITERS, minimize_q
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -116,19 +117,14 @@ def _load(path: str, kind: str):
 # ---------------------------------------------------------------------------
 
 
-def _parse_eps(text: Optional[str], agents: int) -> list:
-    """Cost weights from ``--eps``: one positive number per agent, or all 1."""
+def _parse_eps(text: Optional[str]) -> Optional[list]:
+    """The numbers of ``--eps``, comma-separated, or None when it is not given."""
     if text is None:
-        return [1.0] * agents
+        return None
     try:
-        values = [float(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise InputError(f"--eps expects comma-separated numbers: {exc}") from exc
-    if len(values) != agents:
-        raise InputError(f"--eps expects {agents} values, got {len(values)}")
-    if any(not (v > 0.0) for v in values):
-        raise InputError("--eps values must be positive")
-    return values
 
 
 def _emit_csv(path: str, header: Sequence[str], rows) -> None:
@@ -294,7 +290,7 @@ def _improvement(args):
     fields that ``improve`` and ``stat`` share.
     """
     law = _load(args.law, "joint_law")
-    eps = _parse_eps(args.eps, law.agents)
+    eps = _cost_weights(_parse_eps(args.eps), law.agents)
     radius = args.radius or default_radius(law)
     ball = BallConfig(radius=radius)
     step = getattr(args, "grid_step", None) or default_step(law, ball)
@@ -444,7 +440,7 @@ _WEIGHTS = _Arg(
 _MAX_ITERS = _Arg(
     "--max-iters",
     "iteration cap for the descent (default: %(default)s)",
-    {"type": int, "default": 500},
+    {"type": int, "default": DEFAULT_MAX_ITERS},
     lambda v: v >= 0,
     "--max-iters must be non-negative",
 )

@@ -122,17 +122,18 @@ def dominates_md(
     A = np.vstack(plan_rows(mu.support_array(), nu.support_array()))
     b = np.concatenate([mu.weights_array(), nu.weights_array(), np.zeros(mu.size * mu.dim)])
     out = lp.feasible(A, b)
-    worst = float(out.value)
-    dom = worst <= tol
     cert = None
-    if dom and out.solution is not None:
+    worst = float(out.value)  # phase 1's residual when there is no kernel
+    if out.status is lp.LPStatus.OPTIMAL:
         cert = MartingaleCoupling(
             rows=mu.atoms,
             cols=nu.atoms,
             entries=out.solution.reshape(mu.size, nu.size),
         )
+        worst = cert.max_violation()
+    dom = worst <= tol
     strict = dom and not measures_equal(mu, nu, tol)
-    return DominanceVerdict(dom, strict, cert, worst)
+    return DominanceVerdict(dom, strict, cert if dom else None, worst)
 
 
 def dominates(

@@ -356,6 +356,16 @@ def _extract_law(
     return validate_joint_law(atoms, agents=gamma0.agents, dim=gamma0.dim)
 
 
+def _cost_weights(eps: Optional[Sequence[float]], agents: int) -> list[float]:
+    """One positive, finite cost weight per agent; None means all ones."""
+    eps = [1.0] * agents if eps is None else [float(e) for e in eps]
+    if len(eps) != agents:
+        raise InputError(f"need one cost weight per agent ({agents}), got {len(eps)}")
+    if not all(math.isfinite(e) and e > 0 for e in eps):
+        raise InputError(f"cost weights must be positive and finite, got {eps}")
+    return eps
+
+
 def solve_improvement_lp(
     gamma0: JointLaw,
     grid: SplitGrid,
@@ -363,14 +373,7 @@ def solve_improvement_lp(
     tol: float = DEFAULT_TOL,
 ) -> EfficiencyReport:
     """Minimize the floor cost over grid allocations dominating the baseline."""
-    p = gamma0.agents
-    if eps is None:
-        eps = [1.0] * p
-    eps = [float(e) for e in eps]
-    if len(eps) != p:
-        raise InputError(f"need one floor strength per agent ({p}), got {len(eps)}")
-    if any(not (math.isfinite(e) and e > 0) for e in eps):
-        raise InputError(f"floor strengths must be positive, got {eps}")
+    eps = _cost_weights(eps, gamma0.agents)
     problem = build_improvement_problem(gamma0, grid, eps)
     out = lp.solve(problem.program, start=problem.baseline)
     if out.status is not lp.LPStatus.OPTIMAL:

@@ -46,6 +46,8 @@ residual, complementary slackness and the duality gap are all checked
 against the *original* data, and a violation raises
 ``NumericalBreakdown`` instead of returning a wrong answer.  So does an
 artificial left basic above ``FEAS_TOL`` at the end of phase 2.
+``feasible(A, b)`` is the same run on the program at zero cost: phase 2
+takes no pivot there, and phase 1's point is certified like any optimum.
 
 Anti-cycling: pivoting starts under Dantzig's rule and switches to
 Bland's rule permanently once ``3 * n_columns`` consecutive degenerate
@@ -357,14 +359,14 @@ def _crash(
 
 def _phase_one(
     A: np.ndarray, b: np.ndarray, columns: _Columns, start: Optional[np.ndarray] = None
-) -> tuple[float, list[int], np.ndarray, np.ndarray, np.ndarray, int, int]:
+) -> tuple[float, list[int], np.ndarray, np.ndarray, int, int]:
     """Minimize the sum of artificial variables from the basis of ``start``'s support.
 
     ``A`` is the system ``[A | I]`` and ``columns`` its compressed copy.
     ``start`` (purified in place) is a feasible point, or None for the
     empty support, which leaves the all-artificial basis.  When the start
     basis's artificials already sum to at most ``FEAS_TOL``, it is phase 1's
-    answer and no pivot is taken.  Returns value, basis, x, y, invB, pivots
+    answer and no pivot is taken.  Returns value, basis, y, invB, pivots
     and the rank-one updates of invB since it was fresh.
     """
     m = A.shape[0]
@@ -383,10 +385,7 @@ def _phase_one(
         if status != "optimal":
             raise _Breakdown("phase 1 reported unbounded; objective is bounded below", pivots)
         updates = 0
-    x = np.zeros(n + m)
-    x[basis] = xB
-    value = float(c1 @ x)
-    return value, basis, x, y, invB, pivots, updates
+    return float(c1[basis] @ xB), basis, y, invB, pivots, updates
 
 
 def _with_artificials(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -434,20 +433,14 @@ def _checked_start(lp: LinearProgram, start) -> np.ndarray:
     return x0
 
 
-def solve(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LPOutcome:
-    """Solve the program; Optimal outcomes are certified, or an error is raised.
-
-    ``start``, when given, is a point with ``A x = b`` and ``x >= 0`` to
-    within ``FEAS_TOL`` (``InputError`` otherwise); phase 1 starts from the
-    basis of its support instead of the all-artificial one.
-    """
+def _two_phase(lp: LinearProgram, start: Optional[np.ndarray]) -> LPOutcome:
+    """Both phases from ``start``'s basis, or the all-artificial one if None."""
     m, n = lp.A.shape
-    x0 = None if start is None else _checked_start(lp, start)
     A, b, signs = _with_artificials(lp.A, lp.b)
     columns = _Columns(A)
     pivots = 0
     try:
-        p1_value, basis, _, y1, invB, pivots, updates = _phase_one(A, b, columns, x0)
+        p1_value, basis, y1, invB, pivots, updates = _phase_one(A, b, columns, start)
         if p1_value > FEAS_TOL:
             return LPOutcome(LPStatus.INFEASIBLE, p1_value, None, y1 * signs, pivots)
 
@@ -481,29 +474,23 @@ def solve(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LPOutcome:
     return LPOutcome(LPStatus.OPTIMAL, value, x, duals, pivots)
 
 
-def feasible(A: np.ndarray, b: np.ndarray) -> LPOutcome:
-    """Phase-1 feasibility check of ``A v = b, v >= 0``.
+def solve(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LPOutcome:
+    """Solve the program; Optimal outcomes are certified, or an error is raised.
 
-    Returns Optimal with a feasible point when the residual objective comes
-    out <= FEAS_TOL, otherwise Infeasible with the residual as the value.
-    The point is certified as ``solve``'s are: a basic value below
-    ``-FEAS_TOL``, or a primal residual above ``FEAS_TOL`` against the
-    original data, raises ``NumericalBreakdown``.
+    ``start``, when given, is a point with ``A x = b`` and ``x >= 0`` to
+    within ``FEAS_TOL`` (``InputError`` otherwise); phase 1 starts from the
+    basis of its support instead of the all-artificial one.
     """
-    lp = LinearProgram(c=np.zeros(np.asarray(A).shape[1]), A=A, b=b)
-    A1, b1, signs = _with_artificials(lp.A, lp.b)
-    pivots = 0
-    try:
-        value, _, x1, y1, _, pivots, _ = _phase_one(A1, b1, _Columns(A1))
-        duals = y1 * signs
-        if value > FEAS_TOL:
-            return LPOutcome(LPStatus.INFEASIBLE, value, None, duals, pivots)
-        if float(np.min(x1, initial=0.0)) < -FEAS_TOL:
-            raise _Breakdown(f"negative basic value {np.min(x1):.3e} after phase 1")
-        x = np.clip(x1[: lp.n_vars], 0.0, None)
-        primal = _primal_residual(lp, x)
-        if primal > FEAS_TOL:
-            raise _Breakdown(f"primal residual {primal:.3e} exceeds {FEAS_TOL}")
-    except _Breakdown as exc:
-        raise _numerical_breakdown(lp, exc, pivots) from exc
-    return LPOutcome(LPStatus.OPTIMAL, value, x, duals, pivots)
+    return _two_phase(lp, None if start is None else _checked_start(lp, start))
+
+
+def feasible(A: np.ndarray, b: np.ndarray) -> LPOutcome:
+    """Feasibility of ``A v = b, v >= 0``: the program at zero cost.
+
+    Runs ``solve``'s two phases on ``c = 0``, so phase 2 takes no pivot.
+    Optimal comes with a feasible point, value 0.0 and phase 2's duals,
+    certified as ``solve``'s are; Infeasible has phase 1's residual as the
+    value and its duals as a Farkas certificate.
+    """
+    # one cost per column; an A that is not 2-d gets a 0-d c and LinearProgram's error
+    return _two_phase(LinearProgram(c=np.zeros(np.shape(A)[1:2]), A=A, b=b), None)

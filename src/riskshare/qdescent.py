@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NumericalBreakdown
-from .improve import default_radius
+from .errors import DimensionMismatch, NumericalBreakdown
+from .improve import _cost_weights, default_radius
 from .infconv import AgentProfile, StrictlyConvexProfile, share_points
 from .measures import (
     BallConfig,
@@ -220,11 +220,7 @@ def minimize_q(
     returned state rather than raising.
     """
     p = gamma0.agents
-    es = [1.0] * p if eps is None else [float(e) for e in eps]
-    if len(es) != p:
-        raise InputError(f"expected {p} cost weights, got {len(es)}")
-    if any(not (e > 0.0) for e in es):
-        raise InputError("cost weights must be positive")
+    es = _cost_weights(eps, p)
     profile = StrictlyConvexProfile(
         dim=gamma0.dim, agents=tuple(AgentProfile(eps=e) for e in es)
     )

@@ -204,6 +204,11 @@ class TestValidation:
         with pytest.raises(InputError):
             LinearProgram(c=[1.0], A=[[np.inf]], b=[1.0])
 
+    @pytest.mark.parametrize("A", [[1.0, 2.0], 1.0], ids=["1-d", "0-d"])
+    def test_feasibility_of_a_matrix_that_is_not_2d(self, A):
+        with pytest.raises(InputError, match="2-d"):
+            feasible(A, [1.0])
+
 
 class TestAntiCycling:
     def test_classic_cycling_instance_terminates(self):
@@ -225,6 +230,25 @@ class TestAntiCycling:
         assert out.status is LPStatus.OPTIMAL
         assert out.value == pytest.approx(ref.fun, abs=VALUE_TOL)
         assert_certified(lp, out)
+
+    @pytest.mark.parametrize("start", [None, np.eye(7)[6]], ids=["cold", "started"])
+    def test_chvatal_instance_needs_blands_rule(self, start):
+        # Chvátal's cycling example.  Dantzig's rule with this solver's
+        # tie-breaking cycles on it until the iteration limit; the switch to
+        # Bland's rule comes after 21 pivots cold (20 from the slack basis)
+        # and reaches HiGHS's optimum -1.
+        c = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
+        A = np.array(
+            [
+                [0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0],
+                [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0],
+                [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        lp = LinearProgram(c=c, A=A, b=[0.0, 0.0, 1.0])
+        out = solve(lp, start=start)
+        assert out.value == pytest.approx(-1.0, abs=1e-12)
+        assert_matches_highs(lp, out)
 
 
 class TestDeterminismAndScaling:
@@ -542,6 +566,30 @@ class TestPastRefactorInterval:
         assert out.pivots >= 3 * REFACTOR_INTERVAL
         assert_matches_highs(lp, out)
 
+    def test_crash_refactorises_between_support_columns(self, monkeypatch):
+        # improvable-1d at h = 1/4 (57 x 97): the baseline's 9 support
+        # columns enter the start basis with a fresh inverse every 2 pivots
+        gamma0 = validate_joint_law(list(zip(*GRID_LADDER[0][:2])))
+        problem = build_improvement_problem(
+            gamma0, build_split_grid(gamma0, 0.25, BallConfig(radius=2.5)), [1.0, 1.0]
+        )
+        assert problem.program.A.shape == (57, 97)
+        assert np.count_nonzero(problem.baseline) == 9
+        default = solve(problem.program, start=problem.baseline)
+        inverse, reasons = riskshare.lp._inverse, []
+
+        def recorded(B, why, pivots):
+            reasons.append(why)
+            return inverse(B, why, pivots)
+
+        monkeypatch.setattr(riskshare.lp, "_inverse", recorded)
+        monkeypatch.setattr(riskshare.lp, "REFACTOR_INTERVAL", 2)
+        out = solve(problem.program, start=problem.baseline)
+        assert reasons.count("singular basis while crashing the start") == 4
+        assert out.value == pytest.approx(0.65625, abs=1e-12)
+        assert out.value == pytest.approx(default.value, abs=1e-12)
+        assert_matches_highs(problem.program, out)
+
 
 class TestRedundantRows:
     @pytest.mark.parametrize(
@@ -707,6 +755,62 @@ class TestPresolve:
             assert np.min(z + OPT_TOL * (1.0 + np.abs(lp.c))) >= 0.0
 
 
+class TestCertificate:
+    """The checks every Optimal outcome passes, ``solve``'s and ``feasible``'s alike."""
+
+    # x1 + ... + x10 = 1 at zero cost: every point of the simplex is optimal
+    lp = LinearProgram(c=np.zeros(10), A=np.ones((1, 10)), b=[1.0])
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (np.eye(10)[0] * (1.0 + 1e-6), [0.0], "primal residual 1.000e-06"),
+            (np.eye(10)[0], [1e-5], "complementary slackness residual 1.000e-05"),
+            # each |x_j z_j| is 5e-8, within COMP_SLACK_TOL, but they add up
+            (np.full(10, 0.1), [5e-7], "duality gap 5.000e-07"),
+        ],
+        ids=["primal", "complementary-slackness", "duality-gap"],
+    )
+    def test_each_check_refuses_a_perturbed_certificate(self, x, y, message):
+        riskshare.lp._certify(self.lp, np.full(10, 0.1), np.zeros(1), 0.0)
+        with pytest.raises(riskshare.lp._Breakdown, match=message):
+            riskshare.lp._certify(self.lp, x, np.array(y), 0.0)
+
+    # phase 1 takes 2 pivots and phase 2 one more (at zero cost, none)
+    A = np.array([[1.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 1.0]])
+    b = np.array([4.0, 6.0])
+
+    @pytest.mark.parametrize("mode", ["solve", "feasible"])
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            ("artificial", "artificial basic value 1.000e-06"),
+            ("negative", "negative basic value -1.000e-06"),
+        ],
+        ids=["artificial", "negative"],
+    )
+    def test_end_of_phase_two_is_checked(self, mode, spoil, message, monkeypatch):
+        iterations = riskshare.lp._simplex_iterations
+
+        def spoilt(A, b, c, basis, columns, n_enter, *args):
+            status, basis, xB, y, invB, pivots = iterations(A, b, c, basis, columns, n_enter, *args)
+            if n_enter < A.shape[1]:  # phase 2: artificial columns may not enter
+                if spoil == "artificial":
+                    basis[0], xB[0] = n_enter, 1e-6
+                else:
+                    xB[0] = -1e-6
+            return status, basis, xB, y, invB, pivots
+
+        monkeypatch.setattr(riskshare.lp, "_simplex_iterations", spoilt)
+        with pytest.raises(NumericalBreakdown) as info:
+            if mode == "solve":
+                solve(LinearProgram(c=[0.0, -1.0, 0.0, 0.0], A=self.A, b=self.b))
+            else:
+                feasible(self.A, self.b)
+        pivots = 3 if mode == "solve" else 2
+        assert str(info.value) == f"{message} after phase 2 (2 x 4 program, {pivots} pivots taken)"
+
+
 class TestFeasibilityMode:
     def test_mean_preserving_split_system(self):
         # one source atom at 0 coupled to targets -1 and 1 with equal mass,
@@ -717,6 +821,9 @@ class TestFeasibilityMode:
         assert out.status is LPStatus.OPTIMAL
         assert out.value <= FEAS_TOL
         np.testing.assert_allclose(out.solution, [0.5, 0.5], atol=1e-8)
+        # the value is c·x at zero cost, and phase 2's duals price every column at 0
+        assert out.value == 0.0
+        np.testing.assert_array_equal(out.duals, [0.0, 0.0])
 
     def test_unequal_means_infeasible(self):
         # targets -1 and 2 with fixed masses 0.5/0.5 cannot average to 0

@@ -171,6 +171,10 @@ class TestMinimizeQ:
             minimize_q(gamma0, ball=BALL, eps=[1.0])
         with pytest.raises(InputError):
             minimize_q(gamma0, ball=BALL, eps=[1.0, 0.0])
+        # the improvement program's rule: a weight must be finite, too
+        for eps in ([1.0, float("inf")], [float("nan"), 1.0]):
+            with pytest.raises(InputError):
+                minimize_q(gamma0, ball=BALL, eps=eps)
 
     def test_start_is_the_pure_quadratics_of_eps(self):
         gamma0 = validate_joint_law(ANTI)
