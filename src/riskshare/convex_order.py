@@ -104,7 +104,7 @@ def plan_rows(
     order (n * d rows).
     """
     n, m, d = X.shape[0], Y.shape[0], X.shape[1]
-    row_sums = np.kron(np.eye(n), np.ones(m))
+    row_sums = np.repeat(np.eye(n), m, axis=1)
     col_sums = np.tile(np.eye(m), n)
     bary = np.zeros((n, d, n, m))
     i = np.arange(n)

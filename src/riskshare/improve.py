@@ -41,6 +41,7 @@ from .convex_order import AllocationVerdict, allocation_dominates, plan_rows
 from .errors import InputError, SolverFailure
 from .measures import (
     DEFAULT_TOL,
+    ROUNDING,
     BallConfig,
     Coords,
     DiscreteMeasure,
@@ -56,12 +57,9 @@ from .measures import (
 #: Resolution for deduplicating candidate points (coordinates are snapped
 #: to this grid only for identity purposes, never for arithmetic).
 _DEDUP_RES = 1e-9
-#: Slack on the lattice index bounds, so a lattice point on the ball's
-#: bounding box is not lost to rounding in ``(c ± radius) / h``.
-_LATTICE_SLACK = 1e-12
-#: The statistic (baseline cost minus optimum) may be negative by at most
-#: this much before the program is reported broken.
-_STATISTIC_SLACK = 1e-9
+#: The zero of the sandwich statistic <= gap <= J: a nonnegative gap, the
+#: statistic or J, is 0 within this, and below its negative the solve broke.
+ZERO_GAP = 1e-9
 #: Least tolerance of the independent dominance check of an improved law.
 _VERIFY_TOL_FLOOR = 1e-7
 #: Cap on the lattice splits ``build_split_grid`` may enumerate: the lattice
@@ -119,12 +117,13 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     c = ball.center_for(d)
     require_shares_in_ball(gamma0, ball)
     m0 = sum_pushforward(gamma0)
-    # lattice index bounds per axis; counted in floats before anything is
-    # built, so that a step fine enough to overflow is refused too
+    # lattice index bounds per axis, a step's rounding wider so that a point
+    # on the ball's bounding box is kept; counted in floats before anything
+    # is built, so that a step fine enough to overflow is refused too
     bounds = [
         (
-            (ck - ball.radius) / h - _LATTICE_SLACK,
-            (ck + ball.radius) / h + _LATTICE_SLACK,
+            (ck - ball.radius) / h - ROUNDING,
+            (ck + ball.radius) / h + ROUNDING,
         )
         for ck in c.tolist()
     ]
@@ -375,18 +374,20 @@ def solve_improvement_lp(
     """Minimize the floor cost over grid allocations dominating the baseline."""
     eps = _cost_weights(eps, gamma0.agents)
     problem = build_improvement_problem(gamma0, grid, eps)
-    out = lp.solve(problem.program, start=problem.baseline)
+    program = problem.program
+    out = lp.solve(program, start=problem.baseline)
+    size = f"{program.n_rows} x {program.n_vars} program, {out.pivots} pivots taken"
     if out.status is not lp.LPStatus.OPTIMAL:
         raise SolverFailure(
-            f"improvement program ended with status {out.status.value}; the "
-            "baseline itself is always feasible, so this signals an encoding "
+            f"improvement program ended with status {out.status.value} ({size}); "
+            "the baseline itself is always feasible, so this signals an encoding "
             "or conditioning problem"
         )
     objective_at_input = _baseline_objective(gamma0, eps)
     statistic = objective_at_input - float(out.value)
-    if statistic < -_STATISTIC_SLACK:
+    if statistic < -ZERO_GAP:
         raise SolverFailure(
-            f"optimum exceeds the baseline objective by {-statistic:.3e}; "
+            f"optimum exceeds the baseline objective by {-statistic:.3e} ({size}); "
             "the baseline embedding must be broken"
         )
     improved = _extract_law(gamma0, grid, problem, out.solution)
@@ -394,8 +395,13 @@ def solve_improvement_lp(
         improved, gamma0, max(tol, _VERIFY_TOL_FLOOR)
     )
     if not verdict.dominates:
+        failing = ", ".join(
+            f"agent {i} worst violation {v.worst_violation:.3e}"
+            for i, v in enumerate(verdict.per_agent)
+            if not v.dominates
+        )
         raise SolverFailure(
-            "improved law failed the independent dominance verification; "
+            f"improved law failed the independent dominance verification ({failing}); "
             "the kernel constraints must be mis-encoded"
         )
     return EfficiencyReport(

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .measures import (
     DEFAULT_TOL,
+    ROUNDING,
     BallConfig,
     Coords,
     DiscreteMeasure,
@@ -54,18 +55,11 @@ from .measures import (
 MAX_OUTER_ITER = 10_000
 #: Slack for deciding that an affine piece is active / a candidate optimal.
 CERT_TOL = 1e-9
-#: Slack by which a piece may top the active ones at a stop: roundoff only.
-TIE_TOL = 1e-12
-#: Relative slack under the radius at which a share counts as on the sphere.
-SPHERE_SLACK = 1e-12
 #: Fraction of |r| a Newton step must remove to be taken over dual ascent.
 SUFFICIENT = 1e-4
-SPD_TOL = 1e-12
 #: ``_affine_minimizer``'s normal equations square the condition number, so
 #: slopes within sqrt(machine epsilon) of dependence count as dependent.
 DEPENDENCE_RATIO = 1e-8
-ZERO_JACOBIAN = 1e-12
-SHARING_DEFECT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +81,16 @@ class StrictlyConvexProfile:
     """Costs for all agents in a fixed dimension, in normalized form.
 
     The profile is immutable, so each agent's ``(Q, A, b)`` is built once,
-    read-only.  A 1-D profile keeps each agent's response knots and the
-    summed response table of each ball it has split under (see
-    ``_response_table``); ``with_pieces`` shares the unchanged agents'
-    arrays and knots with the profile it extends.
+    read-only.  A 1-D profile keeps each agent's response knots for each
+    ball it has split under (see ``_response_table``); ``with_pieces``
+    shares the unchanged agents' arrays and knots with the profile it
+    extends.
     """
 
     dim: int
     agents: tuple[AgentProfile, ...]
     _arrays: tuple = field(init=False, repr=False)
     _knots: tuple = field(init=False, repr=False)
-    _tables: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -126,7 +119,6 @@ class StrictlyConvexProfile:
         object.__setattr__(self, "agents", tuple(normalized))
         object.__setattr__(self, "_arrays", tuple(arrays))
         object.__setattr__(self, "_knots", tuple({} for _ in arrays))
-        object.__setattr__(self, "_tables", {})
 
     def with_pieces(self, new: dict) -> StrictlyConvexProfile:
         """This profile with the piece ``(a, b)`` appended to agent ``i`` for
@@ -151,7 +143,6 @@ class StrictlyConvexProfile:
             ("agents", tuple(agents)),
             ("_arrays", tuple(arrays)),
             ("_knots", tuple(knots)),
-            ("_tables", {}),
         ):
             object.__setattr__(out, name, value)
         return out
@@ -213,13 +204,13 @@ def _check_spd(S: np.ndarray, dim: int, what: str) -> None:
     if not np.all(np.isfinite(S)):
         raise NotPositiveDefinite(f"{what}: non-finite entries")
     scale = float(np.max(np.abs(S), initial=0.0))
-    if float(np.max(np.abs(S - S.T), initial=0.0)) > SPD_TOL * (1.0 + scale):
+    if float(np.max(np.abs(S - S.T), initial=0.0)) > ROUNDING * (1.0 + scale):
         raise NotPositiveDefinite(f"{what}: not symmetric")
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{what}: not positive definite") from exc
-    if float(np.min(np.diag(L))) ** 2 <= SPD_TOL * (1.0 + scale):
+    if float(np.min(np.diag(L))) ** 2 <= ROUNDING * (1.0 + scale):
         raise NotPositiveDefinite(f"{what}: pivot below threshold")
 
 
@@ -323,7 +314,7 @@ def _simplex_qp(Minv, A, b, v, W=None, w=None, max_passes=None):
         j = int(np.argmax(vals))
         # a top piece that is already active leaves nothing to enter: the
         # active pieces tie up to the roundoff of their terms
-        if j in W or vals[j] - w @ vals[W] <= TIE_TOL * (1.0 + abs(float(vals[j]))):
+        if j in W or vals[j] - w @ vals[W] <= ROUNDING * (1.0 + abs(float(vals[j]))):
             return y, W, w
         W, w = W + [j], np.append(w, 0.0)
     raise NoConvergence(
@@ -443,26 +434,23 @@ def _response_table(profile, lo, hi):
     """Each agent's cost ``(q, slopes, b)`` with its response knots ``(u, y)``
     on ``[lo, hi]``, and the knots ``(U, X)`` of ``u -> sum_i y_i(u)``.
 
-    They depend only on the profile and the interval, so they are built on
-    the first split under ``[lo, hi]`` and kept: the summed knots on the
-    profile, each agent's on that agent, where profiles made by
-    ``with_pieces`` share them.
+    Each agent's knots depend only on its cost and the interval, so they
+    are built on the first split under ``[lo, hi]`` and kept on that agent,
+    where profiles made by ``with_pieces`` share them; the summed knots are
+    built on every call.
     """
-    table = profile._tables.get((lo, hi))
-    if table is None:
-        responses = []
-        for i, knots in enumerate(profile._knots):
-            entry = knots.get((lo, hi))
-            if entry is None:
-                q = float(profile.quad_matrix(i)[0, 0])
-                A, b = profile.piece_arrays(i)
-                uk, yk = _response_knots(q, *_upper_envelope(A[:, 0], b), lo, hi)
-                entry = knots[(lo, hi)] = (q, A[:, 0], b, uk, yk)
-            responses.append(entry)
-        U = np.unique(np.concatenate([uk for *_, uk, _ in responses]))
-        X = sum(np.interp(U, uk, yk) for *_, uk, yk in responses)
-        table = profile._tables[(lo, hi)] = (responses, U, X)
-    return table
+    responses = []
+    for i, knots in enumerate(profile._knots):
+        entry = knots.get((lo, hi))
+        if entry is None:
+            q = float(profile.quad_matrix(i)[0, 0])
+            A, b = profile.piece_arrays(i)
+            uk, yk = _response_knots(q, *_upper_envelope(A[:, 0], b), lo, hi)
+            entry = knots[(lo, hi)] = (q, A[:, 0], b, uk, yk)
+        responses.append(entry)
+    U = np.unique(np.concatenate([uk for *_, uk, _ in responses]))
+    X = sum(np.interp(U, uk, yk) for *_, uk, yk in responses)
+    return responses, U, X
 
 
 def _price_solve_1d(profile, xs, ball):
@@ -485,7 +473,7 @@ def _price_solve_1d(profile, xs, ball):
     shares, nus = np.empty((xs.size, len(responses))), np.zeros((xs.size, len(responses)))
     for i, (q, slopes, b, uk, yk) in enumerate(responses):
         y = shares[:, i] = np.interp(u, uk, yk)
-        on = np.abs(y - c) >= R * (1.0 - SPHERE_SLACK)
+        on = np.abs(y - c) >= R * (1.0 - ROUNDING)
         if on.any():
             yo = y[on]
             lead = slopes[np.argmax(slopes * yo[:, None] + b, axis=1)]
@@ -550,7 +538,7 @@ def _closed_form_quadratic(profile, x, ball):
         return None
     shares = [Si @ price for Si in S]
     c = ball.center_for(profile.dim)
-    if any(np.linalg.norm(y - c) > ball.radius * (1.0 - SPHERE_SLACK) for y in shares):
+    if any(np.linalg.norm(y - c) > ball.radius * (1.0 - ROUNDING) for y in shares):
         return None
     residual = float(np.linalg.norm(sum(shares) - x))
     return SharingPoint(
@@ -641,7 +629,7 @@ def share_point(
         # units; L stands in where J is 0 up to roundoff (agents at vertices)
         J = sum(Ji for _, _, Ji in inner)
         lam = float(np.linalg.eigvalsh(J)[-1])
-        mu = (lam if lam > ZERO_JACOBIAN * lipschitz else lipschitz) * residual / ball.radius
+        mu = (lam if lam > ROUNDING * lipschitz else lipschitz) * residual / ball.radius
         q_try = q + np.linalg.solve(J + mu * np.eye(d), r)
         inner_try, r_try = respond(q_try)
         if not np.linalg.norm(r_try) <= (1.0 - SUFFICIENT) * residual:
@@ -742,7 +730,7 @@ def quadratic_sharing_matrix(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
         raise SingularSum("sum of the matrices is singular") from exc
     ts = [S @ inv_total for S in mats]
     defect = float(np.max(np.abs(sum(ts) - np.eye(d))))
-    if defect > SHARING_DEFECT_TOL:
+    if defect > ROUNDING:  # of the identity's unit entries
         raise SingularSum(
             f"sharing matrices do not sum to the identity (defect {defect:.3e}); "
             "the sum is too ill-conditioned"

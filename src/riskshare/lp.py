@@ -72,16 +72,15 @@ FEAS_TOL = 1e-8
 OPT_TOL = 1e-9
 #: A column whose entries are all <= this is an unbounded ray.
 UNBOUNDED_TOL = 1e-13
-#: A simplex step of length <= this counts as degenerate.
-DEGENERATE_STEP_TOL = 1e-12
-#: Complementary-slackness residual allowed on certified outcomes.
-COMP_SLACK_TOL = 1e-7
-#: Relative duality gap allowed on certified outcomes.
-GAP_TOL = 1e-7
+#: A primal value at or below this is rounding: a step this long is
+#: degenerate, ratios this close tie, and callers read a solution entry
+#: this small as zero.
+ZERO_WEIGHT = 1e-12
+#: Residual a certified optimum may leave: each |x_j z_j| of complementary
+#: slackness, and the duality gap relative to 1 + |value|.
+CERTIFICATE_TOL = 1e-7
 #: Rank-one updates of the basis inverse between two refactorisations.
 REFACTOR_INTERVAL = 128
-#: A solution entry at or below this is rounding; callers read it as zero.
-ZERO_WEIGHT = 1e-12
 
 
 class LPStatus(Enum):
@@ -271,11 +270,11 @@ def _simplex_iterations(
                     continue
                 ratios = xB[eligible] / d[eligible]
                 theta = np.min(ratios)
-                ties = eligible[ratios <= theta + DEGENERATE_STEP_TOL]
+                ties = eligible[ratios <= theta + ZERO_WEIGHT]
                 # leave on the smallest variable index (Bland-compatible, deterministic)
                 r = min(ties, key=lambda i: basis[i])
                 step = xB[r] / d[r]
-            if theta <= DEGENERATE_STEP_TOL:
+            if theta <= ZERO_WEIGHT:
                 degen_run += 1
             else:
                 degen_run = 0
@@ -339,7 +338,7 @@ def _crash(
             falling = slots[d[slots] < -PIVOT_TOL]
             ratios = x[[basis[k] for k in falling]] / -d[falling]
             step = float(np.min(ratios, initial=np.inf))
-            stays_out = x[j] <= step + DEGENERATE_STEP_TOL
+            stays_out = x[j] <= step + ZERO_WEIGHT
             if stays_out:
                 step = x[j]
             cols = [basis[k] for k in slots]
@@ -347,7 +346,7 @@ def _crash(
             x[j] -= step
             if stays_out:
                 continue
-            ties = falling[ratios <= step + DEGENERATE_STEP_TOL]
+            ties = falling[ratios <= step + ZERO_WEIGHT]
             r = int(ties[np.argmax(np.abs(d[ties]))])
             x[basis[r]] = 0.0
         _pivot(invB, d, r)
@@ -409,9 +408,9 @@ def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, value: float) -> N
     gap = abs(float(lp.c @ x) - float(y @ lp.b))
     if primal > FEAS_TOL:
         raise _Breakdown(f"primal residual {primal:.3e} exceeds {FEAS_TOL}")
-    if comp > COMP_SLACK_TOL:
-        raise _Breakdown(f"complementary slackness residual {comp:.3e} exceeds {COMP_SLACK_TOL}")
-    if gap > GAP_TOL * (1.0 + abs(value)):
+    if comp > CERTIFICATE_TOL:
+        raise _Breakdown(f"complementary slackness residual {comp:.3e} exceeds {CERTIFICATE_TOL}")
+    if gap > CERTIFICATE_TOL * (1.0 + abs(value)):
         raise _Breakdown(f"duality gap {gap:.3e} exceeds tolerance")
 
 

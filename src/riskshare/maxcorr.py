@@ -115,7 +115,8 @@ def _lp_coupling(xi: DiscreteMeasure, mu: DiscreteMeasure):
     out = lp.solve(lp.LinearProgram(c=c, A=A, b=b))
     if out.status is not lp.LPStatus.OPTIMAL:
         raise SolverFailure(
-            f"coupling program reported {out.status.value}; couplings always exist"
+            f"coupling program of {n} x {m} atoms reported {out.status.value}; "
+            "couplings always exist"
         )
     pi = out.solution.reshape(n, m)
     pairs = tuple(

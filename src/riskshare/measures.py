@@ -33,6 +33,9 @@ Coords = tuple[float, ...]
 
 #: Atoms closer than this (Euclidean) are considered the same support point.
 MERGE_TOL = 1e-12
+#: A difference of at most this fraction of its scale is rounding.  Each use
+#: names its scale: ``1 + |v|``, the radius, a Lipschitz bound, one lattice step.
+ROUNDING = 1e-12
 #: Weight sums further than this from 1 are an error, not silently fixed.
 WEIGHT_SUM_TOL = 1e-9
 #: Default tolerance of verdicts, residuals and approximate equality.

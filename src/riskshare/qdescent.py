@@ -21,9 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .improve import _cost_weights, default_radius
+from .improve import ZERO_GAP, _cost_weights, default_radius
 from .infconv import AgentProfile, StrictlyConvexProfile, share_points
 from .measures import (
+    ROUNDING,
     BallConfig,
     Coords,
     DiscreteMeasure,
@@ -38,12 +39,8 @@ from .measures import (
 MATCH_TOL = 1e-7  # atom-matching resolution for marginal discrepancies
 DEFAULT_MAX_ITERS = 500
 _STEP_GRID = tuple(2.0**k for k in range(-6, 7))
-_ZERO_TOL = 1e-9
-_NEGATIVE_J_FLOOR = -_ZERO_TOL
+_ZERO_TOL = 1e-9  # induced marginals match the baseline: no discrepancy weight above it
 _TARGET_SLACK = 1e-6
-#: One rounding rule for a merged signed weight, a cut's estimated decrease
-#: and a step's decrease of J (relative to 1 + |J|): this much is not a change.
-_ROUNDING = 1e-12
 _DUPLICATE_PIECE_TOL = 1e-9
 
 SignedAtoms = tuple[tuple[Coords, float], ...]
@@ -99,9 +96,11 @@ def _evaluate(
     xs, weights = aggregate
     shares = share_points(profile, xs, ball)
     j = _expected_cost(profile, *baseline) - _expected_cost(profile, shares, weights)
-    if j < _NEGATIVE_J_FLOOR:
+    if j < -ZERO_GAP:
+        pieces = [len(ag.pieces) for ag in profile.agents]
         raise NumericalBreakdown(
-            f"objective evaluated to {j:.3e}; an optimal split was overestimated"
+            f"objective evaluated to {j:.3e} ({profile.n_agents} agents, {len(weights)} "
+            f"aggregate atoms, pieces per agent {pieces}); an optimal split was overestimated"
         )
     return j, shares
 
@@ -130,7 +129,7 @@ def _signed_diff(a: DiscreteMeasure, b: DiscreteMeasure) -> SignedAtoms:
     """Atoms of the signed measure ``a - b``; points within MATCH_TOL merge."""
     entries = [(x, w) for x, w in a.atoms] + [(x, -w) for x, w in b.atoms]
     merged = _merge_weighted(entries, MATCH_TOL)
-    return tuple((x, float(w)) for x, w in merged if abs(w) > _ROUNDING)
+    return tuple((x, float(w)) for x, w in merged if abs(w) > ROUNDING)
 
 
 def _discrepancies(baseline: list[DiscreteMeasure], law: JointLaw) -> tuple[SignedAtoms, ...]:
@@ -164,7 +163,7 @@ def _best_cut_atoms(
                 inc = lin - top
                 if inc > 0.0:
                     der += w * inc
-            if der < -_ROUNDING and (best is None or der < best[0]):
+            if der < -ROUNDING and (best is None or der < best[0]):
                 best = (der, z)
         if best is not None:
             cuts.append((i, best[1], -best[0]))
@@ -232,7 +231,7 @@ def minimize_q(
     j_cur, shares = _evaluate(profile, baseline, aggregate, ball)
     law_cur = _split_law(shares, aggregate)
     history = [j_cur]
-    stop_at = _ZERO_TOL if target is None else max(target, 0.0) + _TARGET_SLACK
+    stop_at = ZERO_GAP if target is None else max(target, 0.0) + _TARGET_SLACK
     iterations = 0
     hit_cap = False
     for _ in range(max_iters):
@@ -244,7 +243,7 @@ def minimize_q(
         cuts = _best_cut_atoms(profile, disc)
         if not cuts:
             break
-        accept_below = j_cur - _ROUNDING * (1.0 + abs(j_cur))
+        accept_below = j_cur - ROUNDING * (1.0 + abs(j_cur))
         best = None
         cut_sets = [cuts]
         if len(cuts) > 1:
@@ -258,7 +257,7 @@ def minimize_q(
                     continue
                 j_t, shares_t = _evaluate(trial, baseline, aggregate, ball)
                 # a later trial must lower J beyond rounding to replace the best one
-                if best is None or j_t < best[0] - _ROUNDING * (1.0 + abs(best[0])):
+                if best is None or j_t < best[0] - ROUNDING * (1.0 + abs(best[0])):
                     best = (j_t, shares_t, trial)
             if best is not None and best[0] < accept_below:
                 break  # the joint cut already improves; skip the fallback

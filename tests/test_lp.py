@@ -10,9 +10,8 @@ import riskshare.lp
 from riskshare.errors import InputError, NumericalBreakdown
 from riskshare.improve import build_improvement_problem, build_split_grid
 from riskshare.lp import (
-    COMP_SLACK_TOL,
+    CERTIFICATE_TOL,
     FEAS_TOL,
-    GAP_TOL,
     OPT_TOL,
     PIVOT_TOL,
     REFACTOR_INTERVAL,
@@ -37,8 +36,8 @@ def assert_certified(lp: LinearProgram, out: LPOutcome) -> None:
     assert np.min(x, initial=0.0) >= 0.0
     assert np.max(np.abs(lp.A @ x - lp.b), initial=0.0) <= FEAS_TOL
     z = lp.c - lp.A.T @ y
-    assert np.max(np.abs(x * z), initial=0.0) <= COMP_SLACK_TOL
-    assert abs(lp.c @ x - y @ lp.b) <= GAP_TOL * (1.0 + abs(out.value))
+    assert np.max(np.abs(x * z), initial=0.0) <= CERTIFICATE_TOL
+    assert abs(lp.c @ x - y @ lp.b) <= CERTIFICATE_TOL * (1.0 + abs(out.value))
 
 
 def assert_matches_highs(lp: LinearProgram, out: LPOutcome) -> None:
@@ -766,7 +765,7 @@ class TestCertificate:
         [
             (np.eye(10)[0] * (1.0 + 1e-6), [0.0], "primal residual 1.000e-06"),
             (np.eye(10)[0], [1e-5], "complementary slackness residual 1.000e-05"),
-            # each |x_j z_j| is 5e-8, within COMP_SLACK_TOL, but they add up
+            # each |x_j z_j| is 5e-8, within CERTIFICATE_TOL, but they add up
             (np.full(10, 0.1), [5e-7], "duality gap 5.000e-07"),
         ],
         ids=["primal", "complementary-slackness", "duality-gap"],

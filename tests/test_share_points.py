@@ -16,14 +16,13 @@ from hypothesis import strategies as st
 
 from riskshare.errors import NoConvergence, NumericalBreakdown, XOutsideDomain
 from riskshare.infconv import (
-    SPHERE_SLACK,
     AgentProfile,
     StrictlyConvexProfile,
     _response_table,
     share_point,
     share_points,
 )
-from riskshare.measures import BallConfig, sum_pushforward, validate_joint_law
+from riskshare.measures import ROUNDING, BallConfig, sum_pushforward, validate_joint_law
 from riskshare.qdescent import _atom_arrays, _evaluate
 
 TOL = 1e-8
@@ -100,7 +99,7 @@ def _scalar_split(profile, x, ball):
     for q, slopes, b, uk, yk in responses:
         y = float(np.interp(u, uk, yk))
         nu = 0.0
-        if abs(y - c) >= R * (1.0 - SPHERE_SLACK):
+        if abs(y - c) >= R * (1.0 - ROUNDING):
             lead = float(slopes[int(np.argmax(slopes * y + b))])
             nu = max(0.0, (u - q * y - lead) / (y - c))
         shares.append(y)

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from riskshare.convex_order import is_comonotone_pairwise
-from riskshare.improve import _STATISTIC_SLACK, build_split_grid, solve_improvement_lp
+# bound under the name the tests below use: a derandomized test draws from
+# a hash of its own source, so renaming it there would change its draws
+from riskshare.improve import ZERO_GAP as _STATISTIC_SLACK
+from riskshare.improve import build_split_grid, solve_improvement_lp
 from riskshare.infconv import AgentProfile, StrictlyConvexProfile, share_point, sharing_law
 from riskshare.maxcorr import comonotonicity_gap
 from riskshare.measures import BallConfig, validate_measure
