@@ -439,7 +439,8 @@ _WEIGHTS = _Arg(
 )
 _MAX_ITERS = _Arg(
     "--max-iters",
-    "iteration cap for the descent (default: %(default)s)",
+    "iteration cap: in 1-D, 0 skips the dual step and any other value allows "
+    "it; in d >= 2, the cap on cut iterations (default: %(default)s)",
     {"type": int, "default": DEFAULT_MAX_ITERS},
     lambda v: v >= 0,
     "--max-iters must be non-negative",
@@ -555,7 +556,8 @@ _COMMANDS = {
     ),
     "qdescent": _Command(
         _cmd_qdescent,
-        "descend the dual objective J over cutting potentials",
+        "upper bound J on the improvement gap: one dual step in 1-D, "
+        "a cutting-plane descent in d >= 2",
         (
             _LAW,
             _MAX_ITERS,
@@ -576,7 +578,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    each ``parse_args`` returns a fresh namespace."""
     parser = _Parser(
         prog="riskshare",
         description=(

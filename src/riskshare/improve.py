@@ -25,6 +25,10 @@ statistic: zero (at tolerance) certifies that the baseline is already
 undominated on the grid, while a positive value comes with a concrete
 improving allocation, re-verified by the dominance checker before being
 returned.
+
+In one dimension the optimum's duals on each agent's baseline-marginal rows
+also give a potential ``psi`` (``dual_potential``) whose dual objective J
+bounds the gap from above; see :mod:`riskshare.qdescent`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ import numpy as np
 
 from . import lp
 from .convex_order import AllocationVerdict, allocation_dominates, plan_rows
-from .errors import InputError, SolverFailure
+from .errors import DimensionMismatch, InputError, SolverFailure
+from .infconv import AgentProfile, StrictlyConvexProfile
 from .measures import (
     DEFAULT_TOL,
     ROUNDING,
@@ -70,6 +75,9 @@ MAX_GRID_SPLITS = 100_000
 #: ``build_improvement_problem`` assembles: 40 MB as float64, about 35 times
 #: the largest program the tests or ``perfbench`` build (265 x 529).
 MAX_LP_ENTRIES = 5_000_000
+#: How much steeper than the envelope's end edges the walls of
+#: ``dual_potential`` rise beyond the baseline marginal's range.
+WALL_SLOPE = 100.0
 
 Split = tuple[Coords, ...]
 
@@ -176,13 +184,17 @@ class ImprovementProblem:
 
     ``baseline`` is the baseline law embedded in the program, a feasible
     point of it: each baseline atom's weight on its own split, and each
-    agent's identity kernel.
+    agent's identity kernel.  Agent ``i``'s baseline-marginal rows start at
+    ``marginal_rows[i]``, one per atom of ``marginals[i]``, in its order.
     """
 
     program: lp.LinearProgram
     grid: SplitGrid
     gamma_cols: tuple[tuple[int, ...], ...]  # per aggregate atom, per candidate; -1 if omitted
     baseline: np.ndarray
+    eps: tuple[float, ...]
+    marginals: tuple[DiscreteMeasure, ...]
+    marginal_rows: tuple[int, ...]
 
 
 def _floor_cost(split: Split, eps: Sequence[float]) -> float:
@@ -279,6 +291,7 @@ def build_improvement_problem(
     b[: m0.size] = m0.weights_array()
     row, col = m0.size, n_gamma
     kernel_col = []  # per agent, the column of each entry a point reaches
+    marginal_rows = []
     for (Z, point_of, reach, bary_rows), margin in zip(agents, margs):
         n_z, n_j, on = len(Z), margin.size, np.flatnonzero(reach)
         kernel = slice(col, col + on.size)
@@ -289,6 +302,7 @@ def build_improvement_problem(
         A[row : row + n_z, kernel] -= link[:, on]
         row += n_z
         # baseline-marginal rows: kernel columns reproduce gamma0's marginal
+        marginal_rows.append(row)
         A[row : row + n_j, kernel] = marg[:, on]
         b[row : row + n_j] = margin.weights_array()
         row += n_j
@@ -310,7 +324,79 @@ def build_improvement_problem(
         baseline[gamma_col[own[a]]] += w
         for (_, point_of, _, _), cols, share in zip(agents, kernel_col, share_of):
             baseline[cols[point_of[own[a]], share[a]]] += w
-    return ImprovementProblem(lp.LinearProgram(c=c, A=A, b=b), grid, gamma_cols, baseline)
+    return ImprovementProblem(
+        lp.LinearProgram(c=c, A=A, b=b),
+        grid,
+        gamma_cols,
+        baseline,
+        tuple(float(e) for e in eps),
+        tuple(margs),
+        tuple(marginal_rows),
+    )
+
+
+def _instance(problem: ImprovementProblem, out: lp.LPOutcome) -> str:
+    program = problem.program
+    return f"{program.n_rows} x {program.n_vars} program, {out.pivots} pivots taken"
+
+
+def solve_problem(problem: ImprovementProblem) -> lp.LPOutcome:
+    """The program's optimum, from the baseline's vertex; any other status
+    is a ``SolverFailure`` naming the instance."""
+    out = lp.solve(problem.program, start=problem.baseline)
+    if out.status is not lp.LPStatus.OPTIMAL:
+        raise SolverFailure(
+            f"improvement program ended with status {out.status.value} "
+            f"({_instance(problem, out)}); the baseline itself is always feasible, "
+            "so this signals an encoding or conditioning problem"
+        )
+    return out
+
+
+def _envelope_pieces(ys: np.ndarray, values: np.ndarray) -> tuple[tuple[Coords, float], ...]:
+    """The lower convex envelope of the points ``(ys, values)`` (``ys``
+    increasing) as affine pieces, one per edge, and a wall through each end
+    point ``WALL_SLOPE`` steeper than the edge next to it (slopes
+    ``-WALL_SLOPE`` and ``WALL_SLOPE`` for a single point)."""
+    hull: list[tuple[float, float]] = []
+    for y, v in zip(ys.tolist(), values.tolist()):
+        # drop the last vertex while it lies on or above the chord to (y, v)
+        while len(hull) >= 2:
+            (y0, v0), (y1, v1) = hull[-2:]
+            if (v1 - v0) * (y - y0) < (v - v0) * (y1 - y0):
+                break
+            hull.pop()
+        hull.append((y, v))
+    slopes = [(v1 - v0) / (y1 - y0) for (y0, v0), (y1, v1) in zip(hull, hull[1:])]
+    lines = [(s, v0 - s * y0) for s, (y0, v0) in zip(slopes, hull)]
+    (y_lo, v_lo), (y_hi, v_hi) = hull[0], hull[-1]
+    s_lo = (slopes[0] if slopes else 0.0) - WALL_SLOPE
+    s_hi = (slopes[-1] if slopes else 0.0) + WALL_SLOPE
+    lines += [(s_lo, v_lo - s_lo * y_lo), (s_hi, v_hi - s_hi * y_hi)]
+    return tuple(((s,), b) for s, b in lines)
+
+
+def dual_potential(problem: ImprovementProblem, outcome: lp.LPOutcome) -> StrictlyConvexProfile:
+    """The 1-D potential ``psi_i(y) = (eps_i/2) y^2 + phi_i(y)`` read off the
+    duals of an optimum of ``problem``.
+
+    With ``delta_j`` the dual of agent ``i``'s marginal row of atom ``Y_j``
+    (``lp``'s sign convention, ``c - A^T y >= 0``), ``phi_i`` is the lower
+    convex envelope of the points ``(Y_j, -delta_j)`` with a steep wall
+    beyond each end (see ``_envelope_pieces``).  Any convex ``phi`` gives a
+    J at least the gap, so the duals only choose the potential; J itself is
+    evaluated apart from them.
+    """
+    dim = problem.grid.aggregate.dim
+    if dim != 1:
+        raise DimensionMismatch(f"the dual potential is built in one dimension, not {dim}")
+    agents = []
+    for e, margin, row in zip(problem.eps, problem.marginals, problem.marginal_rows):
+        delta = outcome.duals[row : row + margin.size]
+        agents.append(
+            AgentProfile(eps=e, pieces=_envelope_pieces(margin.support_array()[:, 0], -delta))
+        )
+    return StrictlyConvexProfile(dim=1, agents=tuple(agents))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,20 +460,13 @@ def solve_improvement_lp(
     """Minimize the floor cost over grid allocations dominating the baseline."""
     eps = _cost_weights(eps, gamma0.agents)
     problem = build_improvement_problem(gamma0, grid, eps)
-    program = problem.program
-    out = lp.solve(program, start=problem.baseline)
-    size = f"{program.n_rows} x {program.n_vars} program, {out.pivots} pivots taken"
-    if out.status is not lp.LPStatus.OPTIMAL:
-        raise SolverFailure(
-            f"improvement program ended with status {out.status.value} ({size}); "
-            "the baseline itself is always feasible, so this signals an encoding "
-            "or conditioning problem"
-        )
+    out = solve_problem(problem)
     objective_at_input = _baseline_objective(gamma0, eps)
     statistic = objective_at_input - float(out.value)
     if statistic < -ZERO_GAP:
         raise SolverFailure(
-            f"optimum exceeds the baseline objective by {-statistic:.3e} ({size}); "
+            f"optimum exceeds the baseline objective by {-statistic:.3e} "
+            f"({_instance(problem, out)}); "
             "the baseline embedding must be broken"
         )
     improved = _extract_law(gamma0, grid, problem, out.solution)

@@ -1,4 +1,4 @@
-"""Dual potential evaluation and cutting-plane descent.
+"""Dual potential evaluation, and the upper bound J on the improvement gap.
 
 For a profile of agent costs ``psi`` and a baseline allocation law, the
 objective
@@ -6,10 +6,13 @@ objective
     J(psi) = E[ sum_i psi_i(X_i) ] - E[ (box)psi(sum_i X_i) ]
 
 is nonnegative and vanishes exactly when the baseline already splits every
-aggregate state optimally.  :func:`minimize_q` descends J inside the
-quadratic-plus-max-affine family by adding affine cutting pieces, providing
-an upper companion bound to the improvement statistic computed by
-:mod:`riskshare.improve`.
+aggregate state optimally.  By weak duality every convex profile gives a J
+at least the gap, so J is an upper companion bound to the improvement
+statistic computed by :mod:`riskshare.improve`.  :func:`minimize_q` starts
+from the pure quadratics; in one dimension it then takes one exact dual
+step, the potential that the improvement program's own duals give
+(``improve.dual_potential``), and in ``d >= 2`` it descends J inside the
+quadratic-plus-max-affine family by adding affine cutting pieces.
 """
 
 from __future__ import annotations
@@ -21,7 +24,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .improve import ZERO_GAP, _cost_weights, default_radius
+from .improve import (
+    ZERO_GAP,
+    _cost_weights,
+    build_improvement_problem,
+    build_split_grid,
+    default_radius,
+    default_step,
+    dual_potential,
+    solve_problem,
+)
 from .infconv import AgentProfile, StrictlyConvexProfile, share_points
 from .measures import (
     ROUNDING,
@@ -207,16 +219,21 @@ def minimize_q(
     max_iters: int = DEFAULT_MAX_ITERS,
     target: Optional[float] = None,
 ) -> QState:
-    """Descend J from the pure quadratic costs ``(eps_i / 2) |y|^2``
+    """Lower J from the pure quadratic costs ``(eps_i / 2) |y|^2``
     (``eps`` defaults to all ones).
 
-    Each iteration adds one tangent cutting piece per agent at that agent's
-    most over-weighted baseline atom, with the scale chosen by a doubling
-    line search; a step is accepted only when J strictly decreases, so the
-    history is non-increasing.  When ``target`` is given (e.g. the
-    improvement statistic of the same instance) the descent stops as soon as
-    J is within 1e-6 of it.  Hitting ``max_iters`` sets ``hit_cap`` on the
-    returned state rather than raising.
+    The search stops once J is within 1e-6 of ``target`` when one is given
+    (e.g. the improvement statistic of the same instance), and at
+    J <= ``ZERO_GAP`` otherwise.  In one dimension it takes at most one
+    step, and none at ``max_iters == 0``: the potential of
+    ``improve.dual_potential`` at the default grid step, kept only when its
+    J is lower.  In ``d >= 2`` each of at most ``max_iters`` iterations
+    adds one tangent cutting piece per agent at that agent's most
+    over-weighted baseline atom, with the scale chosen by a doubling line
+    search, and is accepted only when J strictly decreases.  Either way
+    the history is non-increasing, and stopping at ``max_iters`` with J
+    above the stop sets ``hit_cap`` on the returned state rather than
+    raising.
     """
     p = gamma0.agents
     es = _cost_weights(eps, p)
@@ -229,46 +246,59 @@ def minimize_q(
     marginals = [marginal(gamma0, i) for i in range(p)]
 
     j_cur, shares = _evaluate(profile, baseline, aggregate, ball)
-    law_cur = _split_law(shares, aggregate)
     history = [j_cur]
     stop_at = ZERO_GAP if target is None else max(target, 0.0) + _TARGET_SLACK
     iterations = 0
     hit_cap = False
-    for _ in range(max_iters):
-        if j_cur <= stop_at:
-            break
-        disc = _discrepancies(marginals, law_cur)
-        if max((abs(w) for d in disc for _, w in d), default=0.0) <= _ZERO_TOL:
-            break  # induced law matches the baseline: no descent direction
-        cuts = _best_cut_atoms(profile, disc)
-        if not cuts:
-            break
-        accept_below = j_cur - ROUNDING * (1.0 + abs(j_cur))
-        best = None
-        cut_sets = [cuts]
-        if len(cuts) > 1:
-            # fall back to one agent at a time, strongest estimate first
-            for single in sorted(cuts, key=lambda c: -c[2]):
-                cut_sets.append([single])
-        for cut_set in cut_sets:
-            for sigma in _STEP_GRID:
-                trial = _with_cuts(profile, cut_set, sigma)
-                if trial is None:
-                    continue
-                j_t, shares_t = _evaluate(trial, baseline, aggregate, ball)
-                # a later trial must lower J beyond rounding to replace the best one
-                if best is None or j_t < best[0] - ROUNDING * (1.0 + abs(best[0])):
-                    best = (j_t, shares_t, trial)
-            if best is not None and best[0] < accept_below:
-                break  # the joint cut already improves; skip the fallback
-        iterations += 1
-        if best is None or best[0] >= accept_below:
-            break  # no step-scaled cut improves: local stall
-        j_cur, shares, profile = best
+    if gamma0.dim == 1:
+        if max_iters > 0 and j_cur > stop_at:
+            iterations = 1
+            grid = build_split_grid(gamma0, default_step(gamma0, ball), ball)
+            problem = build_improvement_problem(gamma0, grid, es)
+            dual = dual_potential(problem, solve_problem(problem))
+            j_dual, shares_dual = _evaluate(dual, baseline, aggregate, ball)
+            if j_dual < j_cur:
+                j_cur, shares, profile = j_dual, shares_dual, dual
+                history.append(j_cur)
+        hit_cap = max_iters == 0 and j_cur > stop_at
         law_cur = _split_law(shares, aggregate)
-        history.append(j_cur)
     else:
-        hit_cap = j_cur > stop_at
+        law_cur = _split_law(shares, aggregate)
+        for _ in range(max_iters):
+            if j_cur <= stop_at:
+                break
+            disc = _discrepancies(marginals, law_cur)
+            if max((abs(w) for d in disc for _, w in d), default=0.0) <= _ZERO_TOL:
+                break  # induced law matches the baseline: no descent direction
+            cuts = _best_cut_atoms(profile, disc)
+            if not cuts:
+                break
+            accept_below = j_cur - ROUNDING * (1.0 + abs(j_cur))
+            best = None
+            cut_sets = [cuts]
+            if len(cuts) > 1:
+                # fall back to one agent at a time, strongest estimate first
+                for single in sorted(cuts, key=lambda c: -c[2]):
+                    cut_sets.append([single])
+            for cut_set in cut_sets:
+                for sigma in _STEP_GRID:
+                    trial = _with_cuts(profile, cut_set, sigma)
+                    if trial is None:
+                        continue
+                    j_t, shares_t = _evaluate(trial, baseline, aggregate, ball)
+                    # a later trial must lower J beyond rounding to replace the best one
+                    if best is None or j_t < best[0] - ROUNDING * (1.0 + abs(best[0])):
+                        best = (j_t, shares_t, trial)
+                if best is not None and best[0] < accept_below:
+                    break  # the joint cut already improves; skip the fallback
+            iterations += 1
+            if best is None or best[0] >= accept_below:
+                break  # no step-scaled cut improves: local stall
+            j_cur, shares, profile = best
+            law_cur = _split_law(shares, aggregate)
+            history.append(j_cur)
+        else:
+            hit_cap = j_cur > stop_at
 
     return QState(
         profile=profile,

@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import linprog
 
 import riskshare.improve
-from riskshare.cli import run
+from riskshare.cli import build_parser, run
 from riskshare.convex_order import AllocationVerdict
 from riskshare.infconv import profile_from_obj, sharing_law
 from riskshare.measures import (
@@ -382,6 +382,27 @@ class TestCsv:
         tail = {row[0]: row[3] for row in rows[1:] if row[0].endswith("_sum") or row[0].endswith("_norm")}
         assert float(tail["det_sum"]) == report["det_sum"]
         assert float(tail["T1_norm"]) == report["T1_norm"]
+
+
+class TestSharedParser:
+    def test_requests_in_one_process_match_fresh_processes(self, capsys):
+        """The parser is built once per process; no flag of one request,
+        good or bad, reaches the next."""
+        requests = [
+            ["stat", ANTI, "--tol", "0.5", "--grid-step", "0.5"],
+            ["comonotone-check", COMO],
+            ["stat", ANTI, "--no-such-flag"],
+            ["qdescent", ANTI, "--max-iters", "3"],
+            ["stat", ANTI],
+        ]
+        for argv in requests:
+            code = run(argv)
+            out = capsys.readouterr().out
+            fresh = subprocess.run(
+                [sys.executable, "-m", "riskshare.cli", *argv], capture_output=True, text=True
+            )
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        assert build_parser() is build_parser()
 
 
 class TestConsoleScript:

@@ -18,7 +18,7 @@ from riskshare.improve import build_split_grid, solve_improvement_lp
 from riskshare.infconv import AgentProfile, StrictlyConvexProfile
 from riskshare.maxcorr import max_correlation
 from riskshare.measures import BallConfig, validate_joint_law, validate_measure
-from riskshare.qdescent import j_value
+from riskshare.qdescent import j_value, minimize_q
 
 ANTI = [(((1.0,), (-1.0,)), 0.5), (((0.0,), (2.0,)), 0.5)]
 BALL = BallConfig(radius=2.0)
@@ -83,6 +83,19 @@ def test_failed_verification_names_the_failing_agents(monkeypatch):
     message = str(info.value)
     assert "agent 1 worst violation 2.500e-01" in message
     assert "agent 0" not in message
+
+
+def test_dual_step_status_failure_names_the_program(monkeypatch):
+    seen = _spy_on_solve(
+        monkeypatch,
+        lambda out: dataclasses.replace(
+            out, status=riskshare.lp.LPStatus.UNBOUNDED, solution=None, duals=None, pivots=5
+        ),
+    )
+    with pytest.raises(SolverFailure, match="status unbounded") as info:
+        minimize_q(validate_joint_law(ANTI), ball=BALL)
+    assert _size(seen) in str(info.value)
+    assert "5 pivots taken" in str(info.value)
 
 
 def test_coupling_failure_names_the_atom_counts(monkeypatch):

@@ -1,12 +1,31 @@
-"""Dual objective evaluation and cutting-plane descent."""
+"""Dual objective evaluation, the 1-D dual step and the cutting-plane descent."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import riskshare.lp
 import riskshare.qdescent
 from riskshare.errors import DimensionMismatch, InputError
-from riskshare.improve import build_split_grid, efficiency_statistic, solve_improvement_lp
-from riskshare.infconv import AgentProfile, StrictlyConvexProfile, sharing_law
+from riskshare.improve import (
+    WALL_SLOPE,
+    ZERO_GAP,
+    build_improvement_problem,
+    build_split_grid,
+    dual_potential,
+    efficiency_statistic,
+    solve_improvement_lp,
+    solve_problem,
+)
+from riskshare.infconv import (
+    AgentProfile,
+    StrictlyConvexProfile,
+    inf_convolution_value,
+    sharing_law,
+)
 from riskshare.measures import (
     BallConfig,
     joint_laws_equal,
@@ -19,6 +38,9 @@ TOL = 1e-8
 
 BALL = BallConfig(radius=4.0)
 ANTI = [(((1.0,), (-1.0,)), 0.5), (((0.0,), (2.0,)), 0.5)]
+ANTI_2D = [(((1.0, 0.0), (-1.0, 0.0)), 0.5), (((0.0, 1.0), (0.0, 1.0)), 0.5)]
+#: The sharing law of {0, 2} under ``kinked_generator``, on the first axis of the plane.
+KINK_2D = [(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.5, 0.0), (0.5, 0.0)), 0.5)]
 COMO = [(((0.0,), (0.0,)), 0.5), (((1.0,), (1.0,)), 0.5)]
 
 
@@ -124,16 +146,17 @@ class TestMinimizeQ:
         assert joint_laws_equal(state.gamma_psi, gamma0, tol=1e-6)
 
     def test_cuts_stay_in_the_affine_family(self):
-        m0 = validate_measure([((0.0,), 0.5), ((2.0,), 0.5)])
-        gamma0 = sharing_law(kinked_generator(), m0, BALL)
-        state = minimize_q(gamma0, ball=BALL, max_iters=60)
-        base = quad_profile()
+        # the cut loop runs in d >= 2 only
+        gamma0 = validate_joint_law(KINK_2D)
+        state = minimize_q(gamma0, ball=BALL, max_iters=3)
+        base = quad_profile(dim=2)
+        assert state.iterations > 0 and len(state.j_history) > 1
         for ag, start in zip(state.profile.agents, base.agents):
             assert ag.eps == start.eps
             assert ag.quad is None
             assert ag.pieces[: len(start.pieces)] == start.pieces
             for a, b in ag.pieces:
-                assert len(a) == 1 and isinstance(b, float)
+                assert len(a) == 2 and isinstance(b, float)
 
     def test_two_state_cannot_descend_below_statistic(self):
         gamma0 = validate_joint_law(ANTI)
@@ -188,9 +211,9 @@ class TestMinimizeQ:
 
     def test_line_search_keeps_the_smaller_step_on_a_rounding_tie(self, monkeypatch):
         # every step after the smallest gives a J one ulp lower: that is
-        # rounding, so the smallest step is kept
-        m0 = validate_measure([((0.0,), 0.5), ((2.0,), 0.5)])
-        gamma0 = sharing_law(kinked_generator(), m0, BALL)
+        # rounding, so the smallest step is kept (the line search of the
+        # cut loop, which runs in d >= 2 only)
+        gamma0 = validate_joint_law(KINK_2D)
         real, profiles = riskshare.qdescent._evaluate, []
 
         def evaluate(profile, *args):
@@ -205,6 +228,45 @@ class TestMinimizeQ:
         assert len(profiles) > 2
         assert state.profile is profiles[1]
         assert state.j_history == (pytest.approx(0.125, abs=TOL), 0.0625)
+
+    def test_one_dual_step_on_the_kink_fixture(self):
+        m0 = validate_measure([((0.0,), 0.5), ((2.0,), 0.5)])
+        gamma0 = sharing_law(kinked_generator(), m0, BALL)
+        state = minimize_q(gamma0, ball=BALL)
+        assert state.j_history == (0.125, 0.0)
+        assert state.iterations == 1
+        assert not state.hit_cap
+
+    def test_dual_step_that_does_not_lower_j_is_not_kept(self, monkeypatch):
+        gamma0 = validate_joint_law(ANTI)
+        real = riskshare.qdescent._evaluate
+        starts = []
+
+        def evaluate(profile, *args):
+            j, shares = real(profile, *args)
+            starts.append(j)
+            return (j if len(starts) == 1 else starts[0]), shares
+
+        monkeypatch.setattr(riskshare.qdescent, "_evaluate", evaluate)
+        state = minimize_q(gamma0, ball=BALL)
+        assert len(starts) == 2
+        assert state.iterations == 1 and not state.hit_cap
+        assert state.j_history == (starts[0],)
+        assert state.profile.is_pure_quadratic()
+
+    def test_designed_law_solves_no_lp(self, monkeypatch):
+        gamma0 = validate_joint_law(ANTI)
+        ball = BallConfig(radius=6.0)
+        stat = solve_improvement_lp(gamma0, build_split_grid(gamma0, 0.5, ball)).statistic
+
+        def solve(*args, **kwargs):
+            raise AssertionError("no program is solved when the start meets the target")
+
+        monkeypatch.setattr(riskshare.lp, "solve", solve)
+        state = minimize_q(gamma0, ball=ball, target=stat)
+        assert state.iterations == 0
+        assert state.j_history == (state.j,)
+        assert abs(state.j - stat) <= 1e-6
 
 
 class TestSandwich:
@@ -234,6 +296,121 @@ class TestSandwich:
         assert abs(stat) <= TOL
         state = minimize_q(gamma0, ball=BALL, max_iters=60)
         assert state.j <= 1e-4
+
+
+def _law(pts, w):
+    w = w / w.sum()
+    return validate_joint_law([(tuple(map(tuple, pts[k])), float(w[k])) for k in range(len(w))])
+
+
+def _sandwich_laws():
+    """The 20 laws of acceptance criterion 4: 17 random (seed 404) and 3
+    designed, with eps = 1 and R = 6."""
+    rng = np.random.RandomState(404)
+    laws = []
+    for _ in range(17):
+        n = rng.randint(2, 6)
+        pts = rng.randint(-2, 3, size=(n, 2, 1)).astype(float)
+        laws.append(_law(pts, rng.rand(n) + 0.2))
+    laws += [validate_joint_law(ANTI), validate_joint_law(COMO)]
+    laws.append(
+        validate_joint_law(
+            [(((0.0,), (0.0,)), 0.3), (((0.5,), (0.5,)), 0.3), (((1.0,), (1.0,)), 0.4)]
+        )
+    )
+    return [(law, [1.0, 1.0], 6.0) for law in laws]
+
+
+def _random_draws():
+    """60 laws (seed 11) of 2-3 agents and 2-4 atoms in {-2..2}, with eps
+    drawn from {0.5, 1, 2} and R = 4."""
+    rng = np.random.RandomState(11)
+    draws = []
+    for _ in range(60):
+        p, n = rng.randint(2, 4), rng.randint(2, 5)
+        pts = rng.randint(-2, 3, size=(n, p, 1)).astype(float)
+        w = rng.rand(n) + 0.2
+        eps = [float(e) for e in rng.choice([0.5, 1.0, 2.0], p)]
+        draws.append((_law(pts, w), eps, 4.0))
+    return draws
+
+
+def _dual_sandwich(gamma0, eps, radius, h):
+    """The statistic at step ``h``, the program's optimum, and J of its dual
+    potential."""
+    ball = BallConfig(radius=radius)
+    problem = build_improvement_problem(gamma0, build_split_grid(gamma0, h, ball), eps)
+    out = solve_problem(problem)
+    at_input = math.fsum(
+        w * sum(0.5 * e * y[0] ** 2 for e, y in zip(eps, tup)) for tup, w in gamma0.atoms
+    )
+    psi = dual_potential(problem, out)
+    return at_input - out.value, problem, out, psi, j_value(psi, gamma0, ball)
+
+
+class TestDualPotential:
+    @pytest.mark.parametrize("family", [_sandwich_laws, _random_draws])
+    def test_j_is_within_the_grid_bound_of_the_statistic(self, family):
+        h = 0.5
+        for gamma0, eps, radius in family():
+            stat, _, _, _, j = _dual_sandwich(gamma0, eps, radius, h)
+            assert j >= stat - ZERO_GAP
+            assert j - stat <= sum(eps) * h * h / 8.0 * (1.0 + 1e-9)
+
+    def test_walls_are_steeper_than_the_edges_next_to_them(self):
+        cases = _sandwich_laws() + [(validate_joint_law([(((1.0,), (-1.0,)), 1.0)]), [1.0, 1.0], 6.0)]
+        for gamma0, eps, radius in cases:
+            _, problem, _, psi, _ = _dual_sandwich(gamma0, eps, radius, 0.5)
+            for ag, margin in zip(psi.agents, problem.marginals):
+                *edges, (lo, b_lo), (hi, b_hi) = ag.pieces
+                if not edges:  # one atom: the walls alone
+                    assert (lo[0], hi[0]) == (-WALL_SLOPE, WALL_SLOPE)
+                    continue
+                assert lo[0] == edges[0][0][0] - WALL_SLOPE
+                assert hi[0] == edges[-1][0][0] + WALL_SLOPE
+                # on the marginal's atoms no wall rises above the envelope's edges
+                ys = margin.support_array()[:, 0]
+                envelope = np.max([a[0] * ys + b for a, b in edges], axis=0)
+                for a, b in ((lo, b_lo), (hi, b_hi)):
+                    assert np.all(a[0] * ys + b <= envelope + 1e-12 * (1.0 + np.abs(envelope)))
+
+    def test_needs_one_dimension(self):
+        gamma0 = validate_joint_law(ANTI_2D)
+        ball = BallConfig(radius=4.0)
+        problem = build_improvement_problem(
+            gamma0, build_split_grid(gamma0, 1.0, ball), [1.0, 1.0]
+        )
+        with pytest.raises(DimensionMismatch):
+            dual_potential(problem, solve_problem(problem))
+
+
+@st.composite
+def _dual_cases(draw):
+    p = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.integers(-4, 4), min_size=n * p, max_size=n * p))
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    eps = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=p, max_size=p))
+    h = draw(st.sampled_from([0.5, 1.0]))
+    law = _law(np.array(pts, dtype=float).reshape(n, p, 1) / 2.0, np.array(weights, float))
+    return law, eps, h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_dual_cases())
+def test_dual_gap_is_the_aggregate_duals_over_the_pooled_costs(case):
+    """J - statistic = sum_t w_t (alpha_t - (box)psi(s_t)), with alpha_t the
+    dual of aggregate atom s_t's row (the rows come first)."""
+    gamma0, eps, h = case
+    radius = 4.0
+    stat, problem, out, psi, j = _dual_sandwich(gamma0, eps, radius, h)
+    ball = BallConfig(radius=radius)
+    pooled = math.fsum(
+        w * (out.duals[t] - inf_convolution_value(psi, s, ball))
+        for t, (s, w) in enumerate(problem.grid.aggregate.atoms)
+    )
+    assert j >= stat - ZERO_GAP
+    assert j - stat == pytest.approx(pooled, abs=1e-9 * (1.0 + abs(j)))
 
 
 @pytest.mark.parametrize("excess, inside", [(0.5e-9, True), (2e-9, False)])
