@@ -32,6 +32,7 @@ from .errors import (
     NotPositiveDefinite,
     NumericalBreakdown,
     ParameterOutOfRange,
+    ProblemTooLarge,
     RiskShareError,
     SingularSum,
     SolverFailure,
@@ -114,6 +115,7 @@ __all__ = [
     "NotPositiveDefinite",
     "NumericalBreakdown",
     "ParameterOutOfRange",
+    "ProblemTooLarge",
     "QState",
     "RiskShareError",
     "SharingPoint",

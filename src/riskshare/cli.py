@@ -28,10 +28,13 @@ from .convex_order import allocation_dominates, dominates, is_comonotone_pairwis
 from .errors import InputError, RiskShareError
 from .improve import (
     _cost_weights,
+    build_improvement_problem,
     build_split_grid,
     default_radius,
     default_step,
+    improvement_report,
     solve_improvement_lp,
+    solve_problem,
 )
 from .infconv import counterexample_family, profile_from_obj, share_point
 from .maxcorr import comonotonicity_gap, default_baseline, max_correlation
@@ -286,8 +289,9 @@ def _improvement(args):
     """Solve the improvement LP of an improve/stat/qdescent request's law.
 
     The grid step is ``--grid-step`` where the command takes it, else the
-    default.  Returns the law, cost weights, ball, LP report and the report
-    fields that ``improve`` and ``stat`` share.
+    default.  Returns the law, cost weights, ball, LP report, the report
+    fields that ``improve`` and ``stat`` share, and the program with its
+    optimum.
     """
     law = _load(args.law, "joint_law")
     eps = _cost_weights(_parse_eps(args.eps), law.agents)
@@ -295,7 +299,9 @@ def _improvement(args):
     ball = BallConfig(radius=radius)
     step = getattr(args, "grid_step", None) or default_step(law, ball)
     grid = build_split_grid(law, step, ball)
-    result = solve_improvement_lp(law, grid, eps=eps, tol=args.tol)
+    problem = build_improvement_problem(law, grid, eps)
+    optimum = solve_problem(problem)
+    result = improvement_report(law, problem, optimum, eps, args.tol)
     fields = {
         "tol": args.tol,
         "grid_step": step,
@@ -304,11 +310,11 @@ def _improvement(args):
         "statistic": result.statistic,
         "comonotone_at_tol": result.comonotone_at_tol,
     }
-    return law, eps, ball, result, fields
+    return law, eps, ball, result, fields, (problem, optimum)
 
 
 def _cmd_improve(args):
-    law, _, _, result, fields = _improvement(args)
+    law, _, _, result, fields, _ = _improvement(args)
     fields.update(
         objective_at_input=result.objective_at_input,
         objective_at_optimum=result.objective_at_optimum,
@@ -330,7 +336,7 @@ def _cmd_improve(args):
 
 
 def _cmd_stat(args):
-    law, eps, ball, result, fields = _improvement(args)
+    law, eps, ball, result, fields, _ = _improvement(args)
     if args.emit_csv:
         step = fields["grid_step"]
         rows = [[step, result.statistic]]
@@ -345,7 +351,8 @@ def _cmd_stat(args):
 
 
 def _cmd_qdescent(args):
-    law, eps, ball, result, _ = _improvement(args)
+    # qdescent takes no --grid-step, so its program is the dual step's own
+    law, eps, ball, result, _, optimum = _improvement(args)
     statistic = result.statistic
     state = minimize_q(
         law,
@@ -353,6 +360,7 @@ def _cmd_qdescent(args):
         eps=eps,
         max_iters=args.max_iters,
         target=statistic,
+        optimum=optimum,
     )
     fields = {
         "tol": args.tol,

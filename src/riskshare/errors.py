@@ -15,6 +15,10 @@ class InputError(RiskShareError, ValueError):
     """Malformed or schema-violating user input (files, CLI arguments)."""
 
 
+class ProblemTooLarge(InputError):
+    """A grid or program would exceed its size limit."""
+
+
 class DimensionMismatch(RiskShareError, ValueError):
     """Operands live in incompatible dimensions or agent counts."""
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import lp
 from .convex_order import AllocationVerdict, allocation_dominates, plan_rows
-from .errors import DimensionMismatch, InputError, SolverFailure
+from .errors import DimensionMismatch, InputError, ProblemTooLarge, SolverFailure
 from .infconv import AgentProfile, StrictlyConvexProfile
 from .measures import (
     DEFAULT_TOL,
@@ -117,8 +117,12 @@ def _lattice_points(h: float, ball: BallConfig, bounds) -> list[Coords]:
     return pts
 
 
-def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
-    """Lattice splits of each aggregate atom, plus the baseline's own splits."""
+def build_split_grid(
+    gamma0: JointLaw, h: float, ball: BallConfig, max_splits: Optional[int] = None
+) -> SplitGrid:
+    """Lattice splits of each aggregate atom, plus the baseline's own splits;
+    ``ProblemTooLarge`` when they could number more than ``max_splits``
+    (default ``MAX_GRID_SPLITS``)."""
     if not (math.isfinite(h) and h > 0):
         raise InputError(f"grid step must be positive and finite, got {h!r}")
     d, p = gamma0.dim, gamma0.agents
@@ -137,11 +141,12 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     ]
     box = math.prod(hi - lo + 1.0 for lo, hi in bounds)
     log_splits = max(p - 1, 1) * math.log(box) + math.log(m0.size)
-    if not log_splits <= math.log(MAX_GRID_SPLITS):
-        raise InputError(
+    max_splits = MAX_GRID_SPLITS if max_splits is None else max_splits
+    if not log_splits <= math.log(max_splits):
+        raise ProblemTooLarge(
             f"grid step {h!r} is too fine for a ball of radius {ball.radius}: "
             f"the lattice splits of {m0.size} aggregate atoms among {p} agents "
-            f"exceed the limit of {MAX_GRID_SPLITS}"
+            f"exceed the limit of {max_splits}"
         )
     lattice = _lattice_points(h, ball, bounds)
     _, atom_of = _merge_targets([_tuple_sum(tup, d) for tup, _ in gamma0.atoms])
@@ -185,15 +190,14 @@ class ImprovementProblem:
     ``baseline`` is the baseline law embedded in the program, a feasible
     point of it: each baseline atom's weight on its own split, and each
     agent's identity kernel.  Agent ``i``'s baseline-marginal rows start at
-    ``marginal_rows[i]``, one per atom of ``marginals[i]``, in its order.
+    ``marginal_rows[i]``, one per atom of its baseline marginal, in that
+    marginal's order.
     """
 
     program: lp.LinearProgram
     grid: SplitGrid
     gamma_cols: tuple[tuple[int, ...], ...]  # per aggregate atom, per candidate; -1 if omitted
     baseline: np.ndarray
-    eps: tuple[float, ...]
-    marginals: tuple[DiscreteMeasure, ...]
     marginal_rows: tuple[int, ...]
 
 
@@ -229,7 +233,10 @@ def _reachable(
 
 
 def build_improvement_problem(
-    gamma0: JointLaw, grid: SplitGrid, eps: Sequence[float]
+    gamma0: JointLaw,
+    grid: SplitGrid,
+    eps: Sequence[float],
+    max_entries: Optional[int] = None,
 ) -> ImprovementProblem:
     """The improvement program over the splits a mean-preserving kernel can reach.
 
@@ -241,7 +248,9 @@ def build_improvement_problem(
     the program omits the entries and barycenter rows ``_reachable`` rules
     out, every split one of whose points then reaches no atom, and every
     point no kept split uses, with its rows and entries.  The baseline's
-    splits always stay.
+    splits always stay.  A program of more than ``max_entries`` entries
+    (rows times columns, default ``MAX_LP_ENTRIES``) is refused with
+    ``ProblemTooLarge``.
     """
     p, m0 = gamma0.agents, grid.aggregate
     splits = [split for cands in grid.candidates for split in cands]
@@ -277,10 +286,11 @@ def build_improvement_problem(
     n_rows = m0.size + sum(
         len(Z) + m.size + int(r.sum()) for (Z, _, _, r), m in zip(agents, margs)
     )
-    if n_rows * n_vars > MAX_LP_ENTRIES:
-        raise InputError(
+    max_entries = MAX_LP_ENTRIES if max_entries is None else max_entries
+    if n_rows * n_vars > max_entries:
+        raise ProblemTooLarge(
             f"the improvement program would have {n_rows} rows and {n_vars} columns, "
-            f"more than the limit of {MAX_LP_ENTRIES} entries; use a coarser grid step"
+            f"more than the limit of {max_entries} entries; use a coarser grid step"
         )
 
     gamma_col = np.where(kept, np.cumsum(kept) - 1, -1)
@@ -325,13 +335,7 @@ def build_improvement_problem(
         for (_, point_of, _, _), cols, share in zip(agents, kernel_col, share_of):
             baseline[cols[point_of[own[a]], share[a]]] += w
     return ImprovementProblem(
-        lp.LinearProgram(c=c, A=A, b=b),
-        grid,
-        gamma_cols,
-        baseline,
-        tuple(float(e) for e in eps),
-        tuple(margs),
-        tuple(marginal_rows),
+        lp.LinearProgram(c=c, A=A, b=b), grid, gamma_cols, baseline, tuple(marginal_rows)
     )
 
 
@@ -376,9 +380,15 @@ def _envelope_pieces(ys: np.ndarray, values: np.ndarray) -> tuple[tuple[Coords, 
     return tuple(((s,), b) for s, b in lines)
 
 
-def dual_potential(problem: ImprovementProblem, outcome: lp.LPOutcome) -> StrictlyConvexProfile:
+def dual_potential(
+    problem: ImprovementProblem,
+    outcome: lp.LPOutcome,
+    marginals: Sequence[DiscreteMeasure],
+    eps: Sequence[float],
+) -> StrictlyConvexProfile:
     """The 1-D potential ``psi_i(y) = (eps_i/2) y^2 + phi_i(y)`` read off the
-    duals of an optimum of ``problem``.
+    duals of an optimum of ``problem``, the program of a law whose agents
+    have the baseline ``marginals`` (``marginal(gamma0, i)``).
 
     With ``delta_j`` the dual of agent ``i``'s marginal row of atom ``Y_j``
     (``lp``'s sign convention, ``c - A^T y >= 0``), ``phi_i`` is the lower
@@ -390,8 +400,13 @@ def dual_potential(problem: ImprovementProblem, outcome: lp.LPOutcome) -> Strict
     dim = problem.grid.aggregate.dim
     if dim != 1:
         raise DimensionMismatch(f"the dual potential is built in one dimension, not {dim}")
+    if len(marginals) != len(problem.marginal_rows) or len(eps) != len(marginals):
+        raise DimensionMismatch(
+            f"the program has {len(problem.marginal_rows)} agents, got "
+            f"{len(marginals)} marginals and {len(eps)} cost weights"
+        )
     agents = []
-    for e, margin, row in zip(problem.eps, problem.marginals, problem.marginal_rows):
+    for e, margin, row in zip(eps, marginals, problem.marginal_rows):
         delta = outcome.duals[row : row + margin.size]
         agents.append(
             AgentProfile(eps=e, pieces=_envelope_pieces(margin.support_array()[:, 0], -delta))
@@ -460,7 +475,20 @@ def solve_improvement_lp(
     """Minimize the floor cost over grid allocations dominating the baseline."""
     eps = _cost_weights(eps, gamma0.agents)
     problem = build_improvement_problem(gamma0, grid, eps)
-    out = solve_problem(problem)
+    return improvement_report(gamma0, problem, solve_problem(problem), eps, tol)
+
+
+def improvement_report(
+    gamma0: JointLaw,
+    problem: ImprovementProblem,
+    out: lp.LPOutcome,
+    eps: Sequence[float],
+    tol: float = DEFAULT_TOL,
+) -> EfficiencyReport:
+    """The report of ``solve_improvement_lp`` from an optimum ``out`` of
+    ``problem``, the program of ``gamma0`` under the cost weights ``eps``:
+    the statistic, and the improved law, verified independently."""
+    grid = problem.grid
     objective_at_input = _baseline_objective(gamma0, eps)
     statistic = objective_at_input - float(out.value)
     if statistic < -ZERO_GAP:

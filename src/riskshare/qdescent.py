@@ -11,8 +11,10 @@ at least the gap, so J is an upper companion bound to the improvement
 statistic computed by :mod:`riskshare.improve`.  :func:`minimize_q` starts
 from the pure quadratics; in one dimension it then takes one exact dual
 step, the potential that the improvement program's own duals give
-(``improve.dual_potential``), and in ``d >= 2`` it descends J inside the
-quadratic-plus-max-affine family by adding affine cutting pieces.
+(``improve.dual_potential``).  In ``d >= 2``, and in one dimension when
+that program is too large for the step or the simplex breaks down on it,
+it descends J inside the quadratic-plus-max-affine family by adding affine
+cutting pieces.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalBreakdown
+from . import lp
+from .errors import DimensionMismatch, NumericalBreakdown, ProblemTooLarge
 from .improve import (
     ZERO_GAP,
+    ImprovementProblem,
     _cost_weights,
     build_improvement_problem,
     build_split_grid,
@@ -54,6 +58,14 @@ _STEP_GRID = tuple(2.0**k for k in range(-6, 7))
 _ZERO_TOL = 1e-9  # induced marginals match the baseline: no discrepancy weight above it
 _TARGET_SLACK = 1e-6
 _DUPLICATE_PIECE_TOL = 1e-9
+#: Size budget of the 1-D dual step, past which the cut loop runs instead:
+#: at most this many lattice splits (about 50 ms of grid and program
+#: building on a 2 vCPU Xeon) ...
+DUAL_STEP_MAX_SPLITS = 5_000
+#: ... and at most this many program entries (rows times columns), about the
+#: largest program of the grid-ladder benchmark (333 x 681); a dense simplex
+#: on programs of that size took 25 to 60 ms on the same machine.
+DUAL_STEP_MAX_ENTRIES = 250_000
 
 SignedAtoms = tuple[tuple[Coords, float], ...]
 
@@ -211,6 +223,30 @@ def _with_cuts(
     return profile.with_pieces(new) if new else None
 
 
+def _dual_step(
+    gamma0: JointLaw,
+    es: Sequence[float],
+    ball: BallConfig,
+    marginals: Sequence[DiscreteMeasure],
+    optimum: Optional[tuple[ImprovementProblem, lp.LPOutcome]],
+) -> Optional[StrictlyConvexProfile]:
+    """The 1-D dual step's potential, from ``optimum`` when given, else from
+    the improvement program at the default grid step; None when that
+    program is over the step's budget or the simplex breaks down on it."""
+    if optimum is None:
+        try:
+            grid = build_split_grid(
+                gamma0, default_step(gamma0, ball), ball, max_splits=DUAL_STEP_MAX_SPLITS
+            )
+            problem = build_improvement_problem(
+                gamma0, grid, es, max_entries=DUAL_STEP_MAX_ENTRIES
+            )
+            optimum = (problem, solve_problem(problem))
+        except (ProblemTooLarge, NumericalBreakdown):
+            return None
+    return dual_potential(*optimum, marginals, es)
+
+
 def minimize_q(
     gamma0: JointLaw,
     *,
@@ -218,22 +254,27 @@ def minimize_q(
     eps: Optional[Sequence[float]] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     target: Optional[float] = None,
+    optimum: Optional[tuple[ImprovementProblem, lp.LPOutcome]] = None,
 ) -> QState:
     """Lower J from the pure quadratic costs ``(eps_i / 2) |y|^2``
     (``eps`` defaults to all ones).
 
     The search stops once J is within 1e-6 of ``target`` when one is given
     (e.g. the improvement statistic of the same instance), and at
-    J <= ``ZERO_GAP`` otherwise.  In one dimension it takes at most one
-    step, and none at ``max_iters == 0``: the potential of
-    ``improve.dual_potential`` at the default grid step, kept only when its
-    J is lower.  In ``d >= 2`` each of at most ``max_iters`` iterations
-    adds one tangent cutting piece per agent at that agent's most
-    over-weighted baseline atom, with the scale chosen by a doubling line
-    search, and is accepted only when J strictly decreases.  Either way
-    the history is non-increasing, and stopping at ``max_iters`` with J
-    above the stop sets ``hit_cap`` on the returned state rather than
-    raising.
+    J <= ``ZERO_GAP`` otherwise.  In one dimension it takes one step, and
+    none at ``max_iters == 0``: the potential of ``improve.dual_potential``,
+    kept only when its J is lower.  Its duals come from ``optimum``, an
+    optimum of ``gamma0``'s improvement program that the caller has solved
+    under the same ``eps``, or else from the program at the default grid
+    step.  When that program is over ``DUAL_STEP_MAX_SPLITS`` or
+    ``DUAL_STEP_MAX_ENTRIES``, or the simplex breaks down on it, and in
+    ``d >= 2`` (where ``optimum`` is not used), the cut loop runs instead:
+    each of at most ``max_iters`` iterations adds one tangent cutting piece
+    per agent at that agent's most over-weighted baseline atom, with the
+    scale chosen by a doubling line search, and is accepted only when J
+    strictly decreases.  Either way the history is non-increasing, and
+    stopping at ``max_iters`` with J above the stop sets ``hit_cap`` on the
+    returned state rather than raising.
     """
     p = gamma0.agents
     es = _cost_weights(eps, p)
@@ -250,17 +291,15 @@ def minimize_q(
     stop_at = ZERO_GAP if target is None else max(target, 0.0) + _TARGET_SLACK
     iterations = 0
     hit_cap = False
-    if gamma0.dim == 1:
-        if max_iters > 0 and j_cur > stop_at:
-            iterations = 1
-            grid = build_split_grid(gamma0, default_step(gamma0, ball), ball)
-            problem = build_improvement_problem(gamma0, grid, es)
-            dual = dual_potential(problem, solve_problem(problem))
-            j_dual, shares_dual = _evaluate(dual, baseline, aggregate, ball)
-            if j_dual < j_cur:
-                j_cur, shares, profile = j_dual, shares_dual, dual
-                history.append(j_cur)
-        hit_cap = max_iters == 0 and j_cur > stop_at
+    dual = None
+    if gamma0.dim == 1 and max_iters > 0 and j_cur > stop_at:
+        dual = _dual_step(gamma0, es, ball, marginals, optimum)
+    if dual is not None:
+        iterations = 1
+        j_dual, shares_dual = _evaluate(dual, baseline, aggregate, ball)
+        if j_dual < j_cur:
+            j_cur, shares, profile = j_dual, shares_dual, dual
+            history.append(j_cur)
         law_cur = _split_law(shares, aggregate)
     else:
         law_cur = _split_law(shares, aggregate)

@@ -15,6 +15,7 @@ import pytest
 from scipy.optimize import linprog
 
 import riskshare.improve
+import riskshare.lp
 from riskshare.cli import build_parser, run
 from riskshare.convex_order import AllocationVerdict
 from riskshare.infconv import profile_from_obj, sharing_law
@@ -24,6 +25,7 @@ from riskshare.measures import (
     validate_joint_law,
     validate_measure,
 )
+from riskshare.qdescent import minimize_q
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -288,6 +290,32 @@ class TestReports:
         assert report["statistic"] == pytest.approx(1.0, abs=1e-8)
         assert report["j_final"] >= report["statistic"] - 1e-6
         assert abs(report["sandwich_gap"]) <= 1e-3
+
+    def test_qdescent_solves_one_program(self, tmp_path, monkeypatch, capsys):
+        """The dual step reads the duals of the program the statistic came from."""
+        atoms = [([[0.0], [1.0]], 0.25), ([[-2.0], [-1.0]], 0.25), ([[1.0], [1.0]], 0.5)]
+        path = tmp_path / "stepped.json"
+        path.write_text(
+            json.dumps(
+                {"agents": 2, "dim": 1, "atoms": [{"x": x, "w": w} for x, w in atoms]}
+            )
+        )
+        real, calls = riskshare.lp.solve, []
+
+        def solve(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(riskshare.lp, "solve", solve)
+        code, report, _ = run_cli(["qdescent", str(path)], capsys)
+        assert code == 0 and len(calls) == 1
+        assert report["iterations"] == 1
+        law = validate_joint_law([(tuple(map(tuple, x)), w) for x, w in atoms])
+        own = minimize_q(
+            law, ball=BallConfig(radius=report["radius"]), target=report["statistic"]
+        )
+        assert len(calls) == 2  # the default-step program, solved by minimize_q itself
+        assert report["j_final"] == own.j < own.j_history[0]
 
     def test_counterexample_report(self, capsys):
         code, report, _ = run_cli(

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import riskshare.lp
 import riskshare.qdescent
-from riskshare.errors import DimensionMismatch, InputError
+from riskshare.errors import DimensionMismatch, InputError, NumericalBreakdown
 from riskshare.improve import (
     WALL_SLOPE,
     ZERO_GAP,
     build_improvement_problem,
     build_split_grid,
+    default_step,
     dual_potential,
     efficiency_statistic,
     solve_improvement_lp,
@@ -29,6 +30,7 @@ from riskshare.infconv import (
 from riskshare.measures import (
     BallConfig,
     joint_laws_equal,
+    marginal,
     validate_joint_law,
     validate_measure,
 )
@@ -42,6 +44,8 @@ ANTI_2D = [(((1.0, 0.0), (-1.0, 0.0)), 0.5), (((0.0, 1.0), (0.0, 1.0)), 0.5)]
 #: The sharing law of {0, 2} under ``kinked_generator``, on the first axis of the plane.
 KINK_2D = [(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.5, 0.0), (0.5, 0.0)), 0.5)]
 COMO = [(((0.0,), (0.0,)), 0.5), (((1.0,), (1.0,)), 0.5)]
+#: A law on which the cut loop takes many steps (17 at R = 4) and the dual step lowers J.
+STEPPED = [(((0.0,), (1.0,)), 0.25), (((-2.0,), (-1.0,)), 0.25), (((1.0,), (1.0,)), 0.5)]
 
 
 def quad_profile(p=2, dim=1):
@@ -268,6 +272,52 @@ class TestMinimizeQ:
         assert state.j_history == (state.j,)
         assert abs(state.j - stat) <= 1e-6
 
+    def test_program_over_the_budget_leaves_the_cut_loop(self, monkeypatch):
+        # at the default step (0.0625, R = 13.125) the program would have
+        # 421^2 * 2 lattice splits, more than even build_split_grid allows
+        gamma0 = validate_joint_law(
+            [(((10.0,), (-10.0,), (0.0,)), 0.5), (((10.5,), (-10.0,), (0.0,)), 0.5)]
+        )
+        stat = efficiency_statistic(gamma0, h=2.0)
+
+        def solve(*args, **kwargs):
+            raise AssertionError("no program is solved over the dual step's budget")
+
+        monkeypatch.setattr(riskshare.lp, "solve", solve)
+        state = minimize_q(gamma0, max_iters=25)
+        assert state.j >= stat - ZERO_GAP
+        assert state.iterations > 1  # the cut loop's steps
+        assert list(state.j_history) == sorted(state.j_history, reverse=True)
+
+    def test_simplex_breakdown_leaves_the_cut_loop(self, monkeypatch):
+        gamma0 = validate_joint_law(STEPPED)
+        monkeypatch.setattr(riskshare.qdescent, "DUAL_STEP_MAX_SPLITS", 1)
+        over_budget = minimize_q(gamma0, ball=BALL, max_iters=60)
+        monkeypatch.undo()
+
+        def solve(*args, **kwargs):
+            raise NumericalBreakdown("singular working basis")
+
+        monkeypatch.setattr(riskshare.lp, "solve", solve)
+        state = minimize_q(gamma0, ball=BALL, max_iters=60)
+        assert state.j_history == over_budget.j_history
+        assert state.iterations == over_budget.iterations > 1
+
+    def test_given_optimum_is_the_one_solved_program(self, monkeypatch):
+        gamma0 = validate_joint_law(STEPPED)
+        grid = build_split_grid(gamma0, default_step(gamma0, BALL), BALL)
+        problem = build_improvement_problem(gamma0, grid, [1.0, 1.0])
+        optimum = (problem, solve_problem(problem))
+        own = minimize_q(gamma0, ball=BALL)
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the given optimum is not solved again")
+
+        monkeypatch.setattr(riskshare.lp, "solve", solve)
+        state = minimize_q(gamma0, ball=BALL, optimum=optimum)
+        assert state.iterations == 1 and len(state.j_history) == 2
+        assert state.j_history == own.j_history
+
 
 class TestSandwich:
     def test_j_stays_above_statistic(self):
@@ -344,7 +394,7 @@ def _dual_sandwich(gamma0, eps, radius, h):
     at_input = math.fsum(
         w * sum(0.5 * e * y[0] ** 2 for e, y in zip(eps, tup)) for tup, w in gamma0.atoms
     )
-    psi = dual_potential(problem, out)
+    psi = dual_potential(problem, out, [marginal(gamma0, i) for i in range(gamma0.agents)], eps)
     return at_input - out.value, problem, out, psi, j_value(psi, gamma0, ball)
 
 
@@ -360,8 +410,8 @@ class TestDualPotential:
     def test_walls_are_steeper_than_the_edges_next_to_them(self):
         cases = _sandwich_laws() + [(validate_joint_law([(((1.0,), (-1.0,)), 1.0)]), [1.0, 1.0], 6.0)]
         for gamma0, eps, radius in cases:
-            _, problem, _, psi, _ = _dual_sandwich(gamma0, eps, radius, 0.5)
-            for ag, margin in zip(psi.agents, problem.marginals):
+            _, _, _, psi, _ = _dual_sandwich(gamma0, eps, radius, 0.5)
+            for i, ag in enumerate(psi.agents):
                 *edges, (lo, b_lo), (hi, b_hi) = ag.pieces
                 if not edges:  # one atom: the walls alone
                     assert (lo[0], hi[0]) == (-WALL_SLOPE, WALL_SLOPE)
@@ -369,7 +419,7 @@ class TestDualPotential:
                 assert lo[0] == edges[0][0][0] - WALL_SLOPE
                 assert hi[0] == edges[-1][0][0] + WALL_SLOPE
                 # on the marginal's atoms no wall rises above the envelope's edges
-                ys = margin.support_array()[:, 0]
+                ys = marginal(gamma0, i).support_array()[:, 0]
                 envelope = np.max([a[0] * ys + b for a, b in edges], axis=0)
                 for a, b in ((lo, b_lo), (hi, b_hi)):
                     assert np.all(a[0] * ys + b <= envelope + 1e-12 * (1.0 + np.abs(envelope)))
@@ -380,8 +430,9 @@ class TestDualPotential:
         problem = build_improvement_problem(
             gamma0, build_split_grid(gamma0, 1.0, ball), [1.0, 1.0]
         )
+        margins = [marginal(gamma0, i) for i in range(2)]
         with pytest.raises(DimensionMismatch):
-            dual_potential(problem, solve_problem(problem))
+            dual_potential(problem, solve_problem(problem), margins, [1.0, 1.0])
 
 
 @st.composite
