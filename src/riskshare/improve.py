@@ -33,7 +33,6 @@ bounds the gap from above; see :mod:`riskshare.qdescent`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -72,8 +71,8 @@ _VERIFY_TOL_FLOOR = 1e-7
 #: times the aggregate atoms.
 MAX_GRID_SPLITS = 100_000
 #: Cap on the entries (rows times columns) of the dense improvement program
-#: ``build_improvement_problem`` assembles: 40 MB as float64, about 35 times
-#: the largest program the tests or ``perfbench`` build (265 x 529).
+#: ``build_improvement_problem`` assembles: 40 MB as float64, about 65 times
+#: the largest program the tests or ``perfbench`` build (201 x 385).
 MAX_LP_ENTRIES = 5_000_000
 #: How much steeper than the envelope's end edges the walls of
 #: ``dual_potential`` rise beyond the baseline marginal's range.
@@ -82,8 +81,37 @@ WALL_SLOPE = 100.0
 Split = tuple[Coords, ...]
 
 
-def _key(values) -> tuple[int, ...]:
-    return tuple(int(round(float(v) / _DEDUP_RES)) for v in values)
+def _keys(values: np.ndarray) -> np.ndarray:
+    """Identity keys of coordinates: each divided by ``_DEDUP_RES`` and
+    rounded half to even, kept as floats (exact integers).  A coordinate
+    whose key would not be finite is refused with ``InputError``."""
+    with np.errstate(over="ignore"):
+        keys = np.rint(values / _DEDUP_RES)
+    if not np.isfinite(keys).all():
+        bad = float(values.flat[int(np.argmin(np.isfinite(keys)))])
+        raise InputError(
+            f"coordinate {bad!r} is too large to tell apart from its neighbours "
+            f"at the resolution _DEDUP_RES = {_DEDUP_RES}"
+        )
+    return keys
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``keys``, numbered in order of first appearance.
+
+    Returns the index of each distinct row's first occurrence, in that
+    order, and for every row the number of its distinct row.
+    """
+    order = np.lexsort(keys.T)  # stable: equal rows adjacent, in row order
+    ranked = keys[order]
+    head = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+    first = order[head]  # per distinct row, in key order
+    number = np.empty_like(first)
+    number[first.argsort()] = np.arange(first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = number[head.cumsum() - 1]
+    first.sort()
+    return first, inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +134,15 @@ class SplitGrid:
         return sum(len(c) for c in self.candidates)
 
 
-def _lattice_points(h: float, ball: BallConfig, bounds) -> list[Coords]:
+def _lattice_points(h: float, ball: BallConfig, bounds) -> np.ndarray:
+    """The points ``m * h`` of the ball, one per row, in lexicographic order of ``m``."""
     axes = [
-        [m * h for m in range(math.ceil(lo), math.floor(hi) + 1)] for lo, hi in bounds
+        np.array([m * h for m in range(math.ceil(lo), math.floor(hi) + 1)], dtype=float)
+        for lo, hi in bounds
     ]
-    pts = []
-    for combo in itertools.product(*axes):
-        if ball.contains(combo):
-            pts.append(tuple(float(v) for v in combo))
-    return pts
+    index = np.indices([len(axis) for axis in axes]).reshape(len(axes), -1)
+    box = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+    return box[ball.contains_rows(box)]
 
 
 def build_split_grid(
@@ -122,7 +150,13 @@ def build_split_grid(
 ) -> SplitGrid:
     """Lattice splits of each aggregate atom, plus the baseline's own splits;
     ``ProblemTooLarge`` when they could number more than ``max_splits``
-    (default ``MAX_GRID_SPLITS``)."""
+    (default ``MAX_GRID_SPLITS``).
+
+    An atom's candidates are, in this order and each kept at its first
+    appearance by identity key: the lattice points of the first ``p - 1``
+    agents in lexicographic order, each completed by the last agent's share
+    when that share lies in the ball, then the baseline's own splits of it.
+    """
     if not (math.isfinite(h) and h > 0):
         raise InputError(f"grid step must be positive and finite, got {h!r}")
     d, p = gamma0.dim, gamma0.agents
@@ -149,37 +183,33 @@ def build_split_grid(
             f"exceed the limit of {max_splits}"
         )
     lattice = _lattice_points(h, ball, bounds)
+    # every (p-1)-tuple of lattice points, the first agent's point slowest,
+    # completed for each aggregate atom by the last share when that is in the ball
+    n_combos = len(lattice) ** (p - 1)
+    combos = lattice[np.indices((len(lattice),) * (p - 1)).reshape(p - 1, n_combos).T]
+    last = m0.support_array()[:, None, :] - np.sum(combos, axis=1)[None, :, :]
+    inside = ball.contains_rows(last.reshape(-1, d)).reshape(m0.size, n_combos)
+    heads = combos.reshape(1, n_combos, (p - 1) * d).repeat(m0.size, axis=0)
+    lattice_splits = np.concatenate([heads, last], axis=2)[inside]
+    # each baseline split is a candidate of the atom it sums to, and of
+    # no other: a split of an atom 1e-11 away would change the sum law
     _, atom_of = _merge_targets([_tuple_sum(tup, d) for tup, _ in gamma0.atoms])
-    baseline_splits = [(0, 0)] * gamma0.size
-    per_atom: list[tuple[Split, ...]] = []
-    for t, (s, _) in enumerate(m0.atoms):
-        seen: dict[tuple[int, ...], Split] = {}
-        s_arr = np.asarray(s)
-        for combo in itertools.product(lattice, repeat=p - 1):
-            y_last = s_arr - np.sum(np.asarray(combo).reshape(p - 1, d), axis=0)
-            if not ball.contains(y_last):
-                continue
-            split = tuple(combo) + (tuple(float(v) for v in y_last),)
-            seen.setdefault(_key([v for pt in split for v in pt]), split)
-        # each baseline split is a candidate of the atom it sums to, and of
-        # no other: a split of an atom 1e-11 away would change the sum law
-        own = {
-            a: _key([v for pt in tup for v in pt])
-            for a, (tup, _) in enumerate(gamma0.atoms)
-            if atom_of[a] == t
-        }
-        for a, k in own.items():
-            seen.setdefault(k, gamma0.atoms[a][0])
-        index = {k: u for u, k in enumerate(seen)}
-        for a, k in own.items():
-            baseline_splits[a] = (t, index[k])
-        per_atom.append(tuple(seen.values()))
+    own_splits = gamma0.component_array().reshape(gamma0.size, p * d)
+    # rows by atom, each atom's lattice splits before its baseline splits
+    atom = np.concatenate([np.nonzero(inside)[0], atom_of])
+    order = np.argsort(atom, kind="stable")
+    rows, atom = np.concatenate([lattice_splits, own_splits])[order], atom[order]
+    first, number = _first_appearance(np.concatenate([atom[:, None], _keys(rows)], axis=1))
+    starts = np.searchsorted(atom[first], np.arange(m0.size + 1)).tolist()
+    moved_to = np.argsort(order)[len(lattice_splits) :]  # the baseline rows' places
+    own = number[moved_to] - np.array(starts)[atom_of]
+    splits = [tuple(map(tuple, split)) for split in rows[first].reshape(-1, p, d).tolist()]
     return SplitGrid(
         aggregate=m0,
-        candidates=tuple(per_atom),
+        candidates=tuple(tuple(splits[lo:hi]) for lo, hi in zip(starts, starts[1:])),
         h=float(h),
         ball=ball,
-        baseline_splits=tuple(baseline_splits),
+        baseline_splits=tuple(zip(atom_of, own.tolist())),
     )
 
 
@@ -252,11 +282,12 @@ def build_improvement_problem(
     (rows times columns, default ``MAX_LP_ENTRIES``) is refused with
     ``ProblemTooLarge``.
     """
-    p, m0 = gamma0.agents, grid.aggregate
-    splits = [split for cands in grid.candidates for split in cands]
+    p, d, m0 = gamma0.agents, gamma0.dim, grid.aggregate
     sizes = [len(cands) for cands in grid.candidates]
     starts = np.cumsum([0] + sizes)
-    own = [int(starts[t]) + u for t, u in grid.baseline_splits]
+    own = np.array([int(starts[t]) + u for t, u in grid.baseline_splits])
+    splits = np.array([split for cands in grid.candidates for split in cands], dtype=float)
+    splits = splits.reshape(len(splits), p, d)
     margs = [marginal(gamma0, i) for i in range(p)]
     share_of = [_merge_targets([tup[i] for tup, _ in gamma0.atoms])[1] for i in range(p)]
 
@@ -265,20 +296,17 @@ def build_improvement_problem(
     # baseline weighs each share (as a point) on itself (as a marginal atom)
     agents = []
     for i in range(p):
-        seen: dict[tuple[int, ...], Coords] = {}
-        for split in splits:
-            seen.setdefault(_key(split[i]), split[i])
-        index = {k: z for z, k in enumerate(seen)}
-        point_of = np.array([index[_key(split[i])] for split in splits])
-        weighted = np.zeros((len(seen), margs[i].size), dtype=bool)
+        first, point_of = _first_appearance(_keys(splits[:, i, :]))
+        weighted = np.zeros((first.size, margs[i].size), dtype=bool)
         weighted[point_of[own], share_of[i]] = True
-        Z = np.array(list(seen.values()))
+        Z = splits[first, i, :]
         agents.append((Z, point_of, *_reachable(Z, margs[i].support_array(), weighted)))
     # a split stays when each of its points reaches an atom, and a point
     # when a split that stays uses it; points are renumbered among those kept
     kept = np.all([reach.any(axis=1)[point_of] for _, point_of, reach, _ in agents], axis=0)
     for i, (Z, point_of, reach, bary_rows) in enumerate(agents):
-        used = np.isin(np.arange(len(Z)), point_of[kept])
+        used = np.zeros(len(Z), dtype=bool)
+        used[point_of[kept]] = True
         agents[i] = (Z[used], (np.cumsum(used) - 1)[point_of], reach[used], bary_rows[used])
 
     n_gamma = int(np.count_nonzero(kept))
@@ -323,17 +351,25 @@ def build_improvement_problem(
         kernel_col.append(col - 1 + np.cumsum(reach).reshape(reach.shape))
         col += on.size
 
+    # the floor cost of each split, summed over agents in order as
+    # ``_floor_cost`` does; a stacked row-by-column matmul takes each |y|^2
+    # from the same dot kernel as ``np.dot``
+    cost = 0.0
+    for e, y in zip(eps, np.moveaxis(splits, 1, 0)):
+        cost = cost + 0.5 * e * np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
     c = np.zeros(n_vars)
-    c[:n_gamma] = [_floor_cost(split, eps) for split in itertools.compress(splits, kept)]
+    c[:n_gamma] = cost[kept]
 
     # the baseline embedding: atom a's weight goes on its own split, and on
     # agent i's kernel entry from its share (as a candidate point z) to the
-    # same share (as the atom j of the marginal that merged it)
+    # same share (as the atom j of the marginal that merged it); each entry
+    # adds its atoms' weights in atom order
+    cols = [gamma_col[own]] + [
+        kcol[point_of[own], share]
+        for (_, point_of, _, _), kcol, share in zip(agents, kernel_col, share_of)
+    ]
     baseline = np.zeros(n_vars)
-    for a, (_, w) in enumerate(gamma0.atoms):
-        baseline[gamma_col[own[a]]] += w
-        for (_, point_of, _, _), cols, share in zip(agents, kernel_col, share_of):
-            baseline[cols[point_of[own[a]], share[a]]] += w
+    np.add.at(baseline, np.concatenate(cols), np.concatenate([gamma0.weights_array()] * (p + 1)))
     return ImprovementProblem(
         lp.LinearProgram(c=c, A=A, b=b), grid, gamma_cols, baseline, tuple(marginal_rows)
     )
@@ -523,11 +559,11 @@ def improvement_report(
 
 
 def default_radius(gamma0: JointLaw) -> float:
-    """1.25 x the largest component norm in the baseline (1.0 if all zero)."""
-    worst = 0.0
-    for tup, _ in gamma0.atoms:
-        for pt in tup:
-            worst = max(worst, float(np.linalg.norm(pt)))
+    """1.25 x the largest component norm in the baseline (1.0 if all zero).
+
+    ``math.hypot`` takes the norm without overflow, and in 1-D it is ``|y|``.
+    """
+    worst = max(math.hypot(*pt) for tup, _ in gamma0.atoms for pt in tup)
     return 1.25 * worst if worst > 0 else 1.0
 
 

@@ -90,7 +90,26 @@ class BallConfig:
         built: the 1-D sharing map checks every share with this.
         """
         center = (0.0,) * len(coords) if self.center is None else self.center_for(len(coords))
-        return math.dist(coords, center) <= self.radius * (1.0 + BALL_TOL) + MERGE_TOL
+        return math.dist(coords, center) <= self._limit()
+
+    def contains_rows(self, points: np.ndarray) -> np.ndarray:
+        """``contains`` on each row of the ``(n, dim)`` array ``points``.
+
+        ``math.dist`` and the NumPy norm can differ by an ulp when
+        ``dim >= 2``, so a row whose NumPy distance lies within rounding of
+        the limit, or is not finite, takes ``contains`` itself.
+        """
+        limit = self._limit()
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = np.hypot.reduce(np.abs(points - self.center_for(points.shape[1])), axis=1)
+            inside = dist <= limit
+            unsure = ~(np.abs(dist - limit) > ROUNDING * limit) | np.isinf(dist)
+        for k in np.flatnonzero(unsure).tolist():
+            inside[k] = self.contains(points[k].tolist())
+        return inside
+
+    def _limit(self) -> float:
+        return self.radius * (1.0 + BALL_TOL) + MERGE_TOL
 
 
 def _merge_targets(
@@ -262,10 +281,11 @@ def validate_joint_law(
 
 def require_shares_in_ball(law: JointLaw, ball: BallConfig) -> None:
     """Raise InputError naming the first share of ``law`` outside ``ball``."""
-    for tup, _ in law.atoms:
-        for pt in tup:
-            if not ball.contains(pt):
-                raise InputError(f"share {pt!r} lies outside the ball of radius {ball.radius}")
+    inside = ball.contains_rows(law.component_array().reshape(-1, law.dim))
+    if not inside.all():
+        a, i = divmod(int(np.argmin(inside)), law.agents)
+        pt = law.atoms[a][0][i]
+        raise InputError(f"share {pt!r} lies outside the ball of radius {ball.radius}")
 
 
 def marginal(law: JointLaw, agent: int) -> DiscreteMeasure:

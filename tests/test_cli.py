@@ -243,6 +243,38 @@ class TestExitCodes:
         baseline = sum(w * sum(0.5 * float(np.dot(y, y)) for y in tup) for tup, w in law.atoms)
         assert report["statistic"] == pytest.approx(baseline - ref.fun, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "geometry",
+        [["--radius", "2e300", "--grid-step", "1e300"], []],
+        ids=["given-geometry", "default-geometry"],
+    )
+    def test_coordinate_too_large_to_key(self, geometry, tmp_path):
+        # shares of 1e300: the default radius must not overflow, and the
+        # grid's identity keys would, so the request is refused as input
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "agents": 2,
+                    "dim": 1,
+                    "atoms": [
+                        {"x": [[1e300], [-1e300]], "w": 0.5},
+                        {"x": [[0.0], [0.0]], "w": 0.5},
+                    ],
+                }
+            )
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskshare.cli", "stat", str(path), *geometry],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert "_DEDUP_RES" in report["error"]
+        assert proc.stderr.startswith("error: ") and "Warning" not in proc.stderr
+
     def test_nan_rejected(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         bad.write_text('{"dim": 1, "atoms": [{"x": [NaN], "w": 1.0}]}')

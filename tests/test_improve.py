@@ -31,6 +31,8 @@ from riskshare.measures import (
 TOL = 1e-8
 
 ANTI = [(((1.0,), (-1.0,)), 0.5), (((0.0,), (2.0,)), 0.5)]
+#: Shares whose squares overflow and whose identity keys would too.
+BIG = [(((1e300,), (-1e300,)), 0.5), (((0.0,), (0.0,)), 0.5)]
 COMO = [(((0.0,), (0.0,)), 0.5), (((1.0,), (1.0,)), 0.5)]
 
 
@@ -120,6 +122,12 @@ class TestBuildSplitGrid:
             build_split_grid(gamma0, h=0.0, ball=BallConfig(radius=2.0))
         with pytest.raises(InputError):
             build_split_grid(gamma0, h=1.0, ball=BallConfig(radius=0.5))
+
+    def test_coordinate_too_large_to_key(self):
+        # keys of 2e300 at the resolution 1e-9 overflow: refused, not merged
+        gamma0 = validate_joint_law(BIG)
+        with pytest.raises(InputError, match=r"coordinate .*e\+300 .*_DEDUP_RES = 1e-09"):
+            build_split_grid(gamma0, h=1e300, ball=BallConfig(radius=2e300))
 
     def test_split_cap(self, monkeypatch):
         # two agents: the 1-D lattice in [-2, 2] times the aggregate atoms
@@ -400,3 +408,8 @@ class TestConvenience:
         R = default_radius(gamma0)
         assert R == pytest.approx(2.5)
         assert default_step(gamma0, BallConfig(radius=R)) == pytest.approx(0.25)
+
+    def test_default_radius_does_not_overflow(self):
+        assert default_radius(validate_joint_law(BIG)) == 1.25e300
+        two_d = validate_joint_law([(((3e300, 4e300), (-3e300, -4e300)), 1.0)])
+        assert default_radius(two_d) == pytest.approx(6.25e300, rel=1e-15)
