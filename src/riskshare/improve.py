@@ -321,6 +321,24 @@ def build_improvement_problem(
             f"more than the limit of {max_entries} entries; use a coarser grid step"
         )
 
+    # the floor cost of each split, summed over agents in order as
+    # ``_floor_cost`` does; a stacked row-by-column matmul takes each |y|^2
+    # from the same dot kernel as ``np.dot``
+    cost = 0.0
+    with np.errstate(over="ignore"):
+        for e, y in zip(eps, np.moveaxis(splits, 1, 0)):
+            cost = cost + 0.5 * e * np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+    overflow = kept & ~np.isfinite(cost)
+    if overflow.any():
+        # name one of the law's own shares when its split overflows, else a
+        # kept grid point's, no larger: kept points lie in the hull of the law's
+        k = own[overflow[own]][0] if overflow[own].any() else np.flatnonzero(overflow)[0]
+        i = int(np.argmax(np.max(np.abs(splits[k]), axis=1)))
+        raise InputError(
+            f"share {tuple(splits[k, i].tolist())!r} of agent {i} is too large: "
+            f"its floor cost (eps/2) |y|^2 overflows"
+        )
+
     gamma_col = np.where(kept, np.cumsum(kept) - 1, -1)
     gamma_cols = tuple(tuple(gamma_col[lo:hi].tolist()) for lo, hi in zip(starts, starts[1:]))
     A, b = np.zeros((n_rows, n_vars)), np.zeros(n_rows)
@@ -351,12 +369,6 @@ def build_improvement_problem(
         kernel_col.append(col - 1 + np.cumsum(reach).reshape(reach.shape))
         col += on.size
 
-    # the floor cost of each split, summed over agents in order as
-    # ``_floor_cost`` does; a stacked row-by-column matmul takes each |y|^2
-    # from the same dot kernel as ``np.dot``
-    cost = 0.0
-    for e, y in zip(eps, np.moveaxis(splits, 1, 0)):
-        cost = cost + 0.5 * e * np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
     c = np.zeros(n_vars)
     c[:n_gamma] = cost[kept]
 

@@ -32,14 +32,22 @@ product with a column of it costs its nonzeros, not its rows: pricing
 ``c - Aᵀy`` and the entering column ``B⁻¹a`` (FTRAN).
 
 The working basis is held as an explicit dense inverse.  A simplex run
-inverts its start basis once, unless it is handed one; every pivot then
-updates the inverse by a rank-one (eta) step on the rows where ``B⁻¹a`` is
-nonzero, and moves the basic values and the duals along with it, instead
-of re-inverting in O(m³).  The inverse, the basic values and the duals are recomputed from
-scratch every ``REFACTOR_INTERVAL`` pivots to stop rounding from building
-up.  No verdict is read off an updated inverse: before a run reports
-optimal or unbounded it refactorises, so the final basic values and duals
-come from a fresh inverse.
+inverts its start basis once, unless it is handed one (phase 1 from the
+all-artificial basis is handed the identity); every pivot then updates the
+inverse by a rank-one (eta) step on the rows where ``B⁻¹a`` is nonzero,
+and moves the basic values and the duals along with it, instead of
+re-inverting in O(m³).  The inverse, the basic values and the duals are
+recomputed from scratch every ``REFACTOR_INTERVAL`` pivots to stop
+rounding from building up.
+
+No verdict is read off an updated inverse.  Phase 2 reads an optimal
+verdict off basic values and duals solved fresh from the basis's
+structural block: a basic artificial is the unit vector of its row, so
+with k structural columns basic, one k x k solve per side gives them,
+with no m x m inverse.  Phase 1, whose inverse phase 2 takes over, and an
+unbounded verdict refactorise the whole basis instead.  The verdict is
+then priced again from the fresh values; a column that enters after all
+is pivoted on from a fresh inverse.
 
 Every ``Optimal`` outcome is certified before it is returned: primal
 residual, complementary slackness and the duality gap are all checked
@@ -52,6 +60,9 @@ takes no pivot there, and phase 1's point is certified like any optimum.
 Anti-cycling: pivoting starts under Dantzig's rule and switches to
 Bland's rule permanently once ``3 * n_columns`` consecutive degenerate
 steps have been taken, counted over the columns that may enter.
+Dantzig's rule takes the entering column with one ``argmin`` (ties by
+index); the other candidates are sorted only when that column stalls, its
+entries all positive but none above ``PIVOT_TOL``.
 """
 
 from __future__ import annotations
@@ -199,19 +210,67 @@ def _pivot(invB: np.ndarray, d: np.ndarray, r: int) -> None:
     invB[r] = row
 
 
+def _entering(z: np.ndarray, negative: np.ndarray, bland: bool):
+    """The columns ``negative`` with ``z < -OPT_TOL``, in the order they are tried.
+
+    Under Bland's rule that is index order; under Dantzig's it is ascending
+    reduced cost, ties by index.  Nearly every pivot takes the first
+    candidate, so the full order is sorted only when that one stalls.
+    """
+    if bland or negative.size < 2:
+        yield from negative.tolist()
+        return
+    zn = z[negative]
+    yield int(negative[np.argmin(zn)])  # the first entry of the stable sort
+    yield from negative[np.argsort(zn, kind="stable")[1:]].tolist()
+
+
+def _structural_solution(
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray, pivots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Basic values and duals of ``basis``, solved fresh from its structural block.
+
+    ``A`` is the system ``[A | I]``.  A basic artificial is the unit vector
+    of its row, so the k structural basic columns, on the k rows no basic
+    artificial covers, form a k x k block ``B_s``: ``B_s x_s = b_s`` and
+    ``B_sᵀ y_s = c_s - S_aᵀ c_a``, where ``S_a`` holds the structural
+    columns' entries on the covered rows.  The artificial slots then take
+    ``x_a = b_a - S_a x_s``, and their rows ``y_a = c_a``.  A singular
+    block becomes a ``_Breakdown``.
+    """
+    m, n = A.shape[0], A.shape[1] - A.shape[0]
+    art = basis >= n
+    rows = basis[art] - n  # the row of each artificial slot
+    free = np.ones(m, dtype=bool)
+    free[rows] = False
+    B = A[:, basis[~art]]
+    B_s, S_a = B[free], B[rows]
+    xB, y = np.empty(m), np.empty(m)
+    y[rows] = c[basis[art]]
+    try:
+        x_s = np.linalg.solve(B_s, b[free])
+        y[free] = np.linalg.solve(B_s.T, c[basis[~art]] - S_a.T @ y[rows])
+    except np.linalg.LinAlgError as exc:
+        raise _Breakdown(f"singular working basis: {exc}", pivots) from exc
+    xB[~art] = x_s
+    xB[art] = b[rows] - S_a @ x_s
+    return xB, y
+
+
 def _simplex_iterations(
     A: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    basis: list[int],
+    basis: np.ndarray,
     columns: _Columns,
     n_enter: int,
     invB: Optional[np.ndarray] = None,
     updates: int = 0,
-) -> tuple[str, list[int], np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], int]:
     """Run simplex to optimality/unboundedness from a feasible basis.
 
-    ``A`` is the system ``[A | I]`` and ``columns`` its compressed copy.
+    ``A`` is the system ``[A | I]`` and ``columns`` its compressed copy;
+    ``basis`` (an int array, updated in place) holds a column per row.
     Only the first ``n_enter`` columns may enter; a basic column past them
     is a variable fixed at 0.  It blocks any entering column whose entry on
     its row exceeds ``PIVOT_TOL`` in absolute value, with either sign, at
@@ -220,17 +279,24 @@ def _simplex_iterations(
     steps since it was fresh; otherwise the run inverts the start basis.
 
     Returns (status, basis, basic values, duals, basis inverse, pivot
-    count) with status "optimal" or "unbounded"; the inverse, the basic
-    values and the duals are fresh.  Between refactorisations the basic
-    values and the duals are moved along with each pivot.
+    count) with status "optimal" or "unbounded".  Between refactorisations
+    the basic values and the duals are moved along with each pivot; the
+    ones returned are fresh.  When artificial columns may not enter (phase
+    2), an optimal verdict reached after updates is read off
+    ``_structural_solution`` and no inverse is returned.  Before any other
+    verdict after updates, phase 1's included (phase 2 takes over its
+    inverse), the whole basis is refactorised.  Either way the verdict is
+    priced again from the fresh values, and a column that then enters is
+    pivoted on from a fresh inverse.
     """
     m = A.shape[0]
-    held = np.flatnonzero(np.array(basis) >= n_enter)  # slots of variables fixed at 0
+    held = np.flatnonzero(basis >= n_enter)  # slots of variables fixed at 0
     pivots = 0
     refactor = invB is None
     if invB is not None:
         xB = invB @ b
         y = invB.T @ c[basis]
+    solved = False  # xB and y were just solved from the structural block
     degen_run = 0
     bland = False
     max_iter = 200 * (m + n_enter) + 5000
@@ -246,13 +312,14 @@ def _simplex_iterations(
         z[basis] = 0.0
 
         negative = (z[:n_enter] < -OPT_TOL).nonzero()[0]
-        if bland:
-            candidates = negative  # already in ascending index order
-        else:
-            candidates = negative[np.argsort(z[negative], kind="stable")]
+        if solved:
+            if negative.size == 0:
+                return "optimal", basis, xB, y, None, pivots
+            solved, refactor = False, True
+            continue
 
         verdict: Optional[str] = "optimal"
-        for j in candidates:
+        for j in _entering(z, negative, bland):
             d = columns.ftran(invB, j)
             # a variable fixed at 0 blocks at step 0; of several, the one
             # with the largest entry leaves
@@ -272,7 +339,7 @@ def _simplex_iterations(
                 theta = np.min(ratios)
                 ties = eligible[ratios <= theta + ZERO_WEIGHT]
                 # leave on the smallest variable index (Bland-compatible, deterministic)
-                r = min(ties, key=lambda i: basis[i])
+                r = int(ties[np.argmin(basis[ties])])
                 step = xB[r] / d[r]
             if theta <= ZERO_WEIGHT:
                 degen_run += 1
@@ -286,15 +353,19 @@ def _simplex_iterations(
             # y moves by z_j times the new row r of B⁻¹: a_j·y becomes c_j,
             # and a·y is unchanged for every other basic column a
             y += z[j] * invB[r]
-            basis[r] = int(j)
+            basis[r] = j
             pivots += 1
             updates += 1
             verdict = None
             break
         if verdict is None:
             continue
-        if updates:
-            refactor = True  # read no verdict off an updated inverse
+        if updates:  # read no verdict off an updated inverse
+            if verdict == "optimal" and n_enter < A.shape[1]:
+                xB, y = _structural_solution(A, b, c, basis, pivots)
+                solved = True
+            else:
+                refactor = True
             continue
         if verdict == "stalled":
             raise _Breakdown(
@@ -305,7 +376,7 @@ def _simplex_iterations(
 
 
 def _crash(
-    A: np.ndarray, columns: _Columns, x: np.ndarray, basis: list[int], invB: np.ndarray
+    A: np.ndarray, columns: _Columns, x: np.ndarray, basis: np.ndarray, invB: np.ndarray
 ) -> int:
     """Pivot the support of a feasible point ``x`` into the all-artificial basis.
 
@@ -336,12 +407,12 @@ def _crash(
         if on_held[r] <= PIVOT_TOL:
             slots = (~held).nonzero()[0]
             falling = slots[d[slots] < -PIVOT_TOL]
-            ratios = x[[basis[k] for k in falling]] / -d[falling]
+            ratios = x[basis[falling]] / -d[falling]
             step = float(np.min(ratios, initial=np.inf))
             stays_out = x[j] <= step + ZERO_WEIGHT
             if stays_out:
                 step = x[j]
-            cols = [basis[k] for k in slots]
+            cols = basis[slots]
             x[cols] = np.maximum(x[cols] + step * d[slots], 0.0)
             x[j] -= step
             if stays_out:
@@ -358,7 +429,7 @@ def _crash(
 
 def _phase_one(
     A: np.ndarray, b: np.ndarray, columns: _Columns, start: Optional[np.ndarray] = None
-) -> tuple[float, list[int], np.ndarray, np.ndarray, int, int]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Minimize the sum of artificial variables from the basis of ``start``'s support.
 
     ``A`` is the system ``[A | I]`` and ``columns`` its compressed copy.
@@ -371,8 +442,8 @@ def _phase_one(
     m = A.shape[0]
     n = A.shape[1] - m
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    invB = np.eye(m)
+    basis = np.arange(n, n + m)
+    invB = np.eye(m)  # the identity basis is its own inverse
     updates = 0
     if start is not None and m:  # with no rows every basis is empty
         updates = _crash(A, columns, start, basis, invB)
@@ -380,7 +451,11 @@ def _phase_one(
     if float(np.sum(np.abs(xB[c1[basis] > 0]))) <= FEAS_TOL:
         y, pivots = invB.T @ c1[basis], 0
     else:
-        status, basis, xB, y, invB, pivots = _simplex_iterations(A, b, c1, basis, columns, n + m)
+        # a fresh inverse of the start basis serves as it is; after the
+        # crash's rank-one updates the run inverts the basis again
+        status, basis, xB, y, invB, pivots = _simplex_iterations(
+            A, b, c1, basis, columns, n + m, None if updates else invB
+        )
         if status != "optimal":
             raise _Breakdown("phase 1 reported unbounded; objective is bounded below", pivots)
         updates = 0
@@ -465,7 +540,7 @@ def _two_phase(lp: LinearProgram, start: Optional[np.ndarray]) -> LPOutcome:
         value = float(lp.c @ x)
         # a row whose artificial is still basic has dual 0 exactly, not the
         # rounding that the inverse leaves there
-        y[[j - n for j in basis if j >= n]] = 0.0
+        y[basis[basis >= n] - n] = 0.0
         duals = y * signs
         _certify(lp, x, duals, value)
     except _Breakdown as exc:

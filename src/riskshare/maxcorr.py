@@ -4,7 +4,7 @@
 ``mu``.  On the line the maximum is attained by pairing quantiles in the
 same order (comonotone rearrangement), so a sorted merge of the two atom
 lists computes it exactly.  In higher dimension the coupling is found by
-linear programming.
+linear programming, from a greedy basic plan.
 
 ``rho`` is subadditive over components of an allocation; the nonnegative
 defect ``sum_i rho(X_i) - rho(sum_i X_i)`` (the gap) vanishes exactly on
@@ -104,15 +104,42 @@ def _sorted_merge(xi: DiscreteMeasure, mu: DiscreteMeasure):
     return value, tuple(pairs)
 
 
+def _greedy_plan(c: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """A basic coupling of ``supply`` (rows) and ``demand`` (columns), flattened
+    row-major: the cells are visited by increasing cost ``c``, ties by index,
+    and each takes the smaller of its row's and its column's remaining mass.
+
+    Each cell that takes mass uses up its row or its column, so the cells
+    with mass form a forest: the plan is a vertex of the transport polytope
+    (Dantzig's initial basic plan of the transportation problem).
+    """
+    m = demand.size
+    rows, cols = supply.tolist(), demand.tolist()
+    plan = np.zeros(c.size)
+    for k in np.argsort(c, kind="stable").tolist():
+        i, j = divmod(k, m)
+        t = min(rows[i], cols[j])
+        if t > 0.0:
+            plan[k] = t
+            rows[i] -= t
+            cols[j] -= t
+    return plan
+
+
 def _lp_coupling(xi: DiscreteMeasure, mu: DiscreteMeasure):
-    """Maximize sum pi_ij <x_i, y_j> over couplings, by linear programming."""
+    """Maximize sum pi_ij <x_i, y_j> over couplings, by linear programming.
+
+    The simplex starts at ``_greedy_plan``, the vertex that fills the cells
+    of largest ``<x_i, y_j>`` first, so phase 1 takes no pivot.
+    """
     n, m = xi.size, mu.size
     X, Y = xi.support_array(), mu.support_array()
     c = -(X @ Y.T).reshape(n * m)
     row_sums, col_sums, _ = plan_rows(X, Y)
     A = np.vstack([row_sums, col_sums])
-    b = np.concatenate([xi.weights_array(), mu.weights_array()])
-    out = lp.solve(lp.LinearProgram(c=c, A=A, b=b))
+    supply, demand = xi.weights_array(), mu.weights_array()
+    b = np.concatenate([supply, demand])
+    out = lp.solve(lp.LinearProgram(c=c, A=A, b=b), start=_greedy_plan(c, supply, demand))
     if out.status is not lp.LPStatus.OPTIMAL:
         raise SolverFailure(
             f"coupling program of {n} x {m} atoms reported {out.status.value}; "

@@ -275,6 +275,49 @@ class TestExitCodes:
         assert "_DEDUP_RES" in report["error"]
         assert proc.stderr.startswith("error: ") and "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "geometry",
+        [["--radius", "2e200", "--grid-step", "1e200"], []],
+        ids=["given-geometry", "default-geometry"],
+    )
+    def test_share_whose_floor_cost_overflows(self, geometry, tmp_path):
+        # shares of 1e200 have finite identity keys but square to inf: the
+        # request is refused as input, warning-free even when warnings are
+        # errors, and not as a verdict or a traceback
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "agents": 2,
+                    "dim": 1,
+                    "atoms": [
+                        {"x": [[1e200], [-1e200]], "w": 0.5},
+                        {"x": [[0.0], [0.0]], "w": 0.5},
+                    ],
+                }
+            )
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "riskshare.cli",
+                "stat",
+                str(path),
+                *geometry,
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["error"].startswith("share (1e+200,) of agent 0 is too large")
+        # nothing on stderr but the error line itself
+        assert proc.stderr == f"error: {report['error']}\n"
+
     def test_nan_rejected(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         bad.write_text('{"dim": 1, "atoms": [{"x": [NaN], "w": 1.0}]}')

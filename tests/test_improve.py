@@ -389,6 +389,33 @@ class TestBaselineEmbedding:
         assert rep.statistic == pytest.approx(1.0, abs=1e-9)
 
 
+class TestFloorCost:
+    #: Shares of 1e200: their keys are finite, their squares are not.
+    HUGE = [(((1e200,), (-1e200,)), 0.5), (((0.0,), (0.0,)), 0.5)]
+
+    @pytest.mark.parametrize(
+        "geometry", [(1e200, 2e200), None], ids=["given-geometry", "default-geometry"]
+    )
+    def test_share_whose_floor_cost_overflows(self, geometry):
+        gamma0 = validate_joint_law(self.HUGE)
+        if geometry is None:
+            ball = BallConfig(radius=default_radius(gamma0))
+            h = default_step(gamma0, ball)
+        else:
+            h, ball = geometry[0], BallConfig(radius=geometry[1])
+        grid = build_split_grid(gamma0, h, ball)
+        with pytest.raises(InputError, match=r"share \(1e\+200,\) of agent 0 is too large"):
+            build_improvement_problem(gamma0, grid, [1.0, 1.0])
+
+    def test_largest_finite_floor_cost_is_built(self):
+        # 1e154 squares to 1e308, within range: the program is built and solved
+        gamma0 = validate_joint_law([(((1e154,), (-1e154,)), 0.5), (((0.0,), (0.0,)), 0.5)])
+        grid = build_split_grid(gamma0, 1e154, BallConfig(radius=2e154))
+        problem = build_improvement_problem(gamma0, grid, [1.0, 1.0])
+        assert np.all(np.isfinite(problem.program.c))
+        assert solve_improvement_lp(gamma0, grid).statistic == 0.0
+
+
 class TestConvenience:
     def test_efficiency_statistic_defaults(self):
         gamma0 = validate_joint_law(ANTI)

@@ -857,17 +857,23 @@ class TestBreakdownReport:
     c = np.array([0.0, -1.0, 0.0, 0.0])
 
     @staticmethod
-    def _inverse_failing_at(monkeypatch, k):
-        """Make the k-th call of ``np.linalg.inv`` raise; count the calls."""
-        real, calls = np.linalg.inv, []
+    def _factorisation_failing_at(monkeypatch, k):
+        """Make the k-th factorisation raise, counting ``np.linalg.inv`` (a
+        basis inverse) and ``np.linalg.solve`` (a structural block) alike;
+        returns the list of the calls' names."""
+        calls = []
 
-        def inv(B):
-            calls.append(None)
-            if len(calls) == k:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real(B)
+        def failing(name, real):
+            def factorise(*args):
+                calls.append(name)
+                if len(calls) == k:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return real(*args)
 
-        monkeypatch.setattr(np.linalg, "inv", inv)
+            return factorise
+
+        monkeypatch.setattr(np.linalg, "inv", failing("inv", np.linalg.inv))
+        monkeypatch.setattr(np.linalg, "solve", failing("solve", np.linalg.solve))
         return calls
 
     @pytest.mark.parametrize("mode", ["solve", "feasible"])
@@ -876,11 +882,15 @@ class TestBreakdownReport:
             "solve": lambda: solve(LinearProgram(c=self.c, A=self.A, b=self.b)),
             "feasible": lambda: feasible(self.A, self.b),
         }[mode]
-        calls = self._inverse_failing_at(monkeypatch, 0)
+        calls = self._factorisation_failing_at(monkeypatch, 0)
         clean = run()
         assert clean.pivots == (3 if mode == "solve" else 2)
-        for k, pivots in ((1, 0), (len(calls), clean.pivots)):
-            self._inverse_failing_at(monkeypatch, k)
+        # phase 1 starts at the identity, inverted by no one, and refactorises
+        # before it hands its basis to phase 2; solve's phase 2 reads its
+        # verdict off the structural block, one solve per side
+        assert calls == (["inv", "solve", "solve"] if mode == "solve" else ["inv"])
+        for k, pivots in ((1, 2), (len(calls), clean.pivots)):
+            self._factorisation_failing_at(monkeypatch, k)
             with pytest.raises(NumericalBreakdown) as info:
                 run()
             assert str(info.value) == (
@@ -889,38 +899,98 @@ class TestBreakdownReport:
 
     def test_inverse_is_updated_not_recomputed(self, monkeypatch):
         lp = assignment(30, 0)
-        calls = self._inverse_failing_at(monkeypatch, 0)
+        calls = self._factorisation_failing_at(monkeypatch, 0)
         out = solve(lp)
         assert out.pivots >= 200
-        # each of the two simplex runs inverts its start basis and may
-        # refactorise once more before its verdict; in between, one
+        # phase 1 refactorises before its verdict, again each time fresh
+        # pricing finds a column, and hands its inverse to phase 2, which
+        # reads its own verdict off the structural block; in between, one
         # refactorisation per REFACTOR_INTERVAL pivots
         per_interval = out.pivots // REFACTOR_INTERVAL
-        assert per_interval <= len(calls) <= per_interval + 4
+        assert per_interval <= calls.count("inv") <= per_interval + 4
+        assert calls[-2:] == ["solve", "solve"]
 
     def test_phase_two_takes_over_the_start_inverse(self, monkeypatch):
         # efficient-2d at h = 1/2 (10 x 6): the crash's rank-one updates
-        # carry over into phase 2, whose only inversion is the one before
-        # its verdict
+        # carry over into phase 2, and its verdict comes from the structural
+        # block, so no basis is inverted
         law = validate_joint_law([(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.0, 1.0), (1.0, 0.0)), 0.5)])
         problem = build_improvement_problem(
             law, build_split_grid(law, 0.5, BallConfig(radius=2.0)), [1.0, 1.0]
         )
         assert problem.program.A.shape == (10, 6)
-        calls = self._inverse_failing_at(monkeypatch, 0)
+        calls = self._factorisation_failing_at(monkeypatch, 0)
         out = solve(problem.program, start=problem.baseline)
         assert out.status is LPStatus.OPTIMAL
-        assert len(calls) == 1
+        assert calls == ["solve", "solve"]
 
     def test_failure_at_first_refactorisation(self, monkeypatch):
         lp = assignment(30, 0)
-        # phase 1 alone runs past the interval, so the second inversion is
+        # phase 1 alone runs past the interval, and it starts from the
+        # identity, which it does not invert, so the first factorisation is
         # its first mid-run refactorisation
         assert feasible(lp.A, lp.b).pivots > REFACTOR_INTERVAL
-        self._inverse_failing_at(monkeypatch, 2)
+        self._factorisation_failing_at(monkeypatch, 1)
         with pytest.raises(NumericalBreakdown) as info:
             solve(lp)
         assert str(info.value) == (
             "singular working basis: Singular matrix "
             f"(60 x 900 program, {REFACTOR_INTERVAL} pivots taken)"
         )
+
+
+class TestVerdict:
+    """Phase 2 reads its optimal verdict off the structural block of the basis."""
+
+    def test_efficient_1d_solves_without_an_inverse(self, monkeypatch):
+        # efficient-1d at h = 1/16 (141 x 231): the baseline's 9 support
+        # columns are the basis, and the verdict takes two 9 x 9 solves
+        gamma0 = validate_joint_law(list(zip(*GRID_LADDER[1][:2])))
+        problem = build_improvement_problem(
+            gamma0, build_split_grid(gamma0, 0.0625, BallConfig(radius=2.5)), [1.0, 1.0]
+        )
+        assert problem.program.A.shape == (141, 231)
+        shapes, real = [], np.linalg.solve
+
+        def recorded(B, rhs):
+            shapes.append(B.shape)
+            return real(B, rhs)
+
+        def refused(B):
+            raise AssertionError(f"inverted a {B.shape} basis")
+
+        monkeypatch.setattr(np.linalg, "inv", refused)
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        out = solve(problem.program, start=problem.baseline)
+        assert shapes == [(9, 9), (9, 9)]
+        monkeypatch.undo()
+        assert_matches_highs(problem.program, out)
+
+    def test_forced_verdict_flip_keeps_pivoting(self, monkeypatch):
+        # improvable-1d at h = 1/4 (57 x 97), with phase 2's third pricing
+        # told that no column enters, as drift in updated duals could: the
+        # fresh duals of the structural block price a column negative, so
+        # the run refactorises and goes on to the optimum
+        gamma0 = validate_joint_law(list(zip(*GRID_LADDER[0][:2])))
+        problem = build_improvement_problem(
+            gamma0, build_split_grid(gamma0, 0.25, BallConfig(radius=2.5)), [1.0, 1.0]
+        )
+        plain = solve(problem.program, start=problem.baseline)
+        assert plain.pivots > 3
+        entering, calls = riskshare.lp._entering, []
+
+        def premature(z, negative, bland):
+            calls.append(negative.size)
+            return iter(()) if len(calls) == 3 else entering(z, negative, bland)
+
+        factorisations = TestBreakdownReport._factorisation_failing_at(monkeypatch, 0)
+        monkeypatch.setattr(riskshare.lp, "_entering", premature)
+        out = solve(problem.program, start=problem.baseline)
+        assert calls[2] > 0  # the verdict was wrong
+        # the block's two solves, then a fresh inverse, and two solves at the end
+        assert factorisations[:3] == ["solve", "solve", "inv"]
+        assert factorisations[-2:] == ["solve", "solve"]
+        assert out.pivots == plain.pivots
+        assert out.value == pytest.approx(plain.value, abs=1e-12)
+        monkeypatch.undo()
+        assert_matches_highs(problem.program, out)

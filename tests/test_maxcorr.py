@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment, linprog
 
+import riskshare.lp
 from riskshare.errors import DimensionMismatch
+from riskshare.lp import FEAS_TOL
 from riskshare.maxcorr import (
+    _greedy_plan,
     comonotonicity_gap,
     default_baseline,
     max_correlation,
@@ -92,6 +97,96 @@ class TestMaxCorrelationMd:
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatch):
             max_correlation(dirac((0.0,)), dirac((0.0, 0.0)))
+
+
+def phase_one_pivots(run) -> list[int]:
+    """The pivots of every phase 1 that ``run()`` goes through."""
+    phase_one, pivots = riskshare.lp._phase_one, []
+
+    def recorded(*args):
+        result = phase_one(*args)
+        pivots.append(result[4])
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riskshare.lp, "_phase_one", recorded)
+        run()
+    return pivots
+
+
+points = st.lists(
+    st.integers(-200, 200).map(lambda k: k / 100.0), min_size=3, max_size=3
+)
+
+
+@st.composite
+def coupling_cases(draw):
+    """Two laws in dimension 2 or 3: uniform on equally many distinct
+    points, or of unequal sizes with unequal weights, renormalised."""
+    dim = draw(st.sampled_from((2, 3)))
+    uniform = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    laws = []
+    for size in (n, n if uniform else draw(st.integers(1, 6))):
+        pts = [tuple(draw(points)[:dim]) for _ in range(size)]
+        w = [1.0] * size if uniform else [draw(st.floats(0.05, 1.0)) for _ in range(size)]
+        law = validate_measure([(p, wi / sum(w)) for p, wi in zip(pts, w)])
+        assume(law.size == size)  # merged points would make the weights unequal
+        laws.append(law)
+    return (*laws, uniform)
+
+
+class TestTransportStart:
+    """The coupling program starts at the greedy basic plan."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(coupling_cases())
+    def test_coupling_matches_the_oracles(self, case):
+        xi, mu, uniform = case
+        outs = []
+        assert phase_one_pivots(lambda: outs.append(max_correlation(xi, mu))) == [0]
+        out = outs[0]
+        if uniform:
+            gain = xi.support_array() @ mu.support_array().T
+            rows, cols = linear_sum_assignment(gain, maximize=True)
+            expected = gain[rows, cols].sum() / xi.size
+        else:
+            expected = coupling_lp_oracle(xi, mu)
+        assert out.value == pytest.approx(expected, abs=TOL * (1.0 + abs(expected)))
+        # the coupling's marginals are the inputs, and it attains the value
+        assert out.max_violation(xi, mu) <= 1e-9
+
+    def test_phase_one_takes_no_pivot(self):
+        rng = np.random.RandomState(5)
+        law = validate_joint_law(
+            [((tuple(rng.randn(2)), tuple(rng.randn(2))), w) for w in (0.2, 0.3, 0.5)]
+        )
+        # the 25-point default baseline against each agent and the aggregate
+        pivots = phase_one_pivots(lambda: comonotonicity_gap(law))
+        assert pivots == [0, 0, 0]
+        for dim in (2, 3):
+            xi, mu = random_measure(rng, 8, dim), random_measure(rng, 5, dim)
+            assert phase_one_pivots(lambda: max_correlation(xi, mu)) == [0]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(coupling_cases())
+    def test_greedy_plan_is_a_basic_coupling(self, case):
+        xi, mu, _ = case
+        supply, demand = xi.weights_array(), mu.weights_array()
+        c = -(xi.support_array() @ mu.support_array().T).ravel()
+        plan = _greedy_plan(c, supply, demand).reshape(xi.size, mu.size)
+        assert np.min(plan) >= 0.0
+        residual = max(
+            np.max(np.abs(plan.sum(axis=1) - supply)), np.max(np.abs(plan.sum(axis=0) - demand))
+        )
+        assert residual <= FEAS_TOL
+        assert np.count_nonzero(plan) <= xi.size + mu.size - 1
+
+    def test_greedy_plan_fills_the_largest_products_first(self):
+        # cells by increasing cost: (1, 0), (0, 1), (0, 0), (1, 1)
+        c = np.array([-1.0, -2.0, -3.0, 0.0])
+        plan = _greedy_plan(c, np.array([0.75, 0.25]), np.array([0.5, 0.5]))
+        np.testing.assert_array_equal(plan, [0.25, 0.5, 0.25, 0.0])
 
 
 class TestInvariances:
