@@ -145,12 +145,9 @@ def _lattice_points(h: float, ball: BallConfig, bounds) -> np.ndarray:
     return box[ball.contains_rows(box)]
 
 
-def build_split_grid(
-    gamma0: JointLaw, h: float, ball: BallConfig, max_splits: Optional[int] = None
-) -> SplitGrid:
+def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     """Lattice splits of each aggregate atom, plus the baseline's own splits;
-    ``ProblemTooLarge`` when they could number more than ``max_splits``
-    (default ``MAX_GRID_SPLITS``).
+    ``ProblemTooLarge`` when they could number more than ``MAX_GRID_SPLITS``.
 
     An atom's candidates are, in this order and each kept at its first
     appearance by identity key: the lattice points of the first ``p - 1``
@@ -175,12 +172,11 @@ def build_split_grid(
     ]
     box = math.prod(hi - lo + 1.0 for lo, hi in bounds)
     log_splits = max(p - 1, 1) * math.log(box) + math.log(m0.size)
-    max_splits = MAX_GRID_SPLITS if max_splits is None else max_splits
-    if not log_splits <= math.log(max_splits):
+    if not log_splits <= math.log(MAX_GRID_SPLITS):
         raise ProblemTooLarge(
             f"grid step {h!r} is too fine for a ball of radius {ball.radius}: "
             f"the lattice splits of {m0.size} aggregate atoms among {p} agents "
-            f"exceed the limit of {max_splits}"
+            f"exceed the limit of {MAX_GRID_SPLITS}"
         )
     lattice = _lattice_points(h, ball, bounds)
     # every (p-1)-tuple of lattice points, the first agent's point slowest,
@@ -263,10 +259,7 @@ def _reachable(
 
 
 def build_improvement_problem(
-    gamma0: JointLaw,
-    grid: SplitGrid,
-    eps: Sequence[float],
-    max_entries: Optional[int] = None,
+    gamma0: JointLaw, grid: SplitGrid, eps: Sequence[float]
 ) -> ImprovementProblem:
     """The improvement program over the splits a mean-preserving kernel can reach.
 
@@ -278,9 +271,8 @@ def build_improvement_problem(
     the program omits the entries and barycenter rows ``_reachable`` rules
     out, every split one of whose points then reaches no atom, and every
     point no kept split uses, with its rows and entries.  The baseline's
-    splits always stay.  A program of more than ``max_entries`` entries
-    (rows times columns, default ``MAX_LP_ENTRIES``) is refused with
-    ``ProblemTooLarge``.
+    splits always stay.  A program of more than ``MAX_LP_ENTRIES`` entries
+    (rows times columns) is refused with ``ProblemTooLarge``.
     """
     p, d, m0 = gamma0.agents, gamma0.dim, grid.aggregate
     sizes = [len(cands) for cands in grid.candidates]
@@ -314,11 +306,10 @@ def build_improvement_problem(
     n_rows = m0.size + sum(
         len(Z) + m.size + int(r.sum()) for (Z, _, _, r), m in zip(agents, margs)
     )
-    max_entries = MAX_LP_ENTRIES if max_entries is None else max_entries
-    if n_rows * n_vars > max_entries:
+    if n_rows * n_vars > MAX_LP_ENTRIES:
         raise ProblemTooLarge(
             f"the improvement program would have {n_rows} rows and {n_vars} columns, "
-            f"more than the limit of {max_entries} entries; use a coarser grid step"
+            f"more than the limit of {MAX_LP_ENTRIES} entries; use a coarser grid step"
         )
 
     # the floor cost of each split, summed over agents in order as

@@ -11,6 +11,8 @@ In one dimension the map is computed exactly: each agent's best response
 ``y_i(u)`` to a price ``u`` is nondecreasing and piecewise linear, with
 knots read off the upper envelope of its affine pieces, so the price
 equation ``sum_i y_i(u) = x`` is solved on the bracketing linear piece.
+The knots are built afresh on each split; a profile keeps only its cost
+arrays.
 In higher dimension each best response ``y_i(q)`` to a price vector ``q``
 solves a QP over the simplex of piece weights by a finite active set, with
 the ball multiplier found by bisection, and is certified by the KKT
@@ -81,16 +83,12 @@ class StrictlyConvexProfile:
     """Costs for all agents in a fixed dimension, in normalized form.
 
     The profile is immutable, so each agent's ``(Q, A, b)`` is built once,
-    read-only.  A 1-D profile keeps each agent's response knots for each
-    ball it has split under (see ``_response_table``); ``with_pieces``
-    shares the unchanged agents' arrays and knots with the profile it
-    extends.
+    read-only.
     """
 
     dim: int
     agents: tuple[AgentProfile, ...]
     _arrays: tuple = field(init=False, repr=False)
-    _knots: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -118,34 +116,6 @@ class StrictlyConvexProfile:
             )
         object.__setattr__(self, "agents", tuple(normalized))
         object.__setattr__(self, "_arrays", tuple(arrays))
-        object.__setattr__(self, "_knots", tuple({} for _ in arrays))
-
-    def with_pieces(self, new: dict) -> StrictlyConvexProfile:
-        """This profile with the piece ``(a, b)`` appended to agent ``i`` for
-        each entry ``i: (a, b)`` of ``new``.
-
-        Only the new pieces are checked.  The other agents keep their
-        arrays and 1-D response knots, shared with this profile, which is
-        left as it is.
-        """
-        agents, arrays, knots = list(self.agents), list(self._arrays), list(self._knots)
-        for i, (a, b) in new.items():
-            if i not in range(self.n_agents):
-                raise InputError(f"no agent {i!r} among {self.n_agents}")
-            a, b = _checked_piece(i, a, b, self.dim)
-            ag, (Q, A, bs) = agents[i], arrays[i]
-            agents[i] = AgentProfile(eps=ag.eps, pieces=ag.pieces + ((a, b),), quad=ag.quad)
-            arrays[i] = (Q, _read_only(np.vstack((A, [a]))), _read_only(np.append(bs, b)))
-            knots[i] = {}
-        out = object.__new__(StrictlyConvexProfile)
-        for name, value in (
-            ("dim", self.dim),
-            ("agents", tuple(agents)),
-            ("_arrays", tuple(arrays)),
-            ("_knots", tuple(knots)),
-        ):
-            object.__setattr__(out, name, value)
-        return out
 
     @property
     def n_agents(self) -> int:
@@ -432,22 +402,13 @@ def _response_knots(q, slopes, knots, lo, hi):
 
 def _response_table(profile, lo, hi):
     """Each agent's cost ``(q, slopes, b)`` with its response knots ``(u, y)``
-    on ``[lo, hi]``, and the knots ``(U, X)`` of ``u -> sum_i y_i(u)``.
-
-    Each agent's knots depend only on its cost and the interval, so they
-    are built on the first split under ``[lo, hi]`` and kept on that agent,
-    where profiles made by ``with_pieces`` share them; the summed knots are
-    built on every call.
-    """
+    on ``[lo, hi]``, and the knots ``(U, X)`` of ``u -> sum_i y_i(u)``."""
     responses = []
-    for i, knots in enumerate(profile._knots):
-        entry = knots.get((lo, hi))
-        if entry is None:
-            q = float(profile.quad_matrix(i)[0, 0])
-            A, b = profile.piece_arrays(i)
-            uk, yk = _response_knots(q, *_upper_envelope(A[:, 0], b), lo, hi)
-            entry = knots[(lo, hi)] = (q, A[:, 0], b, uk, yk)
-        responses.append(entry)
+    for i in range(profile.n_agents):
+        q = float(profile.quad_matrix(i)[0, 0])
+        A, b = profile.piece_arrays(i)
+        uk, yk = _response_knots(q, *_upper_envelope(A[:, 0], b), lo, hi)
+        responses.append((q, A[:, 0], b, uk, yk))
     U = np.unique(np.concatenate([uk for *_, uk, _ in responses]))
     X = sum(np.interp(U, uk, yk) for *_, uk, yk in responses)
     return responses, U, X

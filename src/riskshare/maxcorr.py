@@ -145,12 +145,10 @@ def _lp_coupling(xi: DiscreteMeasure, mu: DiscreteMeasure):
             f"coupling program of {n} x {m} atoms reported {out.status.value}; "
             "couplings always exist"
         )
-    pi = out.solution.reshape(n, m)
+    pi = out.solution
     pairs = tuple(
-        ((tuple(X[i]), tuple(Y[j])), float(pi[i, j]))
-        for i in range(n)
-        for j in range(m)
-        if pi[i, j] > lp.ZERO_WEIGHT
+        ((tuple(X[k // m]), tuple(Y[k % m])), float(pi[k]))
+        for k in np.flatnonzero(pi > lp.ZERO_WEIGHT).tolist()
     )
     return -out.value, pairs
 

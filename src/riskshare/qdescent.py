@@ -11,10 +11,10 @@ at least the gap, so J is an upper companion bound to the improvement
 statistic computed by :mod:`riskshare.improve`.  :func:`minimize_q` starts
 from the pure quadratics; in one dimension it then takes one exact dual
 step, the potential that the improvement program's own duals give
-(``improve.dual_potential``).  In ``d >= 2``, and in one dimension when
-that program is too large for the step or the simplex breaks down on it,
-it descends J inside the quadratic-plus-max-affine family by adding affine
-cutting pieces.
+(``improve.dual_potential``), from the finest grid step of the doubling
+ladder from ``default_step`` whose program fits the builders' caps and
+solves.  In ``d >= 2`` it descends J inside the quadratic-plus-max-affine
+family by adding affine cutting pieces.
 """
 
 from __future__ import annotations
@@ -58,14 +58,6 @@ _STEP_GRID = tuple(2.0**k for k in range(-6, 7))
 _ZERO_TOL = 1e-9  # induced marginals match the baseline: no discrepancy weight above it
 _TARGET_SLACK = 1e-6
 _DUPLICATE_PIECE_TOL = 1e-9
-#: Size budget of the 1-D dual step, past which the cut loop runs instead:
-#: at most this many lattice splits (about 50 ms of grid and program
-#: building on a 2 vCPU Xeon) ...
-DUAL_STEP_MAX_SPLITS = 5_000
-#: ... and at most this many program entries (rows times columns), about the
-#: largest program of the grid-ladder benchmark (333 x 681); a dense simplex
-#: on programs of that size took 25 to 60 ms on the same machine.
-DUAL_STEP_MAX_ENTRIES = 250_000
 
 SignedAtoms = tuple[tuple[Coords, float], ...]
 
@@ -206,9 +198,9 @@ def _with_cuts(
     beyond z (where the induced law over-allocates) more than at z itself.
     Returns None when every cut duplicates an existing piece.
     """
-    new = {}
+    agents, added = list(profile.agents), False
     for i, z, _ in cuts:
-        ag = profile.agents[i]
+        ag = agents[i]
         a = tuple(sigma * ag.eps * zk for zk in z)
         b = -sigma * ag.eps * 0.5 * sum(zk * zk for zk in z)
         duplicate = any(
@@ -219,8 +211,9 @@ def _with_cuts(
             for pa, pb in ag.pieces
         )
         if not duplicate:
-            new[i] = (a, b)
-    return profile.with_pieces(new) if new else None
+            agents[i] = AgentProfile(eps=ag.eps, pieces=ag.pieces + ((a, b),), quad=ag.quad)
+            added = True
+    return StrictlyConvexProfile(dim=profile.dim, agents=tuple(agents)) if added else None
 
 
 def _dual_step(
@@ -229,21 +222,25 @@ def _dual_step(
     ball: BallConfig,
     marginals: Sequence[DiscreteMeasure],
     optimum: Optional[tuple[ImprovementProblem, lp.LPOutcome]],
-) -> Optional[StrictlyConvexProfile]:
-    """The 1-D dual step's potential, from ``optimum`` when given, else from
-    the improvement program at the default grid step; None when that
-    program is over the step's budget or the simplex breaks down on it."""
-    if optimum is None:
+) -> StrictlyConvexProfile:
+    """The 1-D dual step's potential, from ``optimum`` when given.
+
+    Otherwise it comes from the improvement program at the grid step
+    ``default_step``, 2x, 4x, ...: the first that the builders admit under
+    their caps and that the simplex solves.  Any convex potential bounds
+    the gap, so a coarser program's still does.  Once the step exceeds the
+    ball's diameter, where the lattice has at most one point per axis, the
+    last ``ProblemTooLarge`` or ``NumericalBreakdown`` is raised.
+    """
+    h = default_step(gamma0, ball) if optimum is None else None
+    while optimum is None:
         try:
-            grid = build_split_grid(
-                gamma0, default_step(gamma0, ball), ball, max_splits=DUAL_STEP_MAX_SPLITS
-            )
-            problem = build_improvement_problem(
-                gamma0, grid, es, max_entries=DUAL_STEP_MAX_ENTRIES
-            )
+            problem = build_improvement_problem(gamma0, build_split_grid(gamma0, h, ball), es)
             optimum = (problem, solve_problem(problem))
         except (ProblemTooLarge, NumericalBreakdown):
-            return None
+            if h > 2.0 * ball.radius:
+                raise
+            h *= 2.0
     return dual_potential(*optimum, marginals, es)
 
 
@@ -265,10 +262,8 @@ def minimize_q(
     none at ``max_iters == 0``: the potential of ``improve.dual_potential``,
     kept only when its J is lower.  Its duals come from ``optimum``, an
     optimum of ``gamma0``'s improvement program that the caller has solved
-    under the same ``eps``, or else from the program at the default grid
-    step.  When that program is over ``DUAL_STEP_MAX_SPLITS`` or
-    ``DUAL_STEP_MAX_ENTRIES``, or the simplex breaks down on it, and in
-    ``d >= 2`` (where ``optimum`` is not used), the cut loop runs instead:
+    under the same ``eps``, or else from the program at the finest step of
+    ``_dual_step``'s ladder.  In ``d >= 2`` (where ``optimum`` is not used)
     each of at most ``max_iters`` iterations adds one tangent cutting piece
     per agent at that agent's most over-weighted baseline atom, with the
     scale chosen by a doubling line search, and is accepted only when J
@@ -291,18 +286,17 @@ def minimize_q(
     stop_at = ZERO_GAP if target is None else max(target, 0.0) + _TARGET_SLACK
     iterations = 0
     hit_cap = False
-    dual = None
     if gamma0.dim == 1 and max_iters > 0 and j_cur > stop_at:
-        dual = _dual_step(gamma0, es, ball, marginals, optimum)
-    if dual is not None:
         iterations = 1
+        dual = _dual_step(gamma0, es, ball, marginals, optimum)
         j_dual, shares_dual = _evaluate(dual, baseline, aggregate, ball)
         if j_dual < j_cur:
             j_cur, shares, profile = j_dual, shares_dual, dual
             history.append(j_cur)
-        law_cur = _split_law(shares, aggregate)
+    law_cur = _split_law(shares, aggregate)
+    if gamma0.dim == 1:
+        hit_cap = max_iters <= 0 and j_cur > stop_at
     else:
-        law_cur = _split_law(shares, aggregate)
         for _ in range(max_iters):
             if j_cur <= stop_at:
                 break

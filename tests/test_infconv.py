@@ -53,6 +53,22 @@ class TestProfileValidation:
                 dim=2, agents=(AgentProfile(eps=1.0, pieces=(((1.0,), 0.0),)),)
             )
 
+    def test_non_finite_pieces_refused(self):
+        for piece in (((math.inf,), 0.0), ((1.0,), math.nan)):
+            with pytest.raises(InputError, match="agent 1: non-finite affine piece"):
+                StrictlyConvexProfile(
+                    dim=1, agents=(AgentProfile(eps=1.0), AgentProfile(pieces=(piece,)))
+                )
+
+    def test_pure_quadratic_until_a_sloped_piece(self):
+        def profile(piece):
+            return StrictlyConvexProfile(
+                dim=1, agents=(AgentProfile(eps=1.0, pieces=(piece,)), AgentProfile(eps=2.0))
+            )
+
+        assert profile(((0.0,), -1.0)).is_pure_quadratic()
+        assert not profile(((0.5,), 0.0)).is_pure_quadratic()
+
     def test_quad_must_be_spd(self):
         with pytest.raises(NotPositiveDefinite):
             StrictlyConvexProfile(
@@ -91,7 +107,7 @@ def _outcome(profile, x, ball, tol):
 
 
 class TestCachedArrays:
-    """A profile builds its arrays and 1-D response tables once."""
+    """A profile builds its arrays once."""
 
     def test_arrays_are_read_only(self):
         user_quad = np.array([[2.0, 0.1], [0.1, 1.0]])
@@ -425,93 +441,6 @@ class TestProfileJson:
             profile_from_obj({"dim": 1, "profiles": []})
         with pytest.raises(InputError):
             profile_from_obj({"agents": 2, "dim": 1, "profiles": [{"eps": 1.0}]})
-
-
-# the balls of test_one_profile_under_many_balls_matches_fresh_profiles
-_FOUR_BALLS = (
-    BallConfig(radius=2.0, center=(0.25,)),
-    BallConfig(radius=0.5, center=(0.25,)),
-    BallConfig(radius=2.0, center=(-0.5,)),
-    BallConfig(radius=2.0, center=(0.25,)),
-)
-# pieces that change the envelopes of agents 0 and 2 inside those balls
-_NEW_PIECES = {0: ((0.5,), -0.1), 2: ((2.0,), -3.0)}
-
-
-def _rebuilt(profile):
-    """A profile built from scratch with the same pieces."""
-    agents = tuple(AgentProfile(eps=ag.eps, pieces=ag.pieces) for ag in profile.agents)
-    return StrictlyConvexProfile(dim=profile.dim, agents=agents)
-
-
-class TestWithPieces:
-    """``with_pieces`` checks only the new pieces, shares the unchanged
-    agents' data and leaves the profile it extends as it was."""
-
-    def test_bad_pieces_are_refused(self):
-        prof = _kinked_1d_profile()
-        with pytest.raises(InputError):
-            prof.with_pieces({0: ((math.inf,), 0.0)})
-        with pytest.raises(InputError):
-            prof.with_pieces({1: ((1.0,), math.nan)})
-        with pytest.raises(DimensionMismatch):
-            prof.with_pieces({2: ((1.0, 2.0), 0.0)})
-        with pytest.raises(InputError):
-            prof.with_pieces({3: ((1.0,), 0.0)})
-
-    def test_new_arrays_are_read_only(self):
-        ext = _kinked_1d_profile().with_pieces(_NEW_PIECES)
-        for i in range(ext.n_agents):
-            A, b = ext.piece_arrays(i)
-            for arr in (ext.quad_matrix(i), A, b):
-                with pytest.raises(ValueError):
-                    arr[0] = 7.0
-
-    def test_source_is_untouched(self):
-        src = _kinked_1d_profile()
-        ball = _FOUR_BALLS[0]
-        xs = [float(x) for x in np.linspace(-2.0, 6.0, 17)]
-        splits = [_outcome(src, x, ball, TOL) for x in xs]
-        pieces = [ag.pieces for ag in src.agents]
-        arrays = [
-            [arr.copy() for arr in (src.quad_matrix(i), *src.piece_arrays(i))]
-            for i in range(src.n_agents)
-        ]
-        ext = src.with_pieces(_NEW_PIECES)
-        assert [_outcome(ext, x, ball, TOL) for x in xs] != splits
-        assert ext.agents[0].pieces == pieces[0] + (_NEW_PIECES[0],)
-        assert ext.agents[1] is src.agents[1]
-        assert [ag.pieces for ag in src.agents] == pieces
-        for i in range(src.n_agents):
-            now = (src.quad_matrix(i), *src.piece_arrays(i))
-            for before, after in zip(arrays[i], now):
-                np.testing.assert_array_equal(before, after)
-        assert [_outcome(src, x, ball, TOL) for x in xs] == splits
-        assert not src.is_pure_quadratic() and not ext.is_pure_quadratic()
-
-    def test_extended_profile_matches_fresh_profiles(self):
-        source = _kinked_1d_profile()
-        xs = [float(x) for x in np.linspace(-2.0, 6.0, 17)]
-        # split with the source first, so every agent has knots under every ball
-        for ball in _FOUR_BALLS:
-            for x in xs:
-                _outcome(source, x, ball, TOL)
-        once = source.with_pieces(_NEW_PIECES)
-        twice = once.with_pieces({1: ((-1.0,), -0.5)})
-        seen = set()
-        for ext in (once, twice):
-            for ball in _FOUR_BALLS:
-                for x in xs:
-                    for tol in (TOL, 0.0):
-                        got = _outcome(ext, x, ball, tol)
-                        assert got == _outcome(_rebuilt(ext), x, ball, tol)
-                        seen.add(got[0] if isinstance(got[0], type) else "ok")
-        assert seen == {"ok", NoConvergence, XOutsideDomain}
-
-    def test_pure_quadratic_until_a_sloped_piece(self):
-        prof = iso_profile(1, [1.0, 2.0])
-        assert prof.with_pieces({0: ((0.0,), -1.0)}).is_pure_quadratic()
-        assert not prof.with_pieces({1: ((0.5,), 0.0)}).is_pure_quadratic()
 
 
 class TestSimplexQP:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import riskshare.lp
 import riskshare.qdescent
-from riskshare.errors import DimensionMismatch, InputError, NumericalBreakdown
+from riskshare.errors import DimensionMismatch, InputError, NumericalBreakdown, ProblemTooLarge
 from riskshare.improve import (
     WALL_SLOPE,
     ZERO_GAP,
@@ -46,6 +46,8 @@ KINK_2D = [(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.5, 0.0), (0.5, 0.0)), 0.5)]
 COMO = [(((0.0,), (0.0,)), 0.5), (((1.0,), (1.0,)), 0.5)]
 #: A law on which the cut loop takes many steps (17 at R = 4) and the dual step lowers J.
 STEPPED = [(((0.0,), (1.0,)), 0.25), (((-2.0,), (-1.0,)), 0.25), (((1.0,), (1.0,)), 0.5)]
+#: Three agents with offsetting positions: at the default step its program is over the caps.
+OVER_CAPS = [(((10.0,), (-10.0,), (0.0,)), 0.5), (((10.5,), (-10.0,), (0.0,)), 0.5)]
 
 
 def quad_profile(p=2, dim=1):
@@ -233,6 +235,14 @@ class TestMinimizeQ:
         assert state.profile is profiles[1]
         assert state.j_history == (pytest.approx(0.125, abs=TOL), 0.0625)
 
+    def test_cut_profile_appends_a_piece_and_leaves_its_source(self):
+        source, cut = quad_profile(dim=2), [(1, (1.0, 0.0), 0.5)]
+        trial = riskshare.qdescent._with_cuts(source, cut, 2.0)
+        assert trial.agents[0].pieces == source.agents[0].pieces == (((0.0, 0.0), 0.0),)
+        assert trial.agents[1].pieces == (((0.0, 0.0), 0.0), ((2.0, 0.0), -1.0))
+        assert source.agents[1].pieces == (((0.0, 0.0), 0.0),)
+        assert riskshare.qdescent._with_cuts(trial, cut, 2.0) is None  # a duplicate piece
+
     def test_one_dual_step_on_the_kink_fixture(self):
         m0 = validate_measure([((0.0,), 0.5), ((2.0,), 0.5)])
         gamma0 = sharing_law(kinked_generator(), m0, BALL)
@@ -272,36 +282,87 @@ class TestMinimizeQ:
         assert state.j_history == (state.j,)
         assert abs(state.j - stat) <= 1e-6
 
-    def test_program_over_the_budget_leaves_the_cut_loop(self, monkeypatch):
+    def test_program_over_the_caps_takes_a_coarser_step(self, monkeypatch):
         # at the default step (0.0625, R = 13.125) the program would have
-        # 421^2 * 2 lattice splits, more than even build_split_grid allows
-        gamma0 = validate_joint_law(
-            [(((10.0,), (-10.0,), (0.0,)), 0.5), (((10.5,), (-10.0,), (0.0,)), 0.5)]
-        )
-        stat = efficiency_statistic(gamma0, h=2.0)
+        # 421^2 * 2 lattice splits, more than build_split_grid allows; at
+        # 0.125 it fits, and its potential closes the gap that the cut loop
+        # left at J = 102.50
+        gamma0 = validate_joint_law(OVER_CAPS)
+        assert efficiency_statistic(gamma0, h=0.125) == 0.0
+        real, steps = riskshare.qdescent.solve_problem, []
 
-        def solve(*args, **kwargs):
-            raise AssertionError("no program is solved over the dual step's budget")
+        def solve_problem(problem):
+            steps.append(problem.grid.h)
+            return real(problem)
 
-        monkeypatch.setattr(riskshare.lp, "solve", solve)
+        monkeypatch.setattr(riskshare.qdescent, "solve_problem", solve_problem)
         state = minimize_q(gamma0, max_iters=25)
-        assert state.j >= stat - ZERO_GAP
-        assert state.iterations > 1  # the cut loop's steps
-        assert list(state.j_history) == sorted(state.j_history, reverse=True)
+        assert steps == [0.125]
+        assert state.j == 0.0
+        assert state.iterations == 1 and not state.hit_cap
+        assert state.j_history == (pytest.approx(102.5417, abs=1e-4), 0.0)
 
-    def test_simplex_breakdown_leaves_the_cut_loop(self, monkeypatch):
+    def test_simplex_breakdown_takes_a_coarser_step(self, monkeypatch):
         gamma0 = validate_joint_law(STEPPED)
-        monkeypatch.setattr(riskshare.qdescent, "DUAL_STEP_MAX_SPLITS", 1)
-        over_budget = minimize_q(gamma0, ball=BALL, max_iters=60)
-        monkeypatch.undo()
+        h = default_step(gamma0, BALL)
+        grid = build_split_grid(gamma0, 2.0 * h, BALL)
+        problem = build_improvement_problem(gamma0, grid, [1.0, 1.0])
+        coarser = minimize_q(gamma0, ball=BALL, optimum=(problem, solve_problem(problem)))
+        real, steps = riskshare.qdescent.solve_problem, []
 
-        def solve(*args, **kwargs):
-            raise NumericalBreakdown("singular working basis")
+        def only_the_first_breaks(problem):
+            steps.append(problem.grid.h)
+            if len(steps) == 1:
+                raise NumericalBreakdown("singular working basis")
+            return real(problem)
+
+        monkeypatch.setattr(riskshare.qdescent, "solve_problem", only_the_first_breaks)
+        state = minimize_q(gamma0, ball=BALL, max_iters=60)
+        assert steps == [h, 2.0 * h]
+        assert state.j_history == coarser.j_history
+        assert state.iterations == 1
+
+    def test_last_failure_propagates_when_every_step_fails(self, monkeypatch):
+        # steps 0.625, 1.25, ..., 10: the last is past the diameter 8
+        gamma0 = validate_joint_law(STEPPED)
+        programs = []
+
+        def solve(program, start=None):
+            programs.append(program)
+            broke = riskshare.lp._Breakdown("singular working basis", len(programs))
+            raise riskshare.lp._numerical_breakdown(program, broke, 0)
 
         monkeypatch.setattr(riskshare.lp, "solve", solve)
-        state = minimize_q(gamma0, ball=BALL, max_iters=60)
-        assert state.j_history == over_budget.j_history
-        assert state.iterations == over_budget.iterations > 1
+        with pytest.raises(NumericalBreakdown) as info:
+            minimize_q(gamma0, ball=BALL)
+        assert len(programs) == 5
+        last = programs[-1]
+        assert str(info.value) == (
+            f"singular working basis ({last.n_rows} x {last.n_vars} program, 5 pivots taken)"
+        )
+
+    @pytest.mark.parametrize(
+        "law, ball",
+        [(OVER_CAPS, None), (STEPPED, BALL), (ANTI, BALL)],
+        ids=["over-caps", "stepped", "anti"],
+    )
+    def test_no_cut_on_a_one_dimensional_law(self, monkeypatch, law, ball):
+        def best_cut_atoms(*args):
+            raise AssertionError("the cut loop runs in d >= 2 only")
+
+        monkeypatch.setattr(riskshare.qdescent, "_best_cut_atoms", best_cut_atoms)
+        minimize_q(validate_joint_law(law), ball=ball)
+        real, calls = riskshare.lp.solve, []
+
+        def solve(program, start=None):
+            calls.append(program)
+            if len(calls) == 1:
+                raise NumericalBreakdown("singular working basis")
+            return real(program, start=start)
+
+        monkeypatch.setattr(riskshare.lp, "solve", solve)
+        minimize_q(validate_joint_law(law), ball=ball)
+        assert len(calls) == 2
 
     def test_given_optimum_is_the_one_solved_program(self, monkeypatch):
         gamma0 = validate_joint_law(STEPPED)
@@ -462,6 +523,36 @@ def test_dual_gap_is_the_aggregate_duals_over_the_pooled_costs(case):
     )
     assert j >= stat - ZERO_GAP
     assert j - stat == pytest.approx(pooled, abs=1e-9 * (1.0 + abs(j)))
+
+
+@st.composite
+def _offsetting_laws(draw):
+    """3-4 agents in 1-D, agent 0 long and agent 1 short by a common offset,
+    with half-integer points, some moved off that lattice: the family whose
+    default-step program can be over the builders' caps (half the draws)."""
+    p, n = draw(st.integers(3, 4)), draw(st.integers(2, 3))
+    offset = draw(st.sampled_from([1.0, 3.0, 10.0]))
+    cells = st.lists(st.integers(-2, 2), min_size=n * p, max_size=n * p)
+    jitter = st.lists(st.sampled_from([0.0, 0.0, 0.13, 0.29]), min_size=n * p, max_size=n * p)
+    pts = (np.array(draw(cells), float) / 2.0 + np.array(draw(jitter))).reshape(n, p, 1)
+    pts[:, 0] += offset
+    pts[:, 1] -= offset
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return _law(pts, np.array(weights, float))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_offsetting_laws())
+def test_dual_step_bounds_laws_with_offsetting_positions(gamma0):
+    """The dual step lowers J from its start, and J bounds the statistic at
+    the default step wherever that solves (weak duality holds at any grid)."""
+    state = minimize_q(gamma0)
+    assert state.j <= state.j_history[0]
+    try:
+        stat = efficiency_statistic(gamma0)
+    except (ProblemTooLarge, NumericalBreakdown):
+        return
+    assert state.j >= stat - ZERO_GAP
 
 
 @pytest.mark.parametrize("excess, inside", [(0.5e-9, True), (2e-9, False)])
