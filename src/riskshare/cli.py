@@ -21,8 +21,6 @@ from importlib import resources
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .convex_order import allocation_dominates, dominates, is_comonotone_pairwise
 from .errors import InputError, RiskShareError
@@ -71,14 +69,112 @@ _CONVERTERS = {
 }
 
 
+# The JSON types the input schemas name, tested as Draft 2020-12 tests them:
+# a bool is not a number, and a float with no fractional part is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (
+        isinstance(v, int) and not isinstance(v, bool)
+        or isinstance(v, float) and v.is_integer()
+    ),
+}
+_IS_NUMBER = _TYPES["number"]
+#: Keywords that only annotate a schema and check nothing.
+_ANNOTATIONS = frozenset({"$schema", "$id", "title"})
+
+
+def _keyword(name: str, value, schema: dict):
+    """The check of one keyword of ``schema``.  It takes an instance and
+    returns None, or the violation as (path elements, innermost first;
+    message), worded as jsonschema words it."""
+    if name == "type" and value in _TYPES:
+        test = _TYPES[value]
+        return lambda v: None if test(v) else ([], f"{v!r} is not of type {value!r}")
+    if name == "required":
+
+        def required(v):
+            if isinstance(v, dict):
+                for key in value:
+                    if key not in v:
+                        return [], f"{key!r} is a required property"
+
+        return required
+    if name == "additionalProperties" and value is False:
+        allowed = frozenset(schema.get("properties", ()))
+
+        def additional(v):
+            if isinstance(v, dict) and not allowed.issuperset(v):
+                extras = sorted(key for key in v if key not in allowed)
+                verb = "was" if len(extras) == 1 else "were"
+                listed = ", ".join(map(repr, extras))
+                return [], f"Additional properties are not allowed ({listed} {verb} unexpected)"
+
+        return additional
+    if name == "properties":
+        subs = [(key, _compile(sub)) for key, sub in value.items()]
+
+        def properties(v):
+            if isinstance(v, dict):
+                for key, check in subs:
+                    if key in v:
+                        error = check(v[key])
+                        if error is not None:
+                            error[0].append(key)
+                            return error
+
+        return properties
+    if name == "items":
+        check = _compile(value)
+
+        def items(v):
+            if isinstance(v, list):
+                for index, item in enumerate(v):
+                    error = check(item)
+                    if error is not None:
+                        error[0].append(index)
+                        return error
+
+        return items
+    if name == "minItems":
+        word = "should be non-empty" if value == 1 else "is too short"
+        return lambda v: ([], f"{v!r} {word}") if isinstance(v, list) and len(v) < value else None
+    if name == "minimum":
+        return lambda v: (
+            ([], f"{v!r} is less than the minimum of {value!r}")
+            if _IS_NUMBER(v) and v < value
+            else None
+        )
+    if name == "exclusiveMinimum":
+        return lambda v: (
+            ([], f"{v!r} is less than or equal to the minimum of {value!r}")
+            if _IS_NUMBER(v) and v <= value
+            else None
+        )
+    raise RiskShareError(f"input schema: unsupported keyword {name}: {value!r}")
+
+
+def _compile(schema: dict):
+    """The check of an input schema: the first violation of a depth-first walk
+    that takes keywords, properties and items in document order, or None.  A
+    keyword it does not cover is refused here, so none is ever ignored."""
+    checks = [_keyword(k, v, schema) for k, v in schema.items() if k not in _ANNOTATIONS]
+
+    def check(v):
+        for keyword in checks:
+            error = keyword(v)
+            if error is not None:
+                return error
+
+    return check
+
+
 @functools.cache
 def _validator(kind: str):
-    """The schema validator of one input kind, checked and built once."""
+    """The compiled check of one input kind's schema, built once."""
     resource = resources.files("riskshare.schemas").joinpath(f"{kind}.schema.json")
-    schema = json.loads(resource.read_text())
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return _compile(json.loads(resource.read_text()))
 
 
 def _read(path: str):
@@ -87,6 +183,8 @@ def _read(path: str):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
     try:
         return parse_strict_json(text)
     except json.JSONDecodeError as exc:
@@ -98,13 +196,22 @@ def _read(path: str):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _violation(kind: str, obj) -> Optional[str]:
+    """``"{json_path}: {message}"`` of the first schema violation in ``obj``,
+    with jsonschema's path form (``$.atoms[0].w``), or None."""
+    error = _validator(kind)(obj)
+    if error is None:
+        return None
+    elements, message = error
+    where = "".join(f"[{e}]" if isinstance(e, int) else f".{e}" for e in reversed(elements))
+    return f"${where}: {message}"
+
+
 def _convert(path: str, obj, kind: str):
     """Schema-check the parsed contents of ``path`` and build its object."""
-    error = best_match(_validator(kind).iter_errors(obj))
-    if error is not None:
-        raise InputError(
-            f"{path}: schema violation at {error.json_path}: {error.message}"
-        )
+    violation = _violation(kind, obj)
+    if violation is not None:
+        raise InputError(f"{path}: schema violation at {violation}")
     try:
         return _CONVERTERS[kind](obj)
     except RiskShareError as exc:

@@ -102,7 +102,7 @@ class StrictlyConvexProfile:
                 quad = _read_only(np.array(ag.quad, dtype=float))
                 _check_spd(quad, self.dim, f"agent {i} quadratic")
             elif not (math.isfinite(ag.eps) and ag.eps > 0):
-                raise InputError(f"agent {i}: eps must be > 0, got {ag.eps!r}")
+                raise InputError(f"agent {i}: eps must be positive and finite, got {ag.eps!r}")
             pieces = [_checked_piece(i, a, b, self.dim) for a, b in ag.pieces]
             if not pieces:
                 pieces = [(tuple([0.0] * self.dim), 0.0)]  # the zero piece

@@ -195,7 +195,9 @@ def _canonical(items: list[tuple[Coords, float]], what: str) -> list[tuple[Coord
         raise InputError(f"{what} needs at least one atom")
     for coords, w in items:
         if not math.isfinite(w) or w <= 0.0:
-            raise NonPositiveWeight(f"atom weight must be > 0, got {w!r} at {coords!r}")
+            raise NonPositiveWeight(
+                f"atom weight must be positive and finite, got {w!r} at {coords!r}"
+            )
     merged = _merge_weighted(items)
     total = math.fsum(w for _, w in merged)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:

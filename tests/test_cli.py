@@ -324,6 +324,54 @@ class TestExitCodes:
         code, report, _ = run_cli(["stat", str(bad)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-dominance", "{bad}", SPREAD],
+            ["comonotone-check", "{bad}"],
+            ["maxcorr", "{bad}"],
+            ["comonotone-gap", "{bad}"],
+            ["share", "{bad}", MU],
+            ["improve", "{bad}"],
+            ["stat", "{bad}"],
+            ["qdescent", "{bad}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_utf8_file_reported(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bin.json"
+        bad.write_bytes(b'{"dim": 1, \xff\xfe\x00bad')
+        argv = [str(bad) if a == "{bad}" else a for a in argv]
+        code, report, err = run_cli(argv, capsys)
+        assert code == 2
+        assert report["error"] == f"{bad}: not UTF-8 text at byte 11: invalid start byte"
+        assert err == f"error: {report['error']}\n"
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (
+                ["check-dominance", "{bad}", SPREAD],
+                '{"dim": 1, "atoms": [{"x": [0.0], "w": 1e999}]}',
+                "atom weight must be positive and finite, got inf",
+            ),
+            (
+                ["share", "{bad}", MU],
+                '{"agents": 1, "dim": 1, "profiles": [{"eps": 1e999}]}',
+                "agent 0: eps must be positive and finite, got inf",
+            ),
+        ],
+        ids=["weight", "eps"],
+    )
+    def test_infinite_parameter_names_the_rule(self, argv, text, message, tmp_path, capsys):
+        # 1e999 parses to infinity, which the schemas' exclusiveMinimum admits
+        bad = tmp_path / "inf.json"
+        bad.write_text(text)
+        argv = [str(bad) if a == "{bad}" else a for a in argv]
+        code, report, _ = run_cli(argv, capsys)
+        assert code == 2
+        assert message in report["error"]
+
 
 class TestReports:
     def test_improve_emits_the_rearrangement(self, capsys):
