@@ -89,7 +89,7 @@ def _keyword(name: str, value, schema: dict):
     """The check of one keyword of ``schema``.  It takes an instance and
     returns None, or the violation as (path elements, innermost first;
     message), worded as jsonschema words it."""
-    if name == "type" and value in _TYPES:
+    if name == "type" and isinstance(value, str) and value in _TYPES:
         test = _TYPES[value]
         return lambda v: None if test(v) else ([], f"{v!r} is not of type {value!r}")
     if name == "required":

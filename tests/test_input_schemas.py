@@ -135,10 +135,11 @@ def test_shipped_schema_passes_its_metaschema(name):
         {"type": "array", "maxItems": 3},
         {"type": "object", "properties": {"a": {"type": "number", "maximum": 1}}},
         {"type": "array", "items": {"type": "string"}},
+        {"type": ["number", "null"]},
         {"type": "object", "additionalProperties": True},
         {"anyOf": [{"type": "number"}]},
     ],
-    ids=["maxItems", "nested-maximum", "string-type", "open-object", "anyOf"],
+    ids=["maxItems", "nested-maximum", "string-type", "type-list", "open-object", "anyOf"],
 )
 def test_unsupported_keyword_refused(schema):
     with pytest.raises(RiskShareError, match="unsupported keyword"):
