@@ -207,15 +207,25 @@ def _violation(kind: str, obj) -> Optional[str]:
     return f"${where}: {message}"
 
 
-def _convert(path: str, obj, kind: str):
-    """Schema-check the parsed contents of ``path`` and build its object."""
+def _checked(path: str, obj, kind: str):
+    """The parsed contents ``obj`` of ``path``, once its kind's schema admits them."""
     violation = _violation(kind, obj)
     if violation is not None:
         raise InputError(f"{path}: schema violation at {violation}")
+    return obj
+
+
+def _build(path: str, obj, kind: str):
+    """The object that the schema-checked contents ``obj`` of ``path`` describe."""
     try:
         return _CONVERTERS[kind](obj)
     except RiskShareError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _convert(path: str, obj, kind: str):
+    """Schema-check the parsed contents of ``path`` and build its object."""
+    return _build(path, _checked(path, obj, kind), kind)
 
 
 def _load(path: str, kind: str):
@@ -349,13 +359,15 @@ def _cmd_comonotone_gap(args):
 
 
 def _cmd_share(args):
-    profile = _load(args.profile, "profile")
+    profile_obj = _checked(args.profile, _read(args.profile), "profile")
     m0 = _load(args.measure, "measure")
-    if m0.dim != profile.dim:
+    # compared before the profile is built, since it sizes its arrays by its dim
+    if m0.dim != profile_obj["dim"]:
         raise InputError(
             f"measure dimension {m0.dim} does not match profile dimension "
-            f"{profile.dim}"
+            f"{profile_obj['dim']}"
         )
+    profile = _build(args.profile, profile_obj, "profile")
     top = max((float(np.linalg.norm(x)) for x, _ in m0.atoms), default=0.0)
     radius = args.radius or max(1.0, 1.25 * top)
     ball = BallConfig(radius=radius)

@@ -14,11 +14,14 @@ equation ``sum_i y_i(u) = x`` is solved on the bracketing linear piece.
 The knots are built afresh on each split; a profile keeps only its cost
 arrays.
 In higher dimension each best response ``y_i(q)`` to a price vector ``q``
-solves a QP over the simplex of piece weights by a finite active set, with
-the ball multiplier found by bisection, and is certified by the KKT
-conditions; the price equation is solved by Newton's method with the exact
-Jacobian of the responses, damped in proportion to |r| / R (so the steps
-do not depend on the data's units) and safeguarded by dual ascent.
+solves a QP over the simplex of piece weights by a finite active set,
+started from its support at the last accepted price, with the ball
+multiplier found by regula falsi, and is certified by the KKT conditions.
+The price equation is solved by Newton's method with the exact Jacobian of
+the responses, safeguarded by dual ascent.  A step is damped in proportion
+to |r| / R (so the steps do not depend on the data's units), except where
+the last step kept every active set with no ball binding: the responses
+are affine there, and the undamped step is exact.
 
 In ``d >= 2`` pure-quadratic profiles enjoy the closed form
 ``y_i = S_i (sum_j S_j)^{-1} x`` with ``S_i`` the inverse quadratic; the same
@@ -83,7 +86,8 @@ class StrictlyConvexProfile:
     """Costs for all agents in a fixed dimension, in normalized form.
 
     The profile is immutable, so each agent's ``(Q, A, b)`` is built once,
-    read-only.
+    read-only, with the invariants the d >= 2 map reads on every response:
+    ``Q^-1`` and ``1 / lambda_min(Q)``.
     """
 
     dim: int
@@ -95,7 +99,8 @@ class StrictlyConvexProfile:
             raise DimensionMismatch("profile dimension must be >= 1")
         if not self.agents:
             raise InputError("profile needs at least one agent")
-        normalized, arrays = [], []
+        # every shape is checked against dim before any array of that size exists
+        checked = []
         for i, ag in enumerate(self.agents):
             quad = None
             if ag.quad is not None:
@@ -103,15 +108,25 @@ class StrictlyConvexProfile:
                 _check_spd(quad, self.dim, f"agent {i} quadratic")
             elif not (math.isfinite(ag.eps) and ag.eps > 0):
                 raise InputError(f"agent {i}: eps must be positive and finite, got {ag.eps!r}")
-            pieces = [_checked_piece(i, a, b, self.dim) for a, b in ag.pieces]
+            checked.append((quad, [_checked_piece(i, a, b, self.dim) for a, b in ag.pieces]))
+        normalized, arrays = [], []
+        for ag, (quad, pieces) in zip(self.agents, checked):
             if not pieces:
                 pieces = [(tuple([0.0] * self.dim), 0.0)]  # the zero piece
             normalized.append(AgentProfile(eps=float(ag.eps), pieces=tuple(pieces), quad=quad))
+            if quad is None:
+                eps = float(ag.eps)
+                Q, Qinv, inv_min = eps * np.eye(self.dim), np.eye(self.dim) / eps, 1.0 / eps
+            else:
+                Q, Qinv = quad, np.linalg.inv(quad)
+                inv_min = 1.0 / float(np.linalg.eigvalsh(quad)[0])
             arrays.append(
                 (
-                    quad if quad is not None else _read_only(float(ag.eps) * np.eye(self.dim)),
+                    _read_only(Q),
                     _read_only(np.array([a for a, _ in pieces], dtype=float)),
                     _read_only(np.array([b for _, b in pieces], dtype=float)),
+                    _read_only(Qinv),
+                    inv_min,
                 )
             )
         object.__setattr__(self, "agents", tuple(normalized))
@@ -127,12 +142,12 @@ class StrictlyConvexProfile:
 
     def piece_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Agent ``i``'s piece slopes (one per row) and intercepts, read-only."""
-        return self._arrays[i][1:]
+        return self._arrays[i][1:3]
 
     def psi_values(self, i: int, Y: np.ndarray) -> np.ndarray:
         """Agent ``i``'s cost at each row of the ``(n, d)`` array ``Y``."""
         Y = np.asarray(Y, dtype=float)
-        Q, A, b = self._arrays[i]
+        Q, A, b = self._arrays[i][:3]
         return ((0.5 * Y) @ Q * Y).sum(axis=1) + (Y @ A.T + b).max(axis=1)
 
     def psi_value(self, i: int, y: np.ndarray) -> float:
@@ -141,13 +156,13 @@ class StrictlyConvexProfile:
     def psi_grad(self, i: int, y: np.ndarray) -> np.ndarray:
         """A subgradient; equals the gradient wherever a single piece leads."""
         y = np.asarray(y, dtype=float)
-        Q, A, b = self._arrays[i]
+        Q, A, b = self._arrays[i][:3]
         k = int(np.argmax(A @ y + b))
         return Q @ y + A[k]
 
     def is_pure_quadratic(self) -> bool:
         """True when no agent has a sloped affine piece."""
-        return not any(A.any() for _, A, _ in self._arrays)
+        return not any(A.any() for _, A, *_ in self._arrays)
 
 
 def _checked_piece(i: int, a, b, dim: int) -> tuple[Coords, float]:
@@ -201,28 +216,49 @@ class SharingPoint:
 # ---------------------------------------------------------------------------
 
 
-def _secular_root(solve, center, radius):
-    """Find nu >= 0 with |y(nu) - c| = R, where |y(nu) - c| decreases in nu.
+def _secular_root(solve, center, radius, dist0):
+    """Find nu >= 0 with |y(nu) - c| = R, where |y(nu) - c| decreases in nu
+    from ``dist0 > R`` at nu = 0.
 
-    ``solve(nu)`` returns a tuple whose first entry is ``y(nu)``; the tuple
-    at the root, taken from inside the ball, is returned with the root.
+    ``solve(nu)`` returns a tuple whose first entry is ``y(nu)``.  The root is
+    bracketed by quadrupling, then found by Illinois regula falsi on
+    ``phi(nu) = 1/|y(nu) - c| - 1/R``, which is close to linear in nu while
+    the active pieces stay (Moré & Sorensen, 1983).  The bracket's inside end
+    ``hi`` is kept, and its tuple is returned with it once ``|y(hi) - c|`` is
+    within ``ROUNDING`` of R or the bracket's ends are adjacent doubles.
     """
-    lo, hi = 0.0, 1.0
+
+    def phi(dist):
+        return math.inf if dist == 0.0 else 1.0 / dist - 1.0 / radius
+
+    lo, f_lo, hi = 0.0, phi(dist0), 1.0
     for _ in range(200):
-        if np.linalg.norm(solve(hi)[0] - center) <= radius:
+        at_hi = solve(hi)
+        dist = float(np.linalg.norm(at_hi[0] - center))
+        if dist <= radius:
             break
-        hi *= 4.0
+        lo, f_lo, hi = hi, phi(dist), 4.0 * hi
     else:
         raise NoConvergence("ball multiplier bracket not found")
+    f_hi, kept = phi(dist), 0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # lo and hi are adjacent doubles
+        if radius - dist <= ROUNDING * radius:
             break
-        if np.linalg.norm(solve(mid)[0] - center) > radius:
-            lo = mid
+        nu = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < nu < hi:  # the secant left the bracket: bisect
+            nu = 0.5 * (lo + hi)
+            if nu in (lo, hi):  # lo and hi are adjacent doubles
+                break
+        out = solve(nu)
+        dist_nu = float(np.linalg.norm(out[0] - center))
+        # Illinois: an end kept twice in a row has its phi halved
+        if dist_nu <= radius:
+            hi, f_hi, at_hi, dist = nu, phi(dist_nu), out, dist_nu
+            f_lo, kept = (0.5 * f_lo if kept < 0 else f_lo), -1
         else:
-            hi = mid
-    return solve(hi), hi
+            lo, f_lo = nu, phi(dist_nu)
+            f_hi, kept = (0.5 * f_hi if kept > 0 else f_hi), 1
+    return at_hi, hi
 
 
 def _affine_minimizer(Minv, A, b, v, W):
@@ -309,28 +345,34 @@ def _certify(Q, A, b, u, ball, y, active, mu) -> bool:
     )
 
 
-def _minimize_inner(Q, A, b, u, ball):
-    """Certified minimizer ``y`` of the inner problem, its ball multiplier
-    ``nu`` and its derivative ``J`` in the price ``u``.
+def _minimize_inner(agent, u, ball, W=None, w=None):
+    """Certified minimizer ``y`` of the inner problem of ``agent``, one entry
+    of a profile's ``_arrays``, with its ball multiplier ``nu``, its
+    derivative ``J`` in the price ``u``, and the active pieces ``W`` with
+    their weights ``w``, which may also be given as a warm start.
 
     ``nu`` is zero unless the unconstrained minimizer leaves the ball; then
     it is the root of ``|y(nu) - c| = R``, where ``y(nu)`` solves the inner
-    dual with ``M = Q + nu I`` and price ``u + nu c``.  With ``D`` the
-    differences of the active slopes, ``M^-1 - M^-1 D'(D M^-1 D')^+ D M^-1``
-    is the inverse of ``M`` on the directions that keep the active pieces
-    tied; ``J`` is that, with the direction ``z = y - c`` that would leave
-    the sphere projected out too when the ball binds.
+    dual with ``M = Q + nu I`` and price ``u + nu c``, each solve started
+    from the last one's support.  With ``D`` the differences of the active
+    slopes, ``M^-1 - M^-1 D'(D M^-1 D')^+ D M^-1`` is the inverse of ``M`` on
+    the directions that keep the active pieces tied; ``J`` is that, with the
+    direction ``z = y - c`` that would leave the sphere projected out too
+    when the ball binds.
     """
+    Q, A, b, Minv, _ = agent
     c, eye = ball.center_for(Q.shape[0]), np.eye(Q.shape[0])
-    Minv = np.linalg.inv(Q)
-    y, W, w = _simplex_qp(Minv, A, b, u)
+    y, W, w = _simplex_qp(Minv, A, b, u, W, w)
     nu = 0.0
-    if np.linalg.norm(y - c) > ball.radius:
-        (y, W, w), nu = _secular_root(
-            lambda s: _simplex_qp(np.linalg.inv(Q + s * eye), A, b, u + s * c, W, w),
-            c,
-            ball.radius,
-        )
+    dist = float(np.linalg.norm(y - c))
+    if dist > ball.radius:
+
+        def solve(s):
+            nonlocal W, w
+            y, W, w = _simplex_qp(np.linalg.inv(Q + s * eye), A, b, u + s * c, W, w)
+            return y, W, w
+
+        (y, W, w), nu = _secular_root(solve, c, ball.radius, dist)
         Minv = np.linalg.inv(Q + nu * eye)
     if not _certify(Q, A, b, u, ball, y, W, w):
         raise NoConvergence("the inner minimizer failed its KKT certificate")
@@ -344,7 +386,7 @@ def _minimize_inner(Q, A, b, u, ball):
         zJz = float((y - c) @ Jz)
         if zJz > 0.0:
             J = J - np.outer(Jz, Jz) / zJz
-    return y, nu, J
+    return y, nu, J, W, w
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +533,7 @@ def _split_1d(profile, xs, ball, tol):
 
 def _closed_form_quadratic(profile, x, ball):
     """Unconstrained optimum for pure quadratics (d >= 2); None when it leaves B."""
-    S = [np.linalg.inv(profile.quad_matrix(i)) for i in range(profile.n_agents)]
+    S = [Qinv for _, _, _, Qinv, _ in profile._arrays]
     total = sum(S)
     try:
         price = np.linalg.solve(total, x)
@@ -528,8 +570,9 @@ def share_point(
     ``method="auto"`` uses the exact closed form when every cost is purely
     quadratic and the unconstrained optimum stays inside the ball;
     otherwise, and always with ``method="dual"``, the price equation
-    ``sum_i y_i(q) = x`` is solved by regularized Newton steps with the
-    exact Jacobian, from ``q0`` and for at most ``MAX_OUTER_ITER`` steps.
+    ``sum_i y_i(q) = x`` is solved by Newton steps with the exact Jacobian,
+    from ``q0`` and for at most ``MAX_OUTER_ITER`` steps: regularized, or
+    undamped after a step that kept every active set with no ball binding.
     Either way the split is certified: ``|sum(shares) - x| <= tol (1 + |x|)``
     with every share in the ball.
     """
@@ -560,57 +603,70 @@ def share_point(
     q = np.zeros(d) if q0 is None else np.asarray([float(v) for v in q0], dtype=float)
     if q.shape != (d,):
         raise DimensionMismatch(f"q0 has shape {q.shape}, expected ({d},)")
-    agents = [(profile.quad_matrix(i), *profile.piece_arrays(i)) for i in range(p)]
+    agents = profile._arrays
     # y_i is 1/lambda_min(Q_i)-Lipschitz in q, so r / L is a safe ascent step
-    lipschitz = sum(1.0 / float(np.linalg.eigvalsh(Q)[0]) for Q, _, _ in agents)
+    lipschitz = sum(inv_min for *_, inv_min in agents)
     threshold = tol * (1.0 + float(np.linalg.norm(x)))
     it, residual = 0, math.inf
 
     def failure(why: str) -> NoConvergence:
         return NoConvergence(
             f"{d}-D sharing of x = {tuple(x.tolist())} among {p} agents with "
-            f"{[A.shape[0] for _, A, _ in agents]} pieces: {why}; "
+            f"{[A.shape[0] for _, A, *_ in agents]} pieces: {why}; "
             f"residual {residual:.3e} at iteration {it}"
         )
 
-    def respond(qv):
+    def respond(qv, start):
+        # each best response starts from its support at the accepted price
         try:
-            inner = [_minimize_inner(Q, A, b, qv, ball) for Q, A, b in agents]
+            inner = [_minimize_inner(ag, qv, ball, *warm) for ag, warm in zip(agents, start)]
         except NoConvergence as exc:
             raise failure(str(exc)) from exc
-        return inner, x - sum(y for y, _, _ in inner)
+        return inner, x - sum(y for y, *_ in inner)
 
-    inner, r = respond(q)
+    inner, r = respond(q, [()] * p)
     residual = float(np.linalg.norm(r))
+    affine = False
     while not residual <= threshold:
         if it == MAX_OUTER_ITER:
             raise failure(f"target {threshold:.3e} not reached in {MAX_OUTER_ITER} iterations")
         it += 1
-        # Levenberg-Marquardt, scale-free: mu = lambda_max(J) |r| / R, in J's
-        # units; L stands in where J is 0 up to roundoff (agents at vertices)
-        J = sum(Ji for _, _, Ji in inner)
-        lam = float(np.linalg.eigvalsh(J)[-1])
-        mu = (lam if lam > ROUNDING * lipschitz else lipschitz) * residual / ball.radius
+        J = sum(Ji for _, _, Ji, _, _ in inner)
+        low, lam = (float(v) for v in np.linalg.eigvalsh(J)[[0, -1]])
+        if affine and low > ROUNDING * lam:
+            # the last step kept every active set with no ball binding, so
+            # the responses are affine there and the Newton step is exact
+            mu = 0.0
+        else:
+            # Levenberg-Marquardt, scale-free: mu = lambda_max(J) |r| / R, in
+            # J's units; L stands in where J is 0 up to roundoff (agents at
+            # vertices)
+            mu = (lam if lam > ROUNDING * lipschitz else lipschitz) * residual / ball.radius
+        start = [(W, w) for *_, W, w in inner]
         q_try = q + np.linalg.solve(J + mu * np.eye(d), r)
-        inner_try, r_try = respond(q_try)
+        inner_try, r_try = respond(q_try, start)
         if not np.linalg.norm(r_try) <= (1.0 - SUFFICIENT) * residual:
             # dual ascent: 1/L is safe, and doubling it while the dual rises
             # along r (r(q + s r).r > 0) crosses flat regions in a few trials
             s = 1.0 / lipschitz
-            inner_try, r_try = respond(q + s * r)
+            inner_try, r_try = respond(q + s * r, start)
             for _ in range(64):
-                inner_next, r_next = respond(q + 2.0 * s * r)
+                inner_next, r_next = respond(q + 2.0 * s * r, start)
                 if not r_next @ r > 0.0:
                     break
                 s, inner_try, r_try = 2.0 * s, inner_next, r_next
             q_try = q + s * r
+        affine = all(
+            nu == nu_try == 0.0 and set(W) == set(W_try)
+            for (_, nu, _, W, _), (_, nu_try, _, W_try, _) in zip(inner, inner_try)
+        )
         q, inner, r = q_try, inner_try, r_try
         residual = float(np.linalg.norm(r))
     return SharingPoint(
         x=tuple(float(v) for v in x),
-        shares=tuple(tuple(float(v) for v in y) for y, _, _ in inner),
+        shares=tuple(tuple(float(v) for v in y) for y, *_ in inner),
         price=tuple(float(v) for v in q),
-        multipliers=tuple(float(nu) for _, nu, _ in inner),
+        multipliers=tuple(float(nu) for _, nu, *_ in inner),
         residual=residual,
         iterations=it,
     )

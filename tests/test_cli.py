@@ -185,6 +185,20 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in report["error"] and "column" in report["error"]
 
+    @pytest.mark.parametrize("dim", ["1e300", "100000"])
+    def test_share_refuses_a_profile_dim_before_building_it(self, dim, tmp_path, capsys):
+        # 1e300 is an integer to the schema; neither profile may be built
+        profile = tmp_path / "profile.json"
+        profile.write_text(
+            '{"agents": 2, "dim": %s, "profiles": [{"eps": 1.0}, '
+            '{"eps": 2.0, "quad": [[2.0]]}]}' % dim
+        )
+        measure = tmp_path / "m.json"
+        measure.write_text('{"dim": 2, "atoms": [{"x": [1.0, 0.0], "w": 1.0}]}')
+        code, report, _ = run_cli(["share", str(profile), str(measure)], capsys)
+        assert code == 2
+        assert "does not match profile dimension" in report["error"]
+
     def test_schema_violation_names_field(self, tmp_path, capsys):
         bad = tmp_path / "neg.json"
         bad.write_text('{"dim": 1, "atoms": [{"x": [0.0], "w": -1.0}]}')

@@ -69,6 +69,14 @@ class TestProfileValidation:
         assert profile(((0.0,), -1.0)).is_pure_quadratic()
         assert not profile(((0.5,), 0.0)).is_pure_quadratic()
 
+    @pytest.mark.parametrize("dim", [10**300, 100_000], ids=["1e300", "1e5"])
+    def test_shapes_checked_before_any_array_is_built(self, dim):
+        # the eps-only agent's zero piece and floor would take dim entries;
+        # the other agent's 1 x 1 quadratic is refused first
+        agents = (AgentProfile(eps=1.0), AgentProfile(eps=2.0, quad=np.array([[2.0]])))
+        with pytest.raises(DimensionMismatch, match="agent 1 quadratic"):
+            StrictlyConvexProfile(dim=dim, agents=agents)
+
     def test_quad_must_be_spd(self):
         with pytest.raises(NotPositiveDefinite):
             StrictlyConvexProfile(
@@ -127,6 +135,28 @@ class TestCachedArrays:
         # do not reach the profile
         user_quad[0, 0] = 5.0
         assert prof.quad_matrix(1)[0, 0] == 2.0
+
+    def test_share_point_inverts_no_quadratic(self, monkeypatch):
+        # Q^-1 and 1/lambda_min(Q) are kept with the profile, so a 2-D split
+        # whose balls never bind inverts no matrix
+        prof = StrictlyConvexProfile(
+            dim=2,
+            agents=(
+                AgentProfile(eps=0.5, pieces=(((1.0, -1.0), 0.25), ((-1.0, 0.5), 0.0))),
+                AgentProfile(quad=np.array([[2.0, 0.1], [0.1, 1.0]])),
+            ),
+        )
+        np.testing.assert_array_equal(prof._arrays[1][3], np.linalg.inv(prof.quad_matrix(1)))
+        assert prof._arrays[0][4] == 2.0
+        with pytest.raises(ValueError):
+            prof._arrays[1][3][0, 0] = 7.0
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a quadratic was inverted during the split")
+
+        monkeypatch.setattr(np.linalg, "inv", refused)
+        sp = share_point(prof, (0.7, -0.3), BIG)
+        assert sp.iterations > 0 and max(sp.multipliers) == 0.0
 
     def test_one_profile_under_many_balls_matches_fresh_profiles(self):
         shared = _kinked_1d_profile()

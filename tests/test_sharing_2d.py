@@ -14,11 +14,18 @@ import math
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, nnls
 
-from riskshare.infconv import AgentProfile, StrictlyConvexProfile, share_point
+import riskshare.infconv as infconv
+from riskshare.infconv import (
+    AgentProfile,
+    StrictlyConvexProfile,
+    profile_from_obj,
+    share_point,
+)
 from riskshare.measures import BallConfig
 
 TOL = 1e-8
@@ -220,3 +227,73 @@ def test_split_scales_with_lengths():
             shares = np.asarray(sp_k.shares) / k
             assert np.max(np.abs(shares - sp.shares)) <= TOL * (1.0 + np.linalg.norm(x))
             assert sp_k.iterations <= sp.iterations + 2
+
+
+def _binding_profile():
+    """Pure isotropic floors: at (1.8, 0) with R = 1 the first agent's ball
+    binds with multiplier 7.9."""
+    return StrictlyConvexProfile(
+        dim=D, agents=(AgentProfile(eps=0.1), AgentProfile(eps=10.0))
+    )
+
+
+def test_ball_multiplier_root_takes_few_solves(monkeypatch):
+    # phi(nu) = 1/|y(nu) - c| - 1/R is linear in nu here, so after the
+    # bracket regula falsi lands on the root; bisecting to adjacent doubles
+    # took 55 to 60 active-set solves per root
+    solves, per_root = [0], []
+    simplex_qp, secular_root = infconv._simplex_qp, infconv._secular_root
+
+    def counted_qp(*args, **kwargs):
+        solves[0] += 1
+        return simplex_qp(*args, **kwargs)
+
+    def counted_root(*args, **kwargs):
+        before = solves[0]
+        out = secular_root(*args, **kwargs)
+        per_root.append(solves[0] - before)
+        return out
+
+    monkeypatch.setattr(infconv, "_simplex_qp", counted_qp)
+    monkeypatch.setattr(infconv, "_secular_root", counted_root)
+    ball = BallConfig(radius=1.0)
+    for k in (1.0, 1e3):
+        profile, ball_k = _scaled(_binding_profile(), ball, k)
+        per_root.clear()
+        sp = share_point(profile, (1.8 * k, 0.0), ball_k, method="dual")
+        assert sp.multipliers[0] == pytest.approx(7.9, rel=1e-8)
+        assert per_root and max(per_root) <= 10, per_root
+
+
+#: The 2-D profile and states of the benchmark's ``share`` request.
+_REQUEST_PROFILE = {
+    "agents": 2,
+    "dim": 2,
+    "profiles": [
+        {"eps": 1.0, "pieces": [{"a": [0.0, 0.0], "b": 0.0}, {"a": [1.0, 0.5], "b": -0.5}]},
+        {
+            "eps": 1.5,
+            "pieces": [
+                {"a": [0.0, 0.0], "b": 0.0},
+                {"a": [-0.5, 1.0], "b": -0.25},
+                {"a": [0.5, 0.5], "b": -0.75},
+            ],
+        },
+    ],
+}
+_REQUEST_STATES = [(1.5, 0.5), (-1.0, 1.0), (0.5, -1.5), (2.0, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "x, steps", zip(_REQUEST_STATES, (6, 5, 5, 5)), ids=["s0", "s1", "s2", "s3"]
+)
+def test_affine_region_is_finished_by_an_exact_step(x, steps):
+    # no ball binds at these states; once a step keeps every active set, the
+    # responses are affine and the undamped Newton step lands on the split
+    # up to rounding, in no more steps than the damped steps took
+    profile = profile_from_obj(_REQUEST_PROFILE)
+    ball = BallConfig(radius=1.25 * float(np.linalg.norm(_REQUEST_STATES[-1])))
+    sp = share_point(profile, x, ball)
+    assert max(sp.multipliers) == 0.0
+    assert sp.residual <= 1e-14 * (1.0 + np.linalg.norm(x))
+    assert sp.iterations <= steps
