@@ -16,7 +16,7 @@ class InputError(RiskShareError, ValueError):
 
 
 class ProblemTooLarge(InputError):
-    """A grid or program would exceed its size limit."""
+    """A grid, program or cost profile would exceed its size limit."""
 
 
 class DimensionMismatch(RiskShareError, ValueError):

@@ -44,6 +44,7 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
     ParameterOutOfRange,
+    ProblemTooLarge,
     SingularSum,
     XOutsideDomain,
 )
@@ -65,6 +66,10 @@ SUFFICIENT = 1e-4
 #: ``_affine_minimizer``'s normal equations square the condition number, so
 #: slopes within sqrt(machine epsilon) of dependence count as dependent.
 DEPENDENCE_RATIO = 1e-8
+#: Cap on a profile's d x d entries, dim squared times agents: each agent
+#: keeps Q and Q^-1, 80 MB in all as float64 at the cap (two agents in
+#: dimension 1581).
+MAX_PROFILE_ENTRIES = 5_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +92,9 @@ class StrictlyConvexProfile:
 
     The profile is immutable, so each agent's ``(Q, A, b)`` is built once,
     read-only, with the invariants the d >= 2 map reads on every response:
-    ``Q^-1`` and ``1 / lambda_min(Q)``.
+    ``Q^-1`` and ``1 / lambda_min(Q)``.  A profile of more than
+    ``MAX_PROFILE_ENTRIES`` d x d entries over its agents is refused with
+    ``ProblemTooLarge`` before any such array is built.
     """
 
     dim: int
@@ -109,6 +116,12 @@ class StrictlyConvexProfile:
             elif not (math.isfinite(ag.eps) and ag.eps > 0):
                 raise InputError(f"agent {i}: eps must be positive and finite, got {ag.eps!r}")
             checked.append((quad, [_checked_piece(i, a, b, self.dim) for a, b in ag.pieces]))
+        entries = self.dim * self.dim * len(self.agents)
+        if entries > MAX_PROFILE_ENTRIES:
+            raise ProblemTooLarge(
+                f"a profile of {len(self.agents)} agents in dimension {self.dim} would hold "
+                f"{entries} matrix entries, more than the limit of {MAX_PROFILE_ENTRIES}"
+            )
         normalized, arrays = [], []
         for ag, (quad, pieces) in zip(self.agents, checked):
             if not pieces:

@@ -2,7 +2,9 @@
 
 Solves ``minimize c·v  subject to  A v = b, v >= 0`` with a two-phase
 revised simplex method on the system ``[A | I]``, the program's columns
-followed by one artificial per row, built once per solve.
+followed by one artificial per row.  That system is never built: each
+solve signs the program's rows so that ``b >= 0``, and the artificials'
+unit columns are supplied where a product or a basis needs them.
 
 Phase 1 starts from the basis of a feasible point's support when the
 caller knows one (``solve(lp, start=x0)``), completed by artificials on the
@@ -27,18 +29,23 @@ out.
 Programs are passed in as dense arrays and stay
 at desk scale (a few hundred rows, at most a few thousand variables), but
 the ones built elsewhere in the package are about 99% zeros.  Each solve
-therefore takes a column-compressed copy of its system once, and every
-product with a column of it costs its nonzeros, not its rows: pricing
-``c - Aᵀy`` and the entering column ``B⁻¹a`` (FTRAN).
+therefore takes a column-compressed copy of its system once, the
+program's nonzeros followed by the unit columns, and every product with a
+column of it costs its nonzeros, not its rows: pricing ``c - Aᵀy`` and the
+entering column ``B⁻¹a`` (FTRAN).
 
 The working basis is held as an explicit dense inverse.  A simplex run
 inverts its start basis once, unless it is handed one (phase 1 from the
 all-artificial basis is handed the identity); every pivot then updates the
-inverse by a rank-one (eta) step on the rows where ``B⁻¹a`` is nonzero,
-and moves the basic values and the duals along with it, instead of
-re-inverting in O(m³).  The inverse, the basic values and the duals are
-recomputed from scratch every ``REFACTOR_INTERVAL`` pivots to stop
-rounding from building up.
+inverse by a rank-one (eta) step, and moves the basic values and the duals
+along with it, instead of re-inverting in O(m³).  The bases are
+hypersparse, so the step touches only the block of rows where ``B⁻¹a`` is
+nonzero and columns where the new pivot row is; a step of length 0 leaves
+the basic values alone.  What is skipped would change at most the sign of
+a zero, which no decision reads, and every verdict's values are solved
+fresh.  The inverse, the basic values and the duals are recomputed from
+scratch every ``REFACTOR_INTERVAL`` pivots to stop rounding from building
+up.
 
 No verdict is read off an updated inverse.  Phase 2 reads an optimal
 verdict off basic values and duals solved fresh from the basis's
@@ -60,9 +67,10 @@ takes no pivot there, and phase 1's point is certified like any optimum.
 Anti-cycling: pivoting starts under Dantzig's rule and switches to
 Bland's rule permanently once ``3 * n_columns`` consecutive degenerate
 steps have been taken, counted over the columns that may enter.
-Dantzig's rule takes the entering column with one ``argmin`` (ties by
-index); the other candidates are sorted only when that column stalls, its
-entries all positive but none above ``PIVOT_TOL``.
+Dantzig's rule takes the entering column with one ``argmin`` over the
+reduced costs (ties by index), Bland's the first index below ``-OPT_TOL``;
+the other candidates are listed only when that column stalls, its entries
+all positive but none above ``PIVOT_TOL``.
 """
 
 from __future__ import annotations
@@ -173,27 +181,46 @@ def _inverse(B: np.ndarray, why: str, pivots: int) -> np.ndarray:
         raise _Breakdown(f"{why}: {exc}", pivots) from exc
 
 
+def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The columns ``basis`` of the system ``[A | I]``, as a dense array.
+
+    Structural columns are read from ``A``; an artificial is the unit
+    vector of its row.
+    """
+    m, n = A.shape
+    B = np.zeros((m, len(basis)))
+    art = basis >= n
+    B[:, ~art] = A[:, basis[~art]]
+    B[basis[art] - n, art.nonzero()[0]] = 1.0
+    return B
+
+
 class _Columns:
-    """Column-compressed copy of a dense matrix.
+    """Column-compressed copy of the system ``[A | I]``, built from ``A`` alone.
 
     The nonzeros of column ``j`` are ``vals[ptr[j]:ptr[j + 1]]``, in rows
-    ``rows[ptr[j]:ptr[j + 1]]``; ``cols`` holds each nonzero's column.
+    ``rows[ptr[j]:ptr[j + 1]]``; ``cols`` holds each nonzero's column.  The
+    program's nonzeros come first, then the m unit columns.
     """
 
     def __init__(self, A: np.ndarray):
-        self.n = A.shape[1]
+        m, n = A.shape
+        self.n = n + m
         # column-major order; the flat indices of a boolean array are far
         # quicker to find than np.nonzero's index pairs
-        self.cols, self.rows = np.divmod(np.flatnonzero((A != 0).T), A.shape[0])
-        self.vals = A[self.rows, self.cols]
+        cols, rows = np.divmod(np.flatnonzero((A != 0).T), m)
+        units = np.arange(m)
+        self.cols = np.concatenate([cols, n + units])
+        self.rows = np.concatenate([rows, units])
+        self.vals = np.concatenate([A[rows, cols], np.ones(m)])
         self.ptr = np.searchsorted(self.cols, np.arange(self.n + 1)).tolist()
 
     def row_times(self, y: np.ndarray) -> np.ndarray:
-        """``y @ A``, by summing each column's nonzeros."""
+        """``y @ [A | I]``, by summing each column's nonzeros."""
         return np.bincount(self.cols, weights=y[self.rows] * self.vals, minlength=self.n)
 
     def ftran(self, invB: np.ndarray, j: int) -> np.ndarray:
-        """``invB @ A[:, j]``, from the columns of ``invB`` on column j's nonzero rows."""
+        """``invB @ [A | I][:, j]``, from the columns of ``invB`` on column j's nonzero rows."""
         lo, hi = self.ptr[j], self.ptr[j + 1]
         return invB[:, self.rows[lo:hi]] @ self.vals[lo:hi]
 
@@ -201,28 +228,38 @@ class _Columns:
 def _pivot(invB: np.ndarray, d: np.ndarray, r: int) -> None:
     """Update ``invB`` in place after a column with ``d = invB @ a`` enters slot ``r``.
 
-    Rows where ``d`` is zero are unchanged by the rank-one step, so only
-    the others are touched.
+    The rank-one step subtracts ``d`` times the new row ``r``, so only the
+    block of rows where ``d`` is nonzero and columns where that row is
+    nonzero is touched.  Everywhere else it would subtract an exact zero,
+    which can change at most the sign of a zero, and no decision reads that.
+    ``invB`` is C-contiguous, as every inverse here is, so the block is
+    reached through flat indices of a view, quicker than an index pair.
     """
     row = invB[r] / d[r]
     nz = d.nonzero()[0]
-    invB[nz] -= np.multiply.outer(d[nz], row)
+    cols = row.nonzero()[0]
+    block = np.add.outer(nz * invB.shape[1], cols)
+    invB.reshape(-1)[block] -= np.multiply.outer(d[nz], row[cols])
     invB[r] = row
 
 
-def _entering(z: np.ndarray, negative: np.ndarray, bland: bool):
-    """The columns ``negative`` with ``z < -OPT_TOL``, in the order they are tried.
+def _entering(z: np.ndarray, n_enter: int, bland: bool):
+    """The columns ``j < n_enter`` with ``z_j < -OPT_TOL``, in the order they are tried.
 
     Under Bland's rule that is index order; under Dantzig's it is ascending
     reduced cost, ties by index.  Nearly every pivot takes the first
-    candidate, so the full order is sorted only when that one stalls.
+    candidate, found in one pass over ``z``, so the full order is built
+    only when that one stalls.
     """
-    if bland or negative.size < 2:
-        yield from negative.tolist()
+    z = z[:n_enter]
+    first = int((z < -OPT_TOL).argmax() if bland else z.argmin())
+    if not z[first] < -OPT_TOL:
         return
-    zn = z[negative]
-    yield int(negative[np.argmin(zn)])  # the first entry of the stable sort
-    yield from negative[np.argsort(zn, kind="stable")[1:]].tolist()
+    yield first
+    negative = (z < -OPT_TOL).nonzero()[0]
+    if not bland:
+        negative = negative[np.argsort(z[negative], kind="stable")]
+    yield from negative[1:].tolist()
 
 
 def _structural_solution(
@@ -230,15 +267,15 @@ def _structural_solution(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Basic values and duals of ``basis``, solved fresh from its structural block.
 
-    ``A`` is the system ``[A | I]``.  A basic artificial is the unit vector
-    of its row, so the k structural basic columns, on the k rows no basic
-    artificial covers, form a k x k block ``B_s``: ``B_s x_s = b_s`` and
-    ``B_sᵀ y_s = c_s - S_aᵀ c_a``, where ``S_a`` holds the structural
-    columns' entries on the covered rows.  The artificial slots then take
-    ``x_a = b_a - S_a x_s``, and their rows ``y_a = c_a``.  A singular
-    block becomes a ``_Breakdown``.
+    ``A`` is the program, without its artificials.  A basic artificial is
+    the unit vector of its row, so the k structural basic columns, on the k
+    rows no basic artificial covers, form a k x k block ``B_s``:
+    ``B_s x_s = b_s`` and ``B_sᵀ y_s = c_s - S_aᵀ c_a``, where ``S_a`` holds
+    the structural columns' entries on the covered rows.  The artificial
+    slots then take ``x_a = b_a - S_a x_s``, and their rows ``y_a = c_a``.
+    A singular block becomes a ``_Breakdown``.
     """
-    m, n = A.shape[0], A.shape[1] - A.shape[0]
+    m, n = A.shape
     art = basis >= n
     rows = basis[art] - n  # the row of each artificial slot
     free = np.ones(m, dtype=bool)
@@ -269,8 +306,9 @@ def _simplex_iterations(
 ) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], int]:
     """Run simplex to optimality/unboundedness from a feasible basis.
 
-    ``A`` is the system ``[A | I]`` and ``columns`` its compressed copy;
-    ``basis`` (an int array, updated in place) holds a column per row.
+    ``A`` is the program and ``columns`` the compressed system ``[A | I]``,
+    whose column ``n + i`` is row i's artificial; ``basis`` (an int array,
+    updated in place) holds a column per row.
     Only the first ``n_enter`` columns may enter; a basic column past them
     is a variable fixed at 0.  It blocks any entering column whose entry on
     its row exceeds ``PIVOT_TOL`` in absolute value, with either sign, at
@@ -290,6 +328,7 @@ def _simplex_iterations(
     pivoted on from a fresh inverse.
     """
     m = A.shape[0]
+    phase_two = n_enter < columns.n  # artificial columns may not enter
     held = np.flatnonzero(basis >= n_enter)  # slots of variables fixed at 0
     pivots = 0
     refactor = invB is None
@@ -304,26 +343,25 @@ def _simplex_iterations(
         if pivots > max_iter:
             raise _Breakdown(f"iteration limit {max_iter} exceeded", pivots)
         if refactor or updates >= REFACTOR_INTERVAL:
-            invB = _inverse(A[:, basis], "singular working basis", pivots)
+            invB = _inverse(_basis_matrix(A, basis), "singular working basis", pivots)
             xB = invB @ b
             y = invB.T @ c[basis]
             updates, refactor = 0, False
         z = c - columns.row_times(y)
         z[basis] = 0.0
 
-        negative = (z[:n_enter] < -OPT_TOL).nonzero()[0]
         if solved:
-            if negative.size == 0:
+            if not (z[:n_enter] < -OPT_TOL).any():
                 return "optimal", basis, xB, y, None, pivots
             solved, refactor = False, True
             continue
 
         verdict: Optional[str] = "optimal"
-        for j in _entering(z, negative, bland):
+        for j in _entering(z, n_enter, bland):
             d = columns.ftran(invB, j)
             # a variable fixed at 0 blocks at step 0; of several, the one
             # with the largest entry leaves
-            k = int(np.argmax(np.abs(d[held]))) if held.size else -1
+            k = int(np.abs(d[held]).argmax()) if held.size else -1
             if k >= 0 and abs(d[held[k]]) > PIVOT_TOL:
                 r, theta, step = int(held[k]), 0.0, 0.0
                 held = held[held != r]
@@ -336,10 +374,10 @@ def _simplex_iterations(
                     verdict = "stalled"  # positive entries exist but all < PIVOT_TOL
                     continue
                 ratios = xB[eligible] / d[eligible]
-                theta = np.min(ratios)
+                theta = ratios.min()
                 ties = eligible[ratios <= theta + ZERO_WEIGHT]
                 # leave on the smallest variable index (Bland-compatible, deterministic)
-                r = int(ties[np.argmin(basis[ties])])
+                r = int(ties[basis[ties].argmin()])
                 step = xB[r] / d[r]
             if theta <= ZERO_WEIGHT:
                 degen_run += 1
@@ -348,7 +386,8 @@ def _simplex_iterations(
             if not bland and degen_run >= 3 * n_enter:
                 bland = True
             _pivot(invB, d, r)
-            xB -= step * d
+            if step:  # a step of 0 could change only the sign of a zero
+                xB -= step * d
             xB[r] = step
             # y moves by z_j times the new row r of B⁻¹: a_j·y becomes c_j,
             # and a·y is unchanged for every other basic column a
@@ -361,7 +400,7 @@ def _simplex_iterations(
         if verdict is None:
             continue
         if updates:  # read no verdict off an updated inverse
-            if verdict == "optimal" and n_enter < A.shape[1]:
+            if verdict == "optimal" and phase_two:
                 xB, y = _structural_solution(A, b, c, basis, pivots)
                 solved = True
             else:
@@ -389,8 +428,7 @@ def _crash(
     (purification).  If the column's own weight does, it stays out;
     otherwise it takes the slot of the basic column whose weight did.  The
     basis then holds the whole support, so its basic solution is ``x``.
-    ``A`` is the system ``[A | I]``, whose first ``len(x)`` columns are the
-    program's, and ``columns`` its compressed copy.
+    ``A`` is the program and ``columns`` the compressed system ``[A | I]``.
 
     Returns the rank-one updates made to ``invB`` since it was last fresh.
     """
@@ -399,7 +437,8 @@ def _crash(
     updates = 0
     for j in np.flatnonzero(x > 0).tolist():
         if updates >= REFACTOR_INTERVAL:
-            invB[:] = _inverse(A[:, basis], "singular basis while crashing the start", 0)
+            B = _basis_matrix(A, basis)
+            invB[:] = _inverse(B, "singular basis while crashing the start", 0)
             updates = 0
         d = columns.ftran(invB, j)
         on_held = np.where(held, np.abs(d), 0.0)
@@ -432,15 +471,14 @@ def _phase_one(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Minimize the sum of artificial variables from the basis of ``start``'s support.
 
-    ``A`` is the system ``[A | I]`` and ``columns`` its compressed copy.
+    ``A`` is the program and ``columns`` the compressed system ``[A | I]``.
     ``start`` (purified in place) is a feasible point, or None for the
     empty support, which leaves the all-artificial basis.  When the start
     basis's artificials already sum to at most ``FEAS_TOL``, it is phase 1's
     answer and no pivot is taken.  Returns value, basis, y, invB, pivots
     and the rank-one updates of invB since it was fresh.
     """
-    m = A.shape[0]
-    n = A.shape[1] - m
+    m, n = A.shape
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
     invB = np.eye(m)  # the identity basis is its own inverse
@@ -462,14 +500,16 @@ def _phase_one(
     return float(c1[basis] @ xB), basis, y, invB, pivots, updates
 
 
-def _with_artificials(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The system ``[A | I]`` with each row signed so that ``b >= 0``.
+def _signed_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The program with each row signed so that ``b >= 0``.
 
-    Returns the system, the signed ``b`` and the row signs, which turn the
-    system's duals back into the program's.
+    Returns the signed ``A`` and ``b`` and the row signs, which turn the
+    signed program's duals back into the original's.  Its artificials are
+    never built: ``_Columns`` and ``_basis_matrix`` supply their unit
+    columns.
     """
     signs = np.where(b < 0, -1.0, 1.0)
-    return np.hstack([A * signs[:, None], np.eye(len(b))]), b * signs, signs
+    return A * signs[:, None], b * signs, signs
 
 
 def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -510,7 +550,7 @@ def _checked_start(lp: LinearProgram, start) -> np.ndarray:
 def _two_phase(lp: LinearProgram, start: Optional[np.ndarray]) -> LPOutcome:
     """Both phases from ``start``'s basis, or the all-artificial one if None."""
     m, n = lp.A.shape
-    A, b, signs = _with_artificials(lp.A, lp.b)
+    A, b, signs = _signed_rows(lp.A, lp.b)
     columns = _Columns(A)
     pivots = 0
     try:

@@ -6,9 +6,12 @@ leaner loop: it sorts every entering candidate on every pivot, breaks
 ratio-test ties with ``min(..., key=...)`` over a list-like basis, and
 refactorises the whole basis before every verdict.  It is kept here,
 unchanged in arithmetic, so that the differential tests can require the
-lean loop to take the same pivots.  It looks up ``_pivot``, ``_inverse``,
-the tolerances and ``REFACTOR_INTERVAL`` on the module at each call, so the
-tests' patches reach it as they reach the lean loop.
+lean loop to take the same pivots.  Its rank-one update is its own, ``pivot``
+below: the dense one the lean loop's ``_pivot`` replaced, which touches
+every column of the rows where ``B⁻¹a`` is nonzero.  It looks up ``pivot``
+on this module and ``_inverse``, ``_basis_matrix``, the tolerances and
+``REFACTOR_INTERVAL`` on ``riskshare.lp`` at each call, so the tests'
+patches reach it as they reach the lean loop.
 """
 
 from __future__ import annotations
@@ -18,6 +21,18 @@ from typing import Optional
 import numpy as np
 
 from riskshare import lp
+
+
+def pivot(invB: np.ndarray, d: np.ndarray, r: int) -> None:
+    """Update ``invB`` in place after a column with ``d = invB @ a`` enters slot ``r``.
+
+    Rows where ``d`` is zero are unchanged by the rank-one step, so only
+    the others are touched.
+    """
+    row = invB[r] / d[r]
+    nz = d.nonzero()[0]
+    invB[nz] -= np.multiply.outer(d[nz], row)
+    invB[r] = row
 
 
 def simplex_iterations(
@@ -44,7 +59,7 @@ def simplex_iterations(
         if pivots > max_iter:
             raise lp._Breakdown(f"iteration limit {max_iter} exceeded", pivots)
         if refactor or updates >= lp.REFACTOR_INTERVAL:
-            invB = lp._inverse(A[:, basis], "singular working basis", pivots)
+            invB = lp._inverse(lp._basis_matrix(A, basis), "singular working basis", pivots)
             xB = invB @ b
             y = invB.T @ c[basis]
             updates, refactor = 0, False
@@ -86,7 +101,7 @@ def simplex_iterations(
                 degen_run = 0
             if not bland and degen_run >= 3 * n_enter:
                 bland = True
-            lp._pivot(invB, d, r)
+            pivot(invB, d, r)
             xB -= step * d
             xB[r] = step
             # y moves by z_j times the new row r of B⁻¹: a_j·y becomes c_j,

@@ -15,6 +15,7 @@ import pytest
 from scipy.optimize import linprog
 
 import riskshare.improve
+import riskshare.infconv
 import riskshare.lp
 from riskshare.cli import build_parser, run
 from riskshare.convex_order import AllocationVerdict
@@ -198,6 +199,23 @@ class TestExitCodes:
         code, report, _ = run_cli(["share", str(profile), str(measure)], capsys)
         assert code == 2
         assert "does not match profile dimension" in report["error"]
+
+    def test_share_refuses_a_profile_too_large_to_build(self, tmp_path, capsys):
+        # the smallest dim whose two eps-only agents pass the profile cap:
+        # the report names the limit, and no d x d array is built
+        cap = riskshare.infconv.MAX_PROFILE_ENTRIES
+        dim = int((cap / 2) ** 0.5) + 1
+        assert 2 * (dim - 1) ** 2 <= cap < 2 * dim**2
+        profile = tmp_path / "profile.json"
+        profile.write_text(
+            '{"agents": 2, "dim": %d, "profiles": [{"eps": 1.0}, {"eps": 2.0}]}' % dim
+        )
+        measure = tmp_path / "m.json"
+        measure.write_text(json.dumps({"dim": dim, "atoms": [{"x": [0.0] * dim, "w": 1.0}]}))
+        code, report, err = run_cli(["share", str(profile), str(measure)], capsys)
+        assert code == 2
+        assert f"more than the limit of {cap}" in report["error"]
+        assert err.startswith("error: ")
 
     def test_schema_violation_names_field(self, tmp_path, capsys):
         bad = tmp_path / "neg.json"

@@ -11,8 +11,10 @@ from riskshare.errors import (
     NoConvergence,
     NotPositiveDefinite,
     ParameterOutOfRange,
+    ProblemTooLarge,
     XOutsideDomain,
 )
+import riskshare.infconv
 from riskshare.infconv import (
     AgentProfile,
     StrictlyConvexProfile,
@@ -76,6 +78,22 @@ class TestProfileValidation:
         agents = (AgentProfile(eps=1.0), AgentProfile(eps=2.0, quad=np.array([[2.0]])))
         with pytest.raises(DimensionMismatch, match="agent 1 quadratic"):
             StrictlyConvexProfile(dim=dim, agents=agents)
+
+    def test_profile_too_large_to_build_is_refused(self):
+        # two eps-only agents in dimension 10**6 would each hold two
+        # 10**6 x 10**6 arrays (8 TB); the cap refuses them before any exists
+        agents = (AgentProfile(eps=1.0), AgentProfile(eps=2.0))
+        with pytest.raises(ProblemTooLarge, match="dimension 1000000"):
+            StrictlyConvexProfile(dim=10**6, agents=agents)
+
+    def test_profile_at_the_cap_is_built(self, monkeypatch):
+        # the cap counts dim squared times agents: 2 * 2**2 = 8 entries fit
+        # under a cap of 8, and 2 * 3**2 do not
+        monkeypatch.setattr(riskshare.infconv, "MAX_PROFILE_ENTRIES", 8)
+        agents = (AgentProfile(eps=1.0), AgentProfile(eps=2.0))
+        assert StrictlyConvexProfile(dim=2, agents=agents).quad_matrix(1).shape == (2, 2)
+        with pytest.raises(ProblemTooLarge, match="18 matrix entries"):
+            StrictlyConvexProfile(dim=3, agents=agents)
 
     def test_quad_must_be_spd(self):
         with pytest.raises(NotPositiveDefinite):

@@ -174,10 +174,14 @@ class TestCompressedColumns:
     def test_products_match_dense(self):
         A, invB, y = self._data()
         cols = _Columns(A)
+        # the compressed copy is of the system [A | I]
+        system = np.hstack([A, np.eye(12)])
         # the sums run over the nonzeros in another order: equal to rounding
-        np.testing.assert_allclose(cols.row_times(y), y @ A, rtol=0, atol=1e-14)
-        for j in range(A.shape[1]):
-            np.testing.assert_allclose(cols.ftran(invB, j), invB @ A[:, j], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(cols.row_times(y), y @ system, rtol=0, atol=1e-14)
+        for j in range(system.shape[1]):
+            np.testing.assert_allclose(
+                cols.ftran(invB, j), invB @ system[:, j], rtol=0, atol=1e-14
+            )
 
     def test_pivot_touches_only_nonzero_rows(self):
         A, invB, _ = self._data()
@@ -190,6 +194,31 @@ class TestCompressedColumns:
         _pivot(invB, d, 2)
         # subtracting 0 * row changes nothing, so the results are identical
         np.testing.assert_array_equal(invB, dense)
+
+    def test_pivot_touches_only_the_nonzero_block(self):
+        # a sparse inverse whose pivot row has zeros: the update leaves every
+        # entry outside (rows with d != 0) x (columns with row != 0) as it
+        # was, bit for bit, and equals the dense update inside that block.
+        # The zeros carry both signs, and the dense update turns some -0.0
+        # into 0.0 (-0.0 - -0.0), so only an update of the block alone passes
+        rng = np.random.RandomState(9)
+        for _ in range(50):
+            m = rng.randint(2, 30)
+            zeros = np.copysign(0.0, rng.randn(m, m))
+            invB = np.where(rng.rand(m, m) < 0.2, rng.randn(m, m), zeros)
+            d = np.where(rng.rand(m) < 0.3, rng.randn(m), 0.0)
+            r = rng.randint(m)
+            d[r] = np.copysign(1.0 + rng.rand(), rng.randn())
+            invB[r, rng.rand(m) < 0.5] = 0.0
+            before = invB.copy()
+            row = before[r] / d[r]
+            dense = before - np.outer(d, row)
+            dense[r] = row
+            _pivot(invB, d, r)
+            block = np.outer(d != 0, row != 0)
+            block[r] = True  # the pivot row is replaced whole
+            assert np.array_equal(invB.view(np.int64)[~block], before.view(np.int64)[~block])
+            np.testing.assert_array_equal(invB[block], dense[block])
 
 
 class TestValidation:
@@ -458,7 +487,7 @@ class TestStart:
         iterations = riskshare.lp._simplex_iterations
 
         def recorded(A, b, c, basis, *args):
-            starts.append(np.linalg.solve(A[:, basis], b))
+            starts.append(np.linalg.solve(riskshare.lp._basis_matrix(A, basis), b))
             return iterations(A, b, c, basis, *args)
 
         monkeypatch.setattr(riskshare.lp, "_simplex_iterations", recorded)
@@ -793,7 +822,7 @@ class TestCertificate:
 
         def spoilt(A, b, c, basis, columns, n_enter, *args):
             status, basis, xB, y, invB, pivots = iterations(A, b, c, basis, columns, n_enter, *args)
-            if n_enter < A.shape[1]:  # phase 2: artificial columns may not enter
+            if n_enter < columns.n:  # phase 2: artificial columns may not enter
                 if spoil == "artificial":
                     basis[0], xB[0] = n_enter, 1e-6
                 else:
@@ -979,9 +1008,9 @@ class TestVerdict:
         assert plain.pivots > 3
         entering, calls = riskshare.lp._entering, []
 
-        def premature(z, negative, bland):
-            calls.append(negative.size)
-            return iter(()) if len(calls) == 3 else entering(z, negative, bland)
+        def premature(z, n_enter, bland):
+            calls.append(np.count_nonzero(z[:n_enter] < -OPT_TOL))
+            return iter(()) if len(calls) == 3 else entering(z, n_enter, bland)
 
         factorisations = TestBreakdownReport._factorisation_failing_at(monkeypatch, 0)
         monkeypatch.setattr(riskshare.lp, "_entering", premature)

@@ -1,10 +1,12 @@
 """The lean pivot loop takes the reference loop's pivots, one for one.
 
 ``loop_simplex`` keeps the pivot loop that ``riskshare.lp`` replaced: it
-sorted every candidate list and refactorised the whole basis before every
-verdict.  Both loops run inside the same two-phase solve, with every
-entering column tried (each ``ftran``) and every leaving slot taken (each
-``_pivot``) logged; the logs, the pivot counts and the outcomes must agree.
+sorted every candidate list, refactorised the whole basis before every
+verdict and updated whole rows of the inverse.  Both loops run inside the
+same two-phase solve, with every entering column tried (each ``ftran``) and
+every leaving slot taken (each rank-one update, ``lp._pivot`` or
+``loop_simplex.pivot``) logged; the logs, the pivot counts and the outcomes
+must agree.
 """
 
 import numpy as np
@@ -27,23 +29,27 @@ def _traced(loop, run):
     the loop switched to Bland's rule.
     """
     events, bland = [], []
-    ftran, pivot, entering = lp._Columns.ftran, lp._pivot, lp._entering
+    ftran, entering = lp._Columns.ftran, lp._entering
 
     def ftran_logged(self, invB, j):
         events.append(("enter", int(j)))
         return ftran(self, invB, j)
 
-    def pivot_logged(invB, d, r):
-        events.append(("leave", int(r)))
-        return pivot(invB, d, r)
+    def pivot_logged(pivot):
+        def logged(invB, d, r):
+            events.append(("leave", int(r)))
+            return pivot(invB, d, r)
 
-    def entering_logged(z, negative, use_bland):
+        return logged
+
+    def entering_logged(z, n_enter, use_bland):
         bland.append(use_bland)
-        return entering(z, negative, use_bland)
+        return entering(z, n_enter, use_bland)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp._Columns, "ftran", ftran_logged)
-        mp.setattr(lp, "_pivot", pivot_logged)
+        mp.setattr(lp, "_pivot", pivot_logged(lp._pivot))
+        mp.setattr(loop_simplex, "pivot", pivot_logged(loop_simplex.pivot))
         mp.setattr(lp, "_entering", entering_logged)
         if loop is not None:
             mp.setattr(lp, "_simplex_iterations", loop)
