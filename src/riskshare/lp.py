@@ -3,8 +3,10 @@
 Solves ``minimize c·v  subject to  A v = b, v >= 0`` with a two-phase
 revised simplex method on the system ``[A | I]``, the program's columns
 followed by one artificial per row.  That system is never built: each
-solve signs the program's rows so that ``b >= 0``, and the artificials'
-unit columns are supplied where a product or a basis needs them.
+solve signs the program's rows so that ``b >= 0`` (a program with no
+negative entry of ``b`` is used as it is, with no copy), and the
+artificials' unit columns are supplied where a product or a basis needs
+them.
 
 Phase 1 starts from the basis of a feasible point's support when the
 caller knows one (``solve(lp, start=x0)``), completed by artificials on the
@@ -329,7 +331,8 @@ def _simplex_iterations(
     """
     m = A.shape[0]
     phase_two = n_enter < columns.n  # artificial columns may not enter
-    held = np.flatnonzero(basis >= n_enter)  # slots of variables fixed at 0
+    held = basis >= n_enter  # the slots of variables fixed at 0, as a mask
+    n_held = int(held.sum())  # none in phase 1, where every column may enter
     pivots = 0
     refactor = invB is None
     if invB is not None:
@@ -360,15 +363,21 @@ def _simplex_iterations(
         for j in _entering(z, n_enter, bland):
             d = columns.ftran(invB, j)
             # a variable fixed at 0 blocks at step 0; of several, the one
-            # with the largest entry leaves
-            k = int(np.abs(d[held]).argmax()) if held.size else -1
-            if k >= 0 and abs(d[held[k]]) > PIVOT_TOL:
-                r, theta, step = int(held[k]), 0.0, 0.0
-                held = held[held != r]
+            # with the largest entry leaves (only nonzero entries can block)
+            k = -1
+            if n_held:
+                nz = d.nonzero()[0]
+                blocking = nz[held[nz]]
+                if blocking.size:
+                    k = int(np.abs(d[blocking]).argmax())
+            if k >= 0 and abs(d[blocking[k]]) > PIVOT_TOL:
+                r, theta, step = int(blocking[k]), 0.0, 0.0
+                held[r] = False
+                n_held -= 1
             else:
                 eligible = (d > PIVOT_TOL).nonzero()[0]
                 if eligible.size == 0:
-                    if np.max(np.delete(d, held), initial=-np.inf) <= UNBOUNDED_TOL:
+                    if np.max(d[~held], initial=-np.inf) <= UNBOUNDED_TOL:
                         verdict = "unbounded"
                         break
                     verdict = "stalled"  # positive entries exist but all < PIVOT_TOL
@@ -504,11 +513,15 @@ def _signed_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """The program with each row signed so that ``b >= 0``.
 
     Returns the signed ``A`` and ``b`` and the row signs, which turn the
-    signed program's duals back into the original's.  Its artificials are
-    never built: ``_Columns`` and ``_basis_matrix`` supply their unit
-    columns.
+    signed program's duals back into the original's.  When no entry of
+    ``b`` is negative, these are the arrays passed in, not copies; the
+    solver never writes into them.  Its artificials are never built:
+    ``_Columns`` and ``_basis_matrix`` supply their unit columns.
     """
-    signs = np.where(b < 0, -1.0, 1.0)
+    negative = b < 0
+    signs = np.where(negative, -1.0, 1.0)
+    if not negative.any():  # no row to sign: the program is used as it is
+        return A, b, signs
     return A * signs[:, None], b * signs, signs
 
 

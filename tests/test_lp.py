@@ -299,6 +299,21 @@ class TestDeterminismAndScaling:
         np.testing.assert_array_equal(out1.solution, out2.solution)
         np.testing.assert_array_equal(out1.duals, out2.duals)
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_solve_writes_into_no_program_array(self, flip):
+        # with b >= 0 the solver works on the program's own A and b, not on
+        # signed copies; read-only arrays prove that nothing writes into them
+        lp = self._lp()
+        signs = np.where(lp.b < 0, -1.0, 1.0)
+        A, b = lp.A * signs[:, None], lp.b * signs
+        if flip:  # a negative entry of b: the solver signs a copy
+            A[0], b[0] = -A[0], -b[0]
+        assert (b < 0).any() == flip
+        for arr in (A, b):
+            arr.flags.writeable = False
+        assert solve(LinearProgram(c=lp.c, A=A, b=b)).status is LPStatus.OPTIMAL
+        assert feasible(A, b).status is LPStatus.OPTIMAL
+
     def test_objective_scaling_scales_value_only(self):
         lp = self._lp()
         out = solve(lp)
