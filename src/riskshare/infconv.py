@@ -18,21 +18,24 @@ solves a QP over the simplex of piece weights by a finite active set,
 started from its support at the last accepted price, with the ball
 multiplier found by regula falsi, and is certified by the KKT conditions.
 The price equation is solved by Newton's method with the exact Jacobian of
-the responses, safeguarded by dual ascent.  A step is damped in proportion
-to |r| / R (so the steps do not depend on the data's units), except where
-the last step kept every active set with no ball binding: the responses
-are affine there, and the undamped step is exact.
+the responses, from the zero price and safeguarded by dual ascent.  The first
+step is undamped, and so is each step after one that kept every active set
+with no ball binding: the responses are affine there, and the step is
+exact.  Other steps are damped in proportion to |r| / R, so they do not
+depend on the data's units.
 
-In ``d >= 2`` pure-quadratic profiles enjoy the closed form
-``y_i = S_i (sum_j S_j)^{-1} x`` with ``S_i`` the inverse quadratic; the same
-matrices generate the explicit two-agent families whose sharing maps have
-unbounded norm and whose set is not convex, reproduced by
-``counterexample_family``.
+In ``d >= 2`` a pure-quadratic profile whose split stays inside the ball is
+thus split by one step, the closed form ``y_i = S_i (sum_j S_j)^{-1} x``
+with ``S_i`` the inverse quadratic, which ``quadratic_sharing_matrix``
+returns as matrices; the same matrices generate the explicit two-agent
+families whose sharing maps have unbounded norm and whose set is not
+convex, reproduced by ``counterexample_family``.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -172,10 +175,6 @@ class StrictlyConvexProfile:
         Q, A, b = self._arrays[i][:3]
         k = int(np.argmax(A @ y + b))
         return Q @ y + A[k]
-
-    def is_pure_quadratic(self) -> bool:
-        """True when no agent has a sloped affine piece."""
-        return not any(A.any() for _, A, *_ in self._arrays)
 
 
 def _checked_piece(i: int, a, b, dim: int) -> tuple[Coords, float]:
@@ -544,54 +543,29 @@ def _split_1d(profile, xs, ball, tol):
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_quadratic(profile, x, ball):
-    """Unconstrained optimum for pure quadratics (d >= 2); None when it leaves B."""
-    S = [Qinv for _, _, _, Qinv, _ in profile._arrays]
-    total = sum(S)
-    try:
-        price = np.linalg.solve(total, x)
-    except np.linalg.LinAlgError:
-        return None
-    shares = [Si @ price for Si in S]
-    c = ball.center_for(profile.dim)
-    if any(np.linalg.norm(y - c) > ball.radius * (1.0 - ROUNDING) for y in shares):
-        return None
-    residual = float(np.linalg.norm(sum(shares) - x))
-    return SharingPoint(
-        x=tuple(float(v) for v in x),
-        shares=tuple(tuple(float(v) for v in y) for y in shares),
-        price=tuple(float(v) for v in price),
-        multipliers=tuple(0.0 for _ in shares),
-        residual=residual,
-        iterations=0,
-    )
-
-
 def share_point(
     profile: StrictlyConvexProfile,
     x: Sequence[float],
     ball: BallConfig,
     tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    q0: Optional[Sequence[float]] = None,
 ) -> SharingPoint:
     """Unique optimal split of ``x`` among the agents, subject to the ball.
 
     A one-dimensional profile, pure quadratics included, is split by the
     exact piecewise-linear price solve, the array pass of ``share_points``
-    on one row (``method`` and ``q0`` are ignored there).  In ``d >= 2``,
-    ``method="auto"`` uses the exact closed form when every cost is purely
-    quadratic and the unconstrained optimum stays inside the ball;
-    otherwise, and always with ``method="dual"``, the price equation
-    ``sum_i y_i(q) = x`` is solved by Newton steps with the exact Jacobian,
-    from ``q0`` and for at most ``MAX_OUTER_ITER`` steps: regularized, or
-    undamped after a step that kept every active set with no ball binding.
-    Either way the split is certified: ``|sum(shares) - x| <= tol (1 + |x|)``
-    with every share in the ball.
+    on one row.  In ``d >= 2`` the price equation ``sum_i y_i(q) = x`` is
+    solved by Newton steps with the exact Jacobian, from ``q = 0`` and for
+    at most ``MAX_OUTER_ITER`` steps.  A step is regularized only after a
+    step that changed an agent's active set or met a binding ball.  So the
+    first step is undamped, and on a pure-quadratic profile whose split
+    stays inside the ball it is the last step, the closed form
+    ``y_i = S_i (sum_j S_j)^-1 x``.  Either way the split is certified:
+    ``|sum(shares) - x| <= tol (1 + |x|)`` with every share in the ball.
     """
-    if method not in ("auto", "dual"):
-        raise InputError(f"unknown method {method!r}")
-    x = np.asarray([float(v) for v in x], dtype=float)
+    try:
+        x = np.array([float(v) for v in x])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"x = {x!r} is not a sequence of numbers") from exc
     if x.shape != (profile.dim,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({profile.dim},)")
     p, d = profile.n_agents, profile.dim
@@ -608,14 +582,8 @@ def share_point(
             residual=float(residuals[0]),
             iterations=0,
         )
-    if method == "auto" and profile.is_pure_quadratic():
-        closed = _closed_form_quadratic(profile, x, ball)
-        if closed is not None:
-            return closed
 
-    q = np.zeros(d) if q0 is None else np.asarray([float(v) for v in q0], dtype=float)
-    if q.shape != (d,):
-        raise DimensionMismatch(f"q0 has shape {q.shape}, expected ({d},)")
+    q = np.zeros(d)
     agents = profile._arrays
     # y_i is 1/lambda_min(Q_i)-Lipschitz in q, so r / L is a safe ascent step
     lipschitz = sum(inv_min for *_, inv_min in agents)
@@ -639,7 +607,7 @@ def share_point(
 
     inner, r = respond(q, [()] * p)
     residual = float(np.linalg.norm(r))
-    affine = False
+    affine = True  # the first step is undamped
     while not residual <= threshold:
         if it == MAX_OUTER_ITER:
             raise failure(f"target {threshold:.3e} not reached in {MAX_OUTER_ITER} iterations")
@@ -647,8 +615,9 @@ def share_point(
         J = sum(Ji for _, _, Ji, _, _ in inner)
         low, lam = (float(v) for v in np.linalg.eigvalsh(J)[[0, -1]])
         if affine and low > ROUNDING * lam:
-            # the last step kept every active set with no ball binding, so
-            # the responses are affine there and the Newton step is exact
+            # the last step (if any) kept every active set with no ball
+            # binding, so the responses are affine there and the Newton step
+            # is exact
             mu = 0.0
         else:
             # Levenberg-Marquardt, scale-free: mu = lambda_max(J) |r| / R, in
@@ -699,7 +668,10 @@ def share_points(
     one array pass of the exact map; in ``d >= 2`` each row goes through
     ``share_point``.
     """
-    xs = np.asarray(xs, dtype=float)
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"xs = {reprlib.repr(xs)} is not an array of numbers") from exc
     p, d = profile.n_agents, profile.dim
     if xs.ndim != 2 or xs.shape[1] != d:
         raise DimensionMismatch(f"xs has shape {xs.shape}, expected (n, {d})")
@@ -880,6 +852,8 @@ def profile_from_obj(obj: dict) -> StrictlyConvexProfile:
 def quadratic_profile(mats: Sequence[np.ndarray]) -> StrictlyConvexProfile:
     """Profile with costs psi_i(y) = (1/2) <S_i^{-1} y, y> from SPD matrices."""
     mats = [np.asarray(S, dtype=float) for S in mats]
+    if not mats:
+        raise InputError("need at least one matrix")
     d = mats[0].shape[0]
     agents = []
     for i, S in enumerate(mats):

@@ -46,7 +46,10 @@ BALL_TOL = 1e-9
 
 
 def _as_coords(raw: Sequence[float], dim: int | None = None) -> Coords:
-    coords = tuple(float(c) for c in raw)
+    try:
+        coords = tuple(float(c) for c in raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"point {raw!r} is not a sequence of numbers") from exc
     if len(coords) < 1:
         raise DimensionMismatch("point must have dimension >= 1")
     if dim is not None and len(coords) != dim:
@@ -54,6 +57,13 @@ def _as_coords(raw: Sequence[float], dim: int | None = None) -> Coords:
     if not all(math.isfinite(c) for c in coords):
         raise InputError(f"non-finite coordinate in point {coords!r}")
     return coords
+
+
+def _as_weight(raw, at) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"atom weight {raw!r} at {at!r} is not a number") from exc
 
 
 @dataclass(frozen=True)
@@ -67,10 +77,15 @@ class BallConfig:
     center: Coords | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0):
+        try:
+            radius = float(self.radius)
+        except (TypeError, ValueError):
+            radius = math.nan
+        if not (math.isfinite(radius) and radius > 0):
             raise InputError(
                 f"ball radius must be positive and finite, got {self.radius!r}"
             )
+        object.__setattr__(self, "radius", radius)
         if self.center is not None:
             object.__setattr__(self, "center", _as_coords(self.center))
 
@@ -217,7 +232,7 @@ def validate_measure(
     for coords_raw, w_raw in atoms:
         coords = _as_coords(coords_raw, dim)
         dim = len(coords)
-        items.append((coords, float(w_raw)))
+        items.append((coords, _as_weight(w_raw, coords)))
     merged = _canonical(items, "measure")
     assert dim is not None
     return DiscreteMeasure(dim=dim, atoms=tuple(merged))
@@ -263,16 +278,17 @@ def validate_joint_law(
     """Canonicalize raw joint-law atoms: the measure rules on the flattened tuples."""
     flat_items: list[tuple[Coords, float]] = []
     for tup_raw, w_raw in atoms:
-        tup = tuple(_as_coords(pt, len(tup_raw[0]) if dim is None else dim) for pt in tup_raw)
+        tup = []
+        for pt in tup_raw:
+            tup.append(_as_coords(pt, dim))
+            dim = len(tup[-1])
         if not tup:
             raise DimensionMismatch("allocation tuple must have at least one agent")
-        if dim is None:
-            dim = len(tup[0])
         if agents is None:
             agents = len(tup)
         if len(tup) != agents:
             raise DimensionMismatch(f"tuple has {len(tup)} agents, expected {agents}")
-        flat_items.append((_tuple_key(tup), float(w_raw)))
+        flat_items.append((_tuple_key(tup), _as_weight(w_raw, tup)))
     merged = _canonical(flat_items, "joint law")
     assert agents is not None and dim is not None
     split = tuple(

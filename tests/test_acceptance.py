@@ -311,14 +311,14 @@ def test_criterion_09_share_point_vs_closed_form(capsys):
             profile = quadratic_profile(mats)
             x = rng.randn(d) * 2.0
             ball = BallConfig(radius=20.0 * (1.0 + float(np.linalg.norm(x))))
-            sp = share_point(profile, x, ball, method="dual")
+            sp = share_point(profile, x, ball)
             total = np.sum(np.array(sp.shares), axis=0)
             assert np.linalg.norm(total - x) <= 1e-8 * (
                 1.0 + float(np.linalg.norm(x))
             )
             # per-share agreement needs the dual solved past the default
             # residual target, since the residual bounds the sum only
-            tight = share_point(profile, x, ball, tol=1e-10, method="dual")
+            tight = share_point(profile, x, ball, tol=1e-10)
             inv_sum = np.linalg.inv(sum(mats))
             for S, y in zip(mats, tight.shares):
                 oracle = S @ inv_sum @ x

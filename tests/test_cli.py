@@ -566,6 +566,50 @@ class TestCsv:
         assert float(tail["det_sum"]) == report["det_sum"]
         assert float(tail["T1_norm"]) == report["T1_norm"]
 
+    @staticmethod
+    def _table(argv, tmp_path, capsys):
+        """The report of ``argv`` with ``--emit-csv``, and the rows it wrote."""
+        out = tmp_path / "table.csv"
+        _, report, _ = run_cli([*argv, "--emit-csv", str(out)], capsys)
+        with open(out, newline="") as fh:
+            return report, list(csv.reader(fh))
+
+    def test_maxcorr_coupling_table(self, tmp_path, capsys):
+        report, rows = self._table(["maxcorr", SPREAD, "--mu", DIRAC], tmp_path, capsys)
+        assert rows[0] == ["x0", "y0", "w"]
+        # each float is written as its repr, so it reads back exactly
+        assert rows[1:] == [
+            [repr(v) for v in (*c["x"], *c["y"], c["w"])] for c in report["coupling"]
+        ]
+        assert len(rows) == 1 + 2
+
+    def test_comonotone_gap_table(self, tmp_path, capsys):
+        report, rows = self._table(["comonotone-gap", ANTI], tmp_path, capsys)
+        assert rows[0] == ["quantity", "value"]
+        want = [[f"rho_agent_{i}", repr(v)] for i, v in enumerate(report["per_agent"])]
+        want += [[k, repr(report[k])] for k in ("rho_sum", "rho_total", "gap")]
+        assert rows[1:] == want
+        assert len(rows) == 1 + 2 + 3
+
+    def test_improve_table(self, tmp_path, capsys):
+        report, rows = self._table(["improve", ANTI], tmp_path, capsys)
+        assert rows[0] == ["y0_0", "y1_0", "w"]
+        atoms = report["improved"]["atoms"]
+        assert rows[1:] == [[repr(v) for y in a["x"] for v in y] + [repr(a["w"])] for a in atoms]
+        assert len(rows) == 1 + len(atoms) > 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["maxcorr", SPREAD, "--mu", DIRAC], ["comonotone-gap", ANTI], ["improve", ANTI]],
+        ids=["maxcorr", "comonotone-gap", "improve"],
+    )
+    def test_unwritable_path_is_an_input_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "table.csv"
+        code, report, err = run_cli([*argv, "--emit-csv", str(path)], capsys)
+        assert code == 2
+        assert f"cannot write {path}" in report["error"] and "cannot write" in err
+        assert not path.parent.exists()
+
 
 class TestSharedParser:
     def test_requests_in_one_process_match_fresh_processes(self, capsys):

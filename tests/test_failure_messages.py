@@ -6,16 +6,19 @@ reproduction needs.
 """
 
 import dataclasses
+import functools
+import re
 
 import pytest
 
 import riskshare.improve
+import riskshare.infconv
 import riskshare.lp
 import riskshare.qdescent
 from riskshare.convex_order import AllocationVerdict, DominanceVerdict
-from riskshare.errors import NumericalBreakdown, SolverFailure
+from riskshare.errors import NoConvergence, NumericalBreakdown, SolverFailure
 from riskshare.improve import build_split_grid, solve_improvement_lp
-from riskshare.infconv import AgentProfile, StrictlyConvexProfile
+from riskshare.infconv import AgentProfile, StrictlyConvexProfile, share_point
 from riskshare.maxcorr import max_correlation
 from riskshare.measures import BallConfig, validate_joint_law, validate_measure
 from riskshare.qdescent import j_value, minimize_q
@@ -126,3 +129,45 @@ def test_negative_objective_names_the_instance(monkeypatch):
     with pytest.raises(NumericalBreakdown, match="objective evaluated to") as info:
         j_value(profile, law, BallConfig(radius=4.0))
     assert "(2 agents, 2 aggregate atoms, pieces per agent [1, 2])" in str(info.value)
+
+
+#: A 2-D profile whose split at X takes five Newton steps.
+PIECEWISE_2D = StrictlyConvexProfile(
+    dim=2,
+    agents=(
+        AgentProfile(eps=1.0, pieces=(((0.0, 0.0), 0.0), ((1.0, 0.5), -0.5))),
+        AgentProfile(
+            eps=1.5,
+            pieces=(((0.0, 0.0), 0.0), ((-0.5, 1.0), -0.25), ((0.5, 0.5), -0.75)),
+        ),
+    ),
+)
+X = (1.5, 0.5)
+BALL_2D = BallConfig(radius=4.0)
+
+
+def test_sharing_step_cap_names_the_instance(monkeypatch):
+    assert share_point(PIECEWISE_2D, X, BALL_2D).iterations > 1
+    monkeypatch.setattr(riskshare.infconv, "MAX_OUTER_ITER", 1)
+    with pytest.raises(NoConvergence, match="not reached in 1 iterations") as info:
+        share_point(PIECEWISE_2D, X, BALL_2D)
+    message = str(info.value)
+    assert "2-D sharing of x = (1.5, 0.5) among 2 agents with [2, 3] pieces" in message
+    assert re.search(r"residual \d\.\d{3}e[-+]\d+ at iteration 1$", message), message
+
+
+def test_inner_failure_is_wrapped_with_the_instance(monkeypatch):
+    monkeypatch.setattr(
+        riskshare.infconv,
+        "_simplex_qp",
+        functools.partial(riskshare.infconv._simplex_qp, max_passes=0),
+    )
+    with pytest.raises(NoConvergence) as info:
+        share_point(PIECEWISE_2D, X, BALL_2D)
+    message = str(info.value)
+    assert message.startswith(
+        "2-D sharing of x = (1.5, 0.5) among 2 agents with [2, 3] pieces: "
+        "active-set QP hit its pass cap of 0"
+    )
+    assert message.endswith("residual inf at iteration 0")
+    assert isinstance(info.value.__cause__, NoConvergence)

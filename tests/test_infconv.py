@@ -68,8 +68,14 @@ class TestProfileValidation:
                 dim=1, agents=(AgentProfile(eps=1.0, pieces=(piece,)), AgentProfile(eps=2.0))
             )
 
-        assert profile(((0.0,), -1.0)).is_pure_quadratic()
-        assert not profile(((0.5,), 0.0)).is_pure_quadratic()
+        # a flat piece leaves the cost quadratic, and the eps-only agent
+        # gets the zero piece
+        flat, sloped = profile(((0.0,), -1.0)), profile(((0.5,), 0.0))
+        for prof in (flat, sloped):
+            A, b = prof.piece_arrays(1)
+            assert A.tolist() == [[0.0]] and b.tolist() == [0.0]
+        assert not flat.piece_arrays(0)[0].any()
+        assert sloped.piece_arrays(0)[0].any()
 
     @pytest.mark.parametrize("dim", [10**300, 100_000], ids=["1e300", "1e5"])
     def test_shapes_checked_before_any_array_is_built(self, dim):
@@ -212,12 +218,28 @@ class TestSharePoint:
         diag = counterexample_family(4, 0.5)
         prof = quadratic_profile([diag.S1, diag.S2])
         for x in [(1.0, 0.5), (-0.3, 0.8), (0.0, 1.0)]:
-            a = share_point(prof, x, BallConfig(radius=100.0), method="auto")
-            b = share_point(prof, x, BallConfig(radius=100.0), method="dual")
-            assert a.iterations == 0  # closed form used
-            np.testing.assert_allclose(a.shares, b.shares, atol=1e-8)
-            T1 = diag.T1
-            np.testing.assert_allclose(a.shares[0], T1 @ np.asarray(x), atol=1e-10)
+            sp = share_point(prof, x, BallConfig(radius=100.0))
+            assert sp.iterations == 1  # the first, undamped step is the closed form
+            np.testing.assert_allclose(sp.shares[0], diag.T1 @ np.asarray(x), atol=1e-10)
+
+    def test_pure_quadratic_split_is_one_step(self):
+        # inside the ball a pure-quadratic profile's responses are linear in
+        # the price, so the first, undamped Newton step is the split
+        rng = np.random.RandomState(2028)
+        for k in range(200):
+            d, p = rng.randint(2, 5), rng.randint(2, 4)
+            if k % 2:
+                agents = [AgentProfile(eps=float(rng.uniform(0.2, 3.0))) for _ in range(p)]
+            else:
+                mats = [rng.randn(d, d) for _ in range(p)]
+                agents = [AgentProfile(quad=A @ A.T + 0.5 * np.eye(d)) for A in mats]
+            prof = StrictlyConvexProfile(dim=d, agents=tuple(agents))
+            x = rng.randn(d) * 2.0
+            sp = share_point(prof, x, BallConfig(radius=20.0 * (1.0 + np.linalg.norm(x))))
+            assert sp.iterations == 1 and max(sp.multipliers) == 0.0
+            S = [np.linalg.inv(prof.quad_matrix(i)) for i in range(p)]
+            for T, y in zip(quadratic_sharing_matrix(S), sp.shares):
+                assert np.max(np.abs(np.asarray(y) - T @ x)) <= 1e-14 * (1.0 + np.linalg.norm(x))
 
     def test_ball_constraint_binds(self):
         # cheap agent capped at the ball boundary; hand KKT solution
@@ -292,19 +314,6 @@ class TestSharePoint:
             share_point(prof, x, BallConfig(radius=2.0))
         message = str(info.value)
         assert f"x = {x!r}" in message and "float64" not in message
-
-    def test_stability_across_initializations(self):
-        prof = StrictlyConvexProfile(
-            dim=2,
-            agents=(
-                AgentProfile(eps=0.7),
-                AgentProfile(eps=2.0, pieces=(((1.0, -0.5), 0.1), ((0.0, 0.0), 0.0))),
-            ),
-        )
-        x = (0.6, -0.4)
-        a = share_point(prof, x, BallConfig(radius=5.0), q0=(0.0, 0.0))
-        b = share_point(prof, x, BallConfig(radius=5.0), q0=(3.0, -2.0))
-        np.testing.assert_allclose(a.shares, b.shares, atol=1e-7)
 
     def test_interior_first_order_condition(self):
         prof = StrictlyConvexProfile(

@@ -266,7 +266,8 @@ class TestMinimizeQ:
         assert len(starts) == 2
         assert state.iterations == 1 and not state.hit_cap
         assert state.j_history == (starts[0],)
-        assert state.profile.is_pure_quadratic()
+        profile = state.profile
+        assert not any(profile.piece_arrays(i)[0].any() for i in range(profile.n_agents))
 
     def test_designed_law_solves_no_lp(self, monkeypatch):
         gamma0 = validate_joint_law(ANTI)

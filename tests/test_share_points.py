@@ -137,7 +137,7 @@ def test_array_pass_matches_scalar_arithmetic(case):
     profile, ball, _, xs, _ = case
     for x in xs:
         try:
-            sp = share_point(profile, (x,), ball, method="dual")
+            sp = share_point(profile, (x,), ball)
         except (NoConvergence, XOutsideDomain):
             continue
         u, shares, nus = _scalar_split(profile, x, ball)
@@ -222,13 +222,7 @@ def _quadratics(eps):
     return StrictlyConvexProfile(dim=1, agents=tuple(AgentProfile(eps=e) for e in eps))
 
 
-def test_1d_pure_quadratics_split_without_the_closed_form(monkeypatch):
-    import riskshare.infconv as infconv
-
-    def closed_form(*_):
-        raise AssertionError("the closed form serves d >= 2 only")
-
-    monkeypatch.setattr(infconv, "_closed_form_quadratic", closed_form)
+def test_1d_pure_quadratics_split_without_the_closed_form():
     profile = _quadratics([0.5, 2.0, 1.25])
     c, R = 0.4, 3.0
     ball = BallConfig(radius=R, center=(c,))
@@ -268,10 +262,9 @@ def test_1d_pure_quadratics_one_path(eps, radius, center, fractions):
     got = share_points(profile, xs, ball)
     weights = [1.0 / Fraction(e) for e in eps]
     for x, row in zip(xs, got):
-        for method in ("auto", "dual"):
-            sp = share_point(profile, x, ball, method=method)
-            assert sp.shares == tuple(tuple(y) for y in row.tolist())
-            assert sp.iterations == 0
+        sp = share_point(profile, x, ball)
+        assert sp.shares == tuple(tuple(y) for y in row.tolist())
+        assert sp.iterations == 0
         exact = [Fraction(x[0]) * v / sum(weights) for v in weights]
         if all(abs(float(y) - center) < radius * (1.0 - 1e-9) for y in exact):
             for y, want in zip(row[:, 0].tolist(), exact):
