@@ -14,6 +14,13 @@ barycenter is that point, so a point beyond every atom of its agent's
 baseline marginal along some axis can carry no mass; the program leaves it
 out, with every split that uses it.
 
+The builders work on arrays.  ``SplitGrid`` holds every candidate split in
+one read-only ``(N, p, d)`` array with per-atom offsets, and gives the
+nested-tuple view ``candidates`` only when asked.  The program builder
+reads that array and the law's cached marginals, and writes each kernel
+entry's link, marginal and barycenter coefficients straight from the
+entries a point reaches.
+
 The baseline itself is always a feasible point of that program: each of
 its atoms is a candidate split of the aggregate atom it sums to, and each
 agent's identity kernel links its marginal to itself.  The program keeps
@@ -33,6 +40,7 @@ bounds the gap from above; see :mod:`riskshare.qdescent`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lp
-from .convex_order import AllocationVerdict, allocation_dominates, plan_rows
+from .convex_order import AllocationVerdict, allocation_dominates
 from .errors import DimensionMismatch, InputError, ProblemTooLarge, SolverFailure
 from .infconv import AgentProfile, StrictlyConvexProfile
 from .measures import (
@@ -50,8 +58,8 @@ from .measures import (
     Coords,
     DiscreteMeasure,
     JointLaw,
-    _merge_targets,
-    _tuple_sum,
+    _atom_targets,
+    _read_only,
     marginal,
     require_shares_in_ball,
     sum_pushforward,
@@ -118,20 +126,30 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SplitGrid:
     """Candidate splits of every aggregate atom, baseline splits included.
 
+    ``splits`` holds every candidate as one read-only ``(N, p, d)`` array,
+    atom by atom: aggregate atom ``t``'s candidates are its rows
+    ``offsets[t]`` to ``offsets[t + 1]``.  ``candidates`` gives the same
+    splits as nested tuples, per atom, built on first access.
     ``baseline_splits`` gives, for each baseline atom, the aggregate atom
     that ``sum_pushforward`` merged it into and the index of its own split
     among that atom's candidates.
     """
 
     aggregate: DiscreteMeasure
-    candidates: tuple[tuple[Split, ...], ...]
+    splits: np.ndarray
+    offsets: tuple[int, ...]
     h: float
     ball: BallConfig
     baseline_splits: tuple[tuple[int, int], ...]
 
+    @functools.cached_property
+    def candidates(self) -> tuple[tuple[Split, ...], ...]:
+        splits = [tuple(map(tuple, split)) for split in self.splits.tolist()]
+        return tuple(tuple(splits[lo:hi]) for lo, hi in zip(self.offsets, self.offsets[1:]))
+
     @property
     def total_candidates(self) -> int:
-        return sum(len(c) for c in self.candidates)
+        return len(self.splits)
 
 
 def _lattice_points(h: float, ball: BallConfig, bounds) -> np.ndarray:
@@ -189,7 +207,7 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     lattice_splits = np.concatenate([heads, last], axis=2)[inside]
     # each baseline split is a candidate of the atom it sums to, and of
     # no other: a split of an atom 1e-11 away would change the sum law
-    _, atom_of = _merge_targets([_tuple_sum(tup, d) for tup, _ in gamma0.atoms])
+    atom_of = np.array(_atom_targets(gamma0), dtype=np.intp)
     own_splits = gamma0.component_array().reshape(gamma0.size, p * d)
     # rows by atom, each atom's lattice splits before its baseline splits
     atom = np.concatenate([np.nonzero(inside)[0], atom_of])
@@ -199,13 +217,13 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     starts = np.searchsorted(atom[first], np.arange(m0.size + 1)).tolist()
     moved_to = np.argsort(order)[len(lattice_splits) :]  # the baseline rows' places
     own = number[moved_to] - np.array(starts)[atom_of]
-    splits = [tuple(map(tuple, split)) for split in rows[first].reshape(-1, p, d).tolist()]
     return SplitGrid(
         aggregate=m0,
-        candidates=tuple(tuple(splits[lo:hi]) for lo, hi in zip(starts, starts[1:])),
+        splits=_read_only(rows[first].reshape(-1, p, d)),
+        offsets=tuple(starts),
         h=float(h),
         ball=ball,
-        baseline_splits=tuple(zip(atom_of, own.tolist())),
+        baseline_splits=tuple(zip(atom_of.tolist(), own.tolist())),
     )
 
 
@@ -274,14 +292,10 @@ def build_improvement_problem(
     splits always stay.  A program of more than ``MAX_LP_ENTRIES`` entries
     (rows times columns) is refused with ``ProblemTooLarge``.
     """
-    p, d, m0 = gamma0.agents, gamma0.dim, grid.aggregate
-    sizes = [len(cands) for cands in grid.candidates]
-    starts = np.cumsum([0] + sizes)
-    own = np.array([int(starts[t]) + u for t, u in grid.baseline_splits])
-    splits = np.array([split for cands in grid.candidates for split in cands], dtype=float)
-    splits = splits.reshape(len(splits), p, d)
+    p, m0, splits, starts = gamma0.agents, grid.aggregate, grid.splits, grid.offsets
+    own = np.array([starts[t] + u for t, u in grid.baseline_splits])
     margs = [marginal(gamma0, i) for i in range(p)]
-    share_of = [_merge_targets([tup[i] for tup, _ in gamma0.atoms])[1] for i in range(p)]
+    share_of = [np.array(_atom_targets(gamma0, i), dtype=np.intp) for i in range(p)]
 
     # per agent: the distinct candidate points in order of first appearance,
     # the point of each split, and what each point reaches, given that the
@@ -334,31 +348,35 @@ def build_improvement_problem(
     gamma_cols = tuple(tuple(gamma_col[lo:hi].tolist()) for lo, hi in zip(starts, starts[1:]))
     A, b = np.zeros((n_rows, n_vars)), np.zeros(n_rows)
     # aggregate rows: candidate masses of atom t sum to the atom's weight
-    A[np.repeat(np.arange(m0.size), sizes)[kept], np.arange(n_gamma)] = 1.0
+    A[np.repeat(np.arange(m0.size), np.diff(starts))[kept], np.arange(n_gamma)] = 1.0
     b[: m0.size] = m0.weights_array()
     row, col = m0.size, n_gamma
     kernel_col = []  # per agent, the column of each entry a point reaches
     marginal_rows = []
     for (Z, point_of, reach, bary_rows), margin in zip(agents, margs):
-        n_z, n_j, on = len(Z), margin.size, np.flatnonzero(reach)
-        kernel = slice(col, col + on.size)
-        link, marg, bary = plan_rows(Z, margin.support_array())
+        # the kernel entries (z, j) a point reaches, one column each in
+        # row-major order, written straight into their rows
+        z, j = np.nonzero(reach)
+        entry = col + np.arange(z.size)
         # marginal-link rows: the mass of gamma's marginal at z minus the
         # kernel's row mass at z
         A[row + point_of[kept], np.arange(n_gamma)] = 1.0
-        A[row : row + n_z, kernel] -= link[:, on]
-        row += n_z
+        A[row + z, entry] = -1.0
+        row += len(Z)
         # baseline-marginal rows: kernel columns reproduce gamma0's marginal
         marginal_rows.append(row)
-        A[row : row + n_j, kernel] = marg[:, on]
-        b[row : row + n_j] = margin.weights_array()
-        row += n_j
-        # conditional-barycenter rows: each kernel row averages back to z
-        kept_rows = np.flatnonzero(bary_rows)
-        A[row : row + kept_rows.size, kernel] = bary[np.ix_(kept_rows, on)]
-        row += kept_rows.size
+        A[row + j, entry] = 1.0
+        b[row : row + margin.size] = margin.weights_array()
+        row += margin.size
+        # conditional-barycenter rows: each kernel row averages back to z, so
+        # entry (z, j) has Y_jk - z_k on the kept row (z, k)
+        bary_row = (np.cumsum(bary_rows) - 1).reshape(bary_rows.shape)[z]
+        on = bary_rows[z]
+        coeff = margin.support_array()[j] - Z[z]
+        A[row + bary_row[on], np.broadcast_to(entry[:, None], on.shape)[on]] = coeff[on]
+        row += int(bary_rows.sum())
         kernel_col.append(col - 1 + np.cumsum(reach).reshape(reach.shape))
-        col += on.size
+        col += z.size
 
     c = np.zeros(n_vars)
     c[:n_gamma] = cost[kept]
@@ -482,7 +500,7 @@ def _extract_law(
     each atom's mass matches the baseline aggregate exactly (the solver
     residual is at machine scale, so the rescale is a no-op up to rounding).
     """
-    atoms = []
+    atoms: list = []
     for t, (s, w_atom) in enumerate(grid.aggregate.atoms):
         cols = np.array(problem.gamma_cols[t])
         weights = np.where(cols >= 0, x[cols], 0.0)
@@ -490,14 +508,17 @@ def _extract_law(
         if not np.any(keep):
             raise SolverFailure(f"optimal law lost all mass on aggregate atom {s!r}")
         weights = weights * (w_atom / weights[keep].sum())
-        for u in np.flatnonzero(keep):
-            atoms.append((grid.candidates[t][u], float(weights[u])))
+        u = np.flatnonzero(keep)
+        atoms += zip(grid.splits[grid.offsets[t] + u].tolist(), weights[u].tolist())
     return validate_joint_law(atoms, agents=gamma0.agents, dim=gamma0.dim)
 
 
 def _cost_weights(eps: Optional[Sequence[float]], agents: int) -> list[float]:
     """One positive, finite cost weight per agent; None means all ones."""
-    eps = [1.0] * agents if eps is None else [float(e) for e in eps]
+    try:
+        eps = [1.0] * agents if eps is None else [float(e) for e in eps]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"cost weights {eps!r} are not all numbers") from exc
     if len(eps) != agents:
         raise InputError(f"need one cost weight per agent ({agents}), got {len(eps)}")
     if not all(math.isfinite(e) and e > 0 for e in eps):

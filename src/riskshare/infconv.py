@@ -112,13 +112,22 @@ class StrictlyConvexProfile:
         # every shape is checked against dim before any array of that size exists
         checked = []
         for i, ag in enumerate(self.agents):
+            try:
+                eps = float(ag.eps)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"agent {i}: eps {ag.eps!r} is not a number") from exc
             quad = None
             if ag.quad is not None:
-                quad = _read_only(np.array(ag.quad, dtype=float))
+                try:
+                    quad = _read_only(np.array(ag.quad, dtype=float))
+                except (TypeError, ValueError) as exc:
+                    raise InputError(
+                        f"agent {i}: quadratic {reprlib.repr(ag.quad)} is not a matrix of numbers"
+                    ) from exc
                 _check_spd(quad, self.dim, f"agent {i} quadratic")
-            elif not (math.isfinite(ag.eps) and ag.eps > 0):
+            elif not (math.isfinite(eps) and eps > 0):
                 raise InputError(f"agent {i}: eps must be positive and finite, got {ag.eps!r}")
-            checked.append((quad, [_checked_piece(i, a, b, self.dim) for a, b in ag.pieces]))
+            checked.append((eps, quad, [_checked_piece(i, piece, self.dim) for piece in ag.pieces]))
         entries = self.dim * self.dim * len(self.agents)
         if entries > MAX_PROFILE_ENTRIES:
             raise ProblemTooLarge(
@@ -126,12 +135,11 @@ class StrictlyConvexProfile:
                 f"{entries} matrix entries, more than the limit of {MAX_PROFILE_ENTRIES}"
             )
         normalized, arrays = [], []
-        for ag, (quad, pieces) in zip(self.agents, checked):
+        for eps, quad, pieces in checked:
             if not pieces:
                 pieces = [(tuple([0.0] * self.dim), 0.0)]  # the zero piece
-            normalized.append(AgentProfile(eps=float(ag.eps), pieces=tuple(pieces), quad=quad))
+            normalized.append(AgentProfile(eps=eps, pieces=tuple(pieces), quad=quad))
             if quad is None:
-                eps = float(ag.eps)
                 Q, Qinv, inv_min = eps * np.eye(self.dim), np.eye(self.dim) / eps, 1.0 / eps
             else:
                 Q, Qinv = quad, np.linalg.inv(quad)
@@ -177,14 +185,21 @@ class StrictlyConvexProfile:
         return Q @ y + A[k]
 
 
-def _checked_piece(i: int, a, b, dim: int) -> tuple[Coords, float]:
-    """Agent ``i``'s affine piece as floats, with its dimension and finiteness checked."""
-    a = tuple(float(v) for v in a)
+def _checked_piece(i: int, piece, dim: int) -> tuple[Coords, float]:
+    """Agent ``i``'s affine piece ``(a, b)`` as floats, with its dimension and
+    finiteness checked."""
+    try:
+        a, b = piece
+        a, b = tuple(float(v) for v in a), float(b)
+    except (TypeError, ValueError) as exc:
+        raise InputError(
+            f"agent {i}: affine piece {reprlib.repr(piece)} is not a slope and an "
+            "intercept of numbers"
+        ) from exc
     if len(a) != dim:
         raise DimensionMismatch(
             f"agent {i}: piece slope has dimension {len(a)}, expected {dim}"
         )
-    b = float(b)
     if not all(math.isfinite(v) for v in (*a, b)):
         raise InputError(f"agent {i}: non-finite affine piece")
     return a, b

@@ -77,6 +77,7 @@ all positive but none above ``PIVOT_TOL``.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -110,6 +111,14 @@ class LPStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
+def _float_array(name: str, raw) -> np.ndarray:
+    """``raw`` as a float array; anything else is an ``InputError`` naming it."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} = {reprlib.repr(raw)} is not an array of numbers") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """minimize c·v subject to A v = b, v >= 0."""
@@ -119,9 +128,7 @@ class LinearProgram:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        c, A, b = (_float_array(name, getattr(self, name)) for name in ("c", "A", "b"))
         if A.ndim != 2:
             raise InputError("A must be a 2-d array")
         m, n = A.shape
@@ -620,4 +627,5 @@ def feasible(A: np.ndarray, b: np.ndarray) -> LPOutcome:
     value and its duals as a Farkas certificate.
     """
     # one cost per column; an A that is not 2-d gets a 0-d c and LinearProgram's error
-    return _two_phase(LinearProgram(c=np.zeros(np.shape(A)[1:2]), A=A, b=b), None)
+    A = _float_array("A", A)
+    return _two_phase(LinearProgram(c=np.zeros(A.shape[1:2]), A=A, b=b), None)

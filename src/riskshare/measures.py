@@ -8,6 +8,12 @@ equal laws compare equal as Python objects and serialize identically.
 A joint law is the law of an allocation ``(Y_1, ..., Y_p)``: each atom is a
 p-tuple of points in R^d.  ``marginal`` and ``sum_pushforward`` are the two
 pushforwards the rest of the package consumes.
+
+Both classes are immutable, so a law computes each pushforward and each
+array view (``support_array``, ``weights_array``, ``component_array``) once,
+on first use, and keeps it beside its fields.  The arrays come back
+read-only.  What a law keeps takes no part in equality, hashing or
+pickling: a law with a warm cache is the same value as a cold one.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -127,6 +133,33 @@ class BallConfig:
         return self.radius * (1.0 + BALL_TOL) + MERGE_TOL
 
 
+class _Memo:
+    """Values an immutable law computes once and keeps beside its fields.
+
+    They live in the instance ``__dict__`` under ``_cache``, which is not a
+    dataclass field, so equality, hashing and ``repr`` do not see them, and
+    pickling leaves them out.
+    """
+
+    def _memo(self, key, compute):
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_cache"}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _array(rows: list, shape: tuple[int, ...]) -> np.ndarray:
+    return _read_only(np.array(rows, dtype=float).reshape(shape))
+
+
 def _merge_targets(
     points: list[Coords], merge_tol: float = MERGE_TOL
 ) -> tuple[list[int], list[int]]:
@@ -175,7 +208,7 @@ def _merge_weighted(
 
 
 @dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_Memo):
     """Probability measure with finite support in R^dim, in canonical form."""
 
     dim: int
@@ -186,10 +219,14 @@ class DiscreteMeasure:
         return len(self.atoms)
 
     def support_array(self) -> np.ndarray:
-        return np.array([a[0] for a in self.atoms], dtype=float).reshape(self.size, self.dim)
+        """Shape (size, dim) array of the support points, read-only."""
+        return self._memo(
+            "support", lambda: _array([a[0] for a in self.atoms], (self.size, self.dim))
+        )
 
     def weights_array(self) -> np.ndarray:
-        return np.array([a[1] for a in self.atoms], dtype=float)
+        """The atom weights, read-only."""
+        return self._memo("weights", lambda: _array([a[1] for a in self.atoms], (self.size,)))
 
     def mean(self) -> np.ndarray:
         return self.weights_array() @ self.support_array()
@@ -245,7 +282,7 @@ def dirac(coords: Sequence[float]) -> DiscreteMeasure:
 
 
 @dataclass(frozen=True)
-class JointLaw:
+class JointLaw(_Memo):
     """Law of a p-agent allocation: atoms are p-tuples of points in R^dim."""
 
     agents: int
@@ -257,12 +294,14 @@ class JointLaw:
         return len(self.atoms)
 
     def weights_array(self) -> np.ndarray:
-        return np.array([a[1] for a in self.atoms], dtype=float)
+        """The atom weights, read-only."""
+        return self._memo("weights", lambda: _array([a[1] for a in self.atoms], (self.size,)))
 
     def component_array(self) -> np.ndarray:
-        """Shape (size, agents, dim) array of the support tuples."""
-        return np.array([[pt for pt in tup] for tup, _ in self.atoms], dtype=float).reshape(
-            self.size, self.agents, self.dim
+        """Shape (size, agents, dim) array of the support tuples, read-only."""
+        return self._memo(
+            "components",
+            lambda: _array([a[0] for a in self.atoms], (self.size, self.agents, self.dim)),
         )
 
 
@@ -298,8 +337,12 @@ def validate_joint_law(
 
 
 def require_shares_in_ball(law: JointLaw, ball: BallConfig) -> None:
-    """Raise InputError naming the first share of ``law`` outside ``ball``."""
-    inside = ball.contains_rows(law.component_array().reshape(-1, law.dim))
+    """Raise InputError naming the first share of ``law`` outside ``ball``;
+    the law keeps the verdict of each ball."""
+    inside = law._memo(
+        ("in ball", ball),
+        lambda: _read_only(ball.contains_rows(law.component_array().reshape(-1, law.dim))),
+    )
     if not inside.all():
         a, i = divmod(int(np.argmin(inside)), law.agents)
         pt = law.atoms[a][0][i]
@@ -307,11 +350,12 @@ def require_shares_in_ball(law: JointLaw, ball: BallConfig) -> None:
 
 
 def marginal(law: JointLaw, agent: int) -> DiscreteMeasure:
-    """Law of agent ``agent`` (zero-based) under the allocation."""
+    """Law of agent ``agent`` (zero-based) under the allocation, computed once."""
     if not 0 <= agent < law.agents:
         raise IndexOutOfRange(f"agent index {agent} outside 0..{law.agents - 1}")
-    return validate_measure(
-        [(tup[agent], w) for tup, w in law.atoms], dim=law.dim
+    return law._memo(
+        ("marginal", agent),
+        lambda: validate_measure([(tup[agent], w) for tup, w in law.atoms], dim=law.dim),
     )
 
 
@@ -319,10 +363,30 @@ def _tuple_sum(tup: tuple[Coords, ...], dim: int) -> Coords:
     return tuple(math.fsum(pt[k] for pt in tup) for k in range(dim))
 
 
+def _sums(law: JointLaw) -> tuple[Coords, ...]:
+    return law._memo("sums", lambda: tuple(_tuple_sum(tup, law.dim) for tup, _ in law.atoms))
+
+
 def sum_pushforward(law: JointLaw) -> DiscreteMeasure:
-    """Law of the coordinate sum Y_1 + ... + Y_p; colliding sums merge."""
-    items = [(_tuple_sum(tup, law.dim), w) for tup, w in law.atoms]
-    return validate_measure(items, dim=law.dim)
+    """Law of the coordinate sum Y_1 + ... + Y_p, computed once; colliding sums merge."""
+    return law._memo(
+        "sum",
+        lambda: validate_measure(
+            [(s, w) for s, (_, w) in zip(_sums(law), law.atoms)], dim=law.dim
+        ),
+    )
+
+
+def _atom_targets(law: JointLaw, agent: Optional[int] = None) -> tuple[int, ...]:
+    """For each atom of ``law``, the index of the atom it merges into in
+    ``marginal(law, agent)``, or in ``sum_pushforward(law)`` when ``agent``
+    is None; computed once."""
+
+    def targets() -> tuple[int, ...]:
+        points = _sums(law) if agent is None else [tup[agent] for tup, _ in law.atoms]
+        return tuple(_merge_targets(list(points))[1])
+
+    return law._memo(("targets", agent), targets)
 
 
 def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = DEFAULT_TOL) -> bool:

@@ -4,7 +4,10 @@ at a time.
 These are the per-split loops that ``riskshare.improve`` replaced by array
 passes.  They are kept here, unchanged in arithmetic, so that the
 differential tests can require the array builders to give the same
-``SplitGrid`` and ``ImprovementProblem`` bit for bit.
+``SplitGrid`` and ``ImprovementProblem`` bit for bit.  The loop grid
+collects each atom's splits as nested tuples, as the loop always did, and
+hands ``SplitGrid`` the array of them; the loop program takes its kernel
+blocks from ``plan_rows``'s dense plan rows.
 """
 
 from __future__ import annotations
@@ -91,9 +94,11 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
         for a, k in own.items():
             baseline_splits[a] = (t, index[k])
         per_atom.append(tuple(seen.values()))
+    splits = np.array([split for cands in per_atom for split in cands], dtype=float)
     return SplitGrid(
         aggregate=m0,
-        candidates=tuple(per_atom),
+        splits=splits.reshape(len(splits), p, d),
+        offsets=tuple(np.cumsum([0] + [len(cands) for cands in per_atom]).tolist()),
         h=float(h),
         ball=ball,
         baseline_splits=tuple(baseline_splits),

@@ -3,7 +3,10 @@
 ``loop_builders`` keeps the per-split loops that ``build_split_grid`` and
 ``build_improvement_problem`` once were.  Every field of ``SplitGrid`` and
 ``ImprovementProblem`` must come out the same: the candidate splits float
-for float, the baseline splits, and the program's arrays byte for byte.
+for float, both as ``SplitGrid``'s array and as its nested tuples, the
+baseline splits, and the program's arrays byte for byte.  Random laws on
+and off the lattice are drawn by hypothesis, and every program of the
+benchmark's catalogue is checked as well.
 """
 
 import math
@@ -13,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import catalogue
 import loop_builders
-from riskshare.improve import build_improvement_problem, build_split_grid
+from riskshare.improve import build_improvement_problem, build_split_grid, default_step
 from riskshare.measures import BALL_TOL, MERGE_TOL, BallConfig, validate_joint_law
 
 
@@ -32,6 +36,8 @@ def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
 def assert_builders_agree(gamma0, h, ball, eps):
     grid = build_split_grid(gamma0, h, ball)
     ref_grid = loop_builders.build_split_grid(gamma0, h, ball)
+    assert _same_array(grid.splits, ref_grid.splits)
+    assert grid.offsets == ref_grid.offsets and grid.total_candidates == len(ref_grid.splits)
     assert _exact(grid.candidates) == _exact(ref_grid.candidates)
     assert _exact(grid.baseline_splits) == _exact(ref_grid.baseline_splits)
     assert grid.aggregate == ref_grid.aggregate
@@ -91,6 +97,27 @@ def cases(draw):
 )
 def test_builders_match_the_loops(case):
     assert_builders_agree(*case)
+
+
+def _workload_cases():
+    """Every program of the benchmark's catalogue: each sandwich law at
+    h = 0.5 and at ``default_step``, in the ball of radius 6, and each
+    grid-ladder law at each of its steps."""
+    cases = []
+    ball = BallConfig(radius=catalogue.SANDWICH_RADIUS)
+    for k, law in enumerate(catalogue.sandwich_laws()):
+        for name, h in (("h", catalogue.SANDWICH_STEP), ("default", default_step(law, ball))):
+            cases.append(pytest.param(law, h, ball, id=f"sandwich{k:02d}-{name}"))
+    for name, atoms, radius, steps in catalogue.LADDER:
+        for h in steps:
+            law = validate_joint_law(atoms)
+            cases.append(pytest.param(law, h, BallConfig(radius=radius), id=f"{name}@{h}"))
+    return cases
+
+
+@pytest.mark.parametrize("gamma0, h, ball", _workload_cases())
+def test_workload_programs_match_the_loops(gamma0, h, ball):
+    assert_builders_agree(gamma0, h, ball, [1.0] * gamma0.agents)
 
 
 def test_ball_without_lattice_split():

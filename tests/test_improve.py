@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import catalogue
 import riskshare.improve
 from riskshare.convex_order import AllocationVerdict, allocation_dominates
 from riskshare.errors import InputError, SolverFailure, SumLawMismatch
@@ -255,20 +256,7 @@ class TestInvariants:
 
 
 #: The benchmark's grid ladder: (atoms, ball radius, steps).
-LADDER = (
-    (
-        [(((2.0,), (-1.0,)), 0.25), (((-1.0,), (1.0,)), 0.35), (((0.0,), (-2.0,)), 0.4)],
-        2.5,
-        (0.25, 0.125, 0.0625),
-    ),
-    (
-        [(((-1.0,), (-2.0,)), 0.3), (((0.0,), (0.0,)), 0.3), (((1.0,), (2.0,)), 0.4)],
-        2.5,
-        (0.25, 0.125, 0.0625),
-    ),
-    ([(((1.0, 0.0), (-1.0, 1.0)), 0.5), (((0.0, 1.0), (1.0, -1.0)), 0.5)], 2.0, (1.0, 0.5)),
-    ([(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.0, 1.0), (1.0, 0.0)), 0.5)], 2.0, (1.0, 0.5)),
-)
+LADDER = tuple((atoms, R, steps) for _, atoms, R, steps in catalogue.LADDER)
 
 
 def _catalogue():
@@ -276,16 +264,8 @@ def _catalogue():
     and the sandwich laws (the 17 random laws of acceptance criterion 4 and
     the 3 designed ones) at h = 0.5 in a ball of radius 6."""
     cases = [(validate_joint_law(atoms), R, steps[0]) for atoms, R, steps in LADDER]
-    rng = np.random.RandomState(404)
-    for _ in range(17):
-        n = rng.randint(2, 6)
-        pts = rng.randint(-2, 3, size=(n, 2, 1)).astype(float)
-        w = rng.rand(n) + 0.2
-        w /= w.sum()
-        cases.append((validate_joint_law([(tuple(map(tuple, pts[i])), w[i]) for i in range(n)]), 6.0, 0.5))
-    for atoms in (ANTI, COMO, [(((0.0,), (0.0,)), 0.3), (((0.5,), (0.5,)), 0.3), (((1.0,), (1.0,)), 0.4)]):
-        cases.append((validate_joint_law(atoms), 6.0, 0.5))
-    return cases
+    sandwich = (catalogue.SANDWICH_RADIUS, catalogue.SANDWICH_STEP)
+    return cases + [(law, *sandwich) for law in catalogue.sandwich_laws()]
 
 
 def _problem(gamma0, R, h):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from riskshare.measures import (
     MERGE_TOL,
     BallConfig,
     DiscreteMeasure,
+    _atom_targets,
+    _merge_targets,
     dirac,
     joint_law_from_json,
     joint_law_to_json,
@@ -157,6 +160,81 @@ class TestPushforwards:
             [(((0.0,), (1.0,)), 0.5), (((0.0,), (1.0 + 1e-14,)), 0.5)]
         )
         assert law.size == 1
+
+
+#: A 3-agent 2-D law whose sums collide (atoms 0 and 2) and whose agent-0
+#: shares collide (atoms 1 and 2), so both pushforwards merge atoms.
+CACHED_LAW_ATOMS = [
+    (((1.0, 0.0), (0.0, 2.0), (-1.0, 0.5)), 0.3),
+    (((0.5, 0.5), (1.0, 1.0), (0.0, 0.0)), 0.3),
+    (((0.5, 0.5), (-0.5, 2.0), (0.0, 0.0)), 0.4),
+]
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCache:
+    """A law computes its pushforwards and arrays once, read-only, and
+    what it keeps is invisible to equality, hashing and pickling."""
+
+    def _warm(self, law):
+        for i in range(law.agents):
+            marginal(law, i).support_array()
+            marginal(law, i).weights_array()
+        sum_pushforward(law).support_array()
+        law.component_array()
+        law.weights_array()
+        return law
+
+    def test_pushforwards_and_arrays_match_a_fresh_computation(self):
+        law = self._warm(validate_joint_law(CACHED_LAW_ATOMS))
+        twin = validate_joint_law(CACHED_LAW_ATOMS)
+        assert law == twin and law is not twin
+        for i in range(law.agents):
+            fresh = validate_measure([(tup[i], w) for tup, w in law.atoms], dim=law.dim)
+            assert marginal(law, i) == fresh == marginal(twin, i)
+            assert marginal(law, i) is marginal(law, i)
+            assert _atom_targets(law, i) == tuple(_merge_targets([t[i] for t, _ in law.atoms])[1])
+            assert _same_array(marginal(law, i).support_array(), np.array([x for x, _ in fresh.atoms]))
+            assert _same_array(marginal(law, i).weights_array(), np.array([w for _, w in fresh.atoms]))
+        sums = [tuple(math.fsum(pt[k] for pt in tup) for k in range(law.dim)) for tup, _ in law.atoms]
+        fresh_sum = validate_measure(list(zip(sums, [w for _, w in law.atoms])), dim=law.dim)
+        assert sum_pushforward(law) == fresh_sum and sum_pushforward(law).size == 2
+        assert sum_pushforward(law) is sum_pushforward(law)
+        assert _atom_targets(law) == tuple(_merge_targets(sums)[1])
+        assert _same_array(sum_pushforward(law).support_array(), np.array([x for x, _ in fresh_sum.atoms]))
+        assert _same_array(law.component_array(), np.array([tup for tup, _ in law.atoms]))
+        assert _same_array(law.weights_array(), np.array([w for _, w in law.atoms]))
+        assert law.component_array() is law.component_array()
+
+    def test_returned_arrays_are_read_only(self):
+        law = validate_joint_law(CACHED_LAW_ATOMS)
+        m = marginal(law, 1)
+        for arr in (law.component_array(), law.weights_array(), m.support_array(), m.weights_array()):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+        assert law.component_array()[0, 0, 0] == law.atoms[0][0][0][0]
+        assert m.weights_array()[0] == m.atoms[0][1]
+
+    def test_warm_law_equals_hashes_and_pickles_like_a_cold_one(self):
+        warm = self._warm(validate_joint_law(CACHED_LAW_ATOMS))
+        cold = validate_joint_law(CACHED_LAW_ATOMS)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert {warm: 1}[cold] == 1
+        measure = marginal(warm, 0)
+        assert measure == validate_measure([(t[0], w) for t, w in CACHED_LAW_ATOMS])
+        assert hash(measure) == hash(marginal(cold, 0))
+        for obj in (warm, measure):
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and hash(back) == hash(obj) and repr(back) == repr(obj)
+            assert "_cache" not in back.__dict__
+        back = pickle.loads(pickle.dumps(warm))
+        assert marginal(back, 2) == marginal(cold, 2)
+        assert _same_array(back.component_array(), cold.component_array())
+        with pytest.raises(ValueError):
+            back.component_array()[0, 0, 0] = 7.0
 
 
 class TestProperties:

@@ -14,6 +14,7 @@ from riskshare.improve import (
     build_improvement_problem,
     build_split_grid,
     dual_potential,
+    efficiency_statistic,
     solve_problem,
 )
 from riskshare.infconv import (
@@ -24,7 +25,7 @@ from riskshare.infconv import (
     share_point,
     share_points,
 )
-from riskshare.lp import LinearProgram
+from riskshare.lp import LinearProgram, feasible
 from riskshare.measures import (
     BallConfig,
     dirac,
@@ -34,9 +35,12 @@ from riskshare.measures import (
     validate_joint_law,
     validate_measure,
 )
+from riskshare.qdescent import minimize_q
 
 PROFILE = quadratic_profile([np.eye(2), 2.0 * np.eye(2)])
 BALL = BallConfig(radius=5.0)
+LAW = validate_joint_law([(((1.0,), (-1.0,)), 0.5), (((0.0,), (2.0,)), 0.5)])
+RAGGED = [[1.0, 0.0], [1.0]]
 
 
 @pytest.mark.parametrize(
@@ -51,6 +55,23 @@ BALL = BallConfig(radius=5.0)
         (lambda: share_point(PROFILE, ("a", 0.0), BALL), "('a', 0.0)"),
         (lambda: share_points(PROFILE, [[1.0, 2.0], [1.0]], BALL), "[[1.0, 2.0], [1.0]]"),
         (lambda: quadratic_profile([]), "at least one matrix"),
+        (lambda: LinearProgram(c=["a"], A=np.zeros((1, 1)), b=np.zeros(1)), "['a']"),
+        (lambda: LinearProgram(c=np.zeros(2), A=RAGGED, b=np.zeros(2)), repr(RAGGED)),
+        (lambda: feasible(RAGGED, np.zeros(2)), repr(RAGGED)),
+        (
+            lambda: StrictlyConvexProfile(dim=1, agents=(AgentProfile(eps="a"),)),
+            "'a'",
+        ),
+        (
+            lambda: StrictlyConvexProfile(dim=1, agents=(AgentProfile(pieces=((("a",), 0.0),)),)),
+            "('a',)",
+        ),
+        (
+            lambda: StrictlyConvexProfile(dim=2, agents=(AgentProfile(quad=RAGGED),)),
+            repr(RAGGED),
+        ),
+        (lambda: minimize_q(LAW, eps=["a", 1.0]), "['a', 1.0]"),
+        (lambda: efficiency_statistic(LAW, eps=["a", 1.0]), "['a', 1.0]"),
     ],
     ids=[
         "measure-json-coordinate",
@@ -62,6 +83,14 @@ BALL = BallConfig(radius=5.0)
         "share-point-x",
         "share-points-ragged",
         "quadratic-profile-empty",
+        "lp-cost",
+        "lp-ragged-matrix",
+        "feasible-ragged-matrix",
+        "profile-eps",
+        "profile-piece-slope",
+        "profile-ragged-quad",
+        "minimize-q-eps",
+        "efficiency-statistic-eps",
     ],
 )
 def test_non_numeric_input_is_an_input_error(call, named):
