@@ -31,7 +31,9 @@ The drop from the baseline's cost to the optimal cost is the efficiency
 statistic: zero (at tolerance) certifies that the baseline is already
 undominated on the grid, while a positive value comes with a concrete
 improving allocation, re-verified by the dominance checker before being
-returned.
+returned.  ``solve_improvement_lp`` is the one path from a grid to that
+report, which keeps the program and its optimum; one rule,
+``_floor_costs``, prices both the program's splits and the baseline.
 
 In one dimension the optimum's duals on each agent's baseline-marginal rows
 also give a potential ``psi`` (``dual_potential``) whose dual objective J
@@ -59,6 +61,7 @@ from .measures import (
     DiscreteMeasure,
     JointLaw,
     _atom_targets,
+    _checked_number,
     _read_only,
     marginal,
     require_shares_in_ball,
@@ -172,8 +175,9 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     agents in lexicographic order, each completed by the last agent's share
     when that share lies in the ball, then the baseline's own splits of it.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise InputError(f"grid step must be positive and finite, got {h!r}")
+    h = _checked_number(
+        h, lambda v: math.isfinite(v) and v > 0, "grid step must be positive and finite"
+    )
     d, p = gamma0.dim, gamma0.agents
     c = ball.center_for(d)
     require_shares_in_ball(gamma0, ball)
@@ -221,7 +225,7 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
         aggregate=m0,
         splits=_read_only(rows[first].reshape(-1, p, d)),
         offsets=tuple(starts),
-        h=float(h),
+        h=h,
         ball=ball,
         baseline_splits=tuple(zip(atom_of.tolist(), own.tolist())),
     )
@@ -245,10 +249,15 @@ class ImprovementProblem:
     marginal_rows: tuple[int, ...]
 
 
-def _floor_cost(split: Split, eps: Sequence[float]) -> float:
-    return sum(
-        0.5 * e * float(np.dot(y, y)) for e, y in zip(eps, split)
-    )
+def _floor_costs(splits: np.ndarray, eps: Sequence[float]) -> np.ndarray:
+    """The floor cost ``sum_i (eps_i/2)|y_i|^2`` of each split of ``(N, p, d)``
+    ``splits``, agents summed in order, each ``|y_i|^2`` from a stacked matmul,
+    the dot kernel of ``np.dot``; an overflowing cost is ``inf``."""
+    cost = 0.0
+    with np.errstate(over="ignore"):
+        for e, y in zip(eps, np.moveaxis(splits, 1, 0)):
+            cost = cost + 0.5 * e * np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+    return cost
 
 
 def _reachable(
@@ -326,13 +335,7 @@ def build_improvement_problem(
             f"more than the limit of {MAX_LP_ENTRIES} entries; use a coarser grid step"
         )
 
-    # the floor cost of each split, summed over agents in order as
-    # ``_floor_cost`` does; a stacked row-by-column matmul takes each |y|^2
-    # from the same dot kernel as ``np.dot``
-    cost = 0.0
-    with np.errstate(over="ignore"):
-        for e, y in zip(eps, np.moveaxis(splits, 1, 0)):
-            cost = cost + 0.5 * e * np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+    cost = _floor_costs(splits, eps)
     overflow = kept & ~np.isfinite(cost)
     if overflow.any():
         # name one of the law's own shares when its split overflows, else a
@@ -482,12 +485,8 @@ class EfficiencyReport:
     objective_at_input: float
     objective_at_optimum: float
     tol: float
-
-
-def _baseline_objective(gamma0: JointLaw, eps: Sequence[float]) -> float:
-    return float(
-        sum(w * _floor_cost(tup, eps) for tup, w in gamma0.atoms)
-    )
+    problem: ImprovementProblem
+    outcome: lp.LPOutcome
 
 
 def _extract_law(
@@ -532,24 +531,16 @@ def solve_improvement_lp(
     eps: Optional[Sequence[float]] = None,
     tol: float = DEFAULT_TOL,
 ) -> EfficiencyReport:
-    """Minimize the floor cost over grid allocations dominating the baseline."""
+    """Minimize the floor cost over grid allocations dominating the baseline;
+    the report keeps the program and its optimum."""
     eps = _cost_weights(eps, gamma0.agents)
+    tol = _checked_number(
+        tol, lambda v: math.isfinite(v) and v >= 0, "tol must be finite and nonnegative"
+    )
     problem = build_improvement_problem(gamma0, grid, eps)
-    return improvement_report(gamma0, problem, solve_problem(problem), eps, tol)
-
-
-def improvement_report(
-    gamma0: JointLaw,
-    problem: ImprovementProblem,
-    out: lp.LPOutcome,
-    eps: Sequence[float],
-    tol: float = DEFAULT_TOL,
-) -> EfficiencyReport:
-    """The report of ``solve_improvement_lp`` from an optimum ``out`` of
-    ``problem``, the program of ``gamma0`` under the cost weights ``eps``:
-    the statistic, and the improved law, verified independently."""
-    grid = problem.grid
-    objective_at_input = _baseline_objective(gamma0, eps)
+    out = solve_problem(problem)
+    costs = _floor_costs(gamma0.component_array(), eps).tolist()
+    objective_at_input = float(sum(w * c for w, c in zip(gamma0.weights_array().tolist(), costs)))
     statistic = objective_at_input - float(out.value)
     if statistic < -ZERO_GAP:
         raise SolverFailure(
@@ -579,6 +570,8 @@ def improvement_report(
         objective_at_input=objective_at_input,
         objective_at_optimum=float(out.value),
         tol=tol,
+        problem=problem,
+        outcome=out,
     )
 
 

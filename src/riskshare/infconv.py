@@ -30,6 +30,10 @@ with ``S_i`` the inverse quadratic, which ``quadratic_sharing_matrix``
 returns as matrices; the same matrices generate the explicit two-agent
 families whose sharing maps have unbounded norm and whose set is not
 convex, reproduced by ``counterexample_family``.
+
+``_expected_cost`` is the one evaluator of a pooled cost:
+``inf_convolution_value`` applies it to the split of one point, and
+``riskshare.qdescent`` to both terms of J.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .measures import (
     Coords,
     DiscreteMeasure,
     JointLaw,
+    _read_only,
     validate_joint_law,
 )
 
@@ -203,11 +208,6 @@ def _checked_piece(i: int, piece, dim: int) -> tuple[Coords, float]:
     if not all(math.isfinite(v) for v in (*a, b)):
         raise InputError(f"agent {i}: non-finite affine piece")
     return a, b
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _check_spd(S: np.ndarray, dim: int, what: str) -> None:
@@ -697,6 +697,19 @@ def share_points(
     ).reshape(len(xs), p, d)
 
 
+def _expected_cost(profile: StrictlyConvexProfile, points: np.ndarray, weights) -> float:
+    """``E[sum_i psi_i(X_i)]`` over the atoms ``points[k]`` (one row per agent)."""
+    values = [profile.psi_values(i, points[:, i]).tolist() for i in range(profile.n_agents)]
+    return math.fsum(w * math.fsum(row) for row, w in zip(zip(*values), weights))
+
+
+def _split_law(shares: np.ndarray, weights) -> JointLaw:
+    """The canonical joint law with the float weight ``weights[k]`` on the
+    split ``shares[k]`` of the ``(n, p, d)`` array ``shares``."""
+    p, d = shares.shape[1:]
+    return validate_joint_law(zip(shares.tolist(), weights), agents=p, dim=d)
+
+
 def inf_convolution_value(
     profile: StrictlyConvexProfile,
     x: Sequence[float],
@@ -705,9 +718,7 @@ def inf_convolution_value(
 ) -> float:
     """Total cost of the optimal split of ``x``."""
     sp = share_point(profile, x, ball, tol=tol)
-    return float(
-        sum(profile.psi_value(i, np.asarray(y)) for i, y in enumerate(sp.shares))
-    )
+    return _expected_cost(profile, np.array([sp.shares], dtype=float), [1.0])
 
 
 def sharing_law(
@@ -719,12 +730,8 @@ def sharing_law(
     """Pushforward of ``m0`` through the sharing map."""
     if m0.dim != profile.dim:
         raise DimensionMismatch(f"measure dimension {m0.dim} != profile {profile.dim}")
-    shares = share_points(profile, [x for x, _ in m0.atoms], ball, tol=tol)
-    return validate_joint_law(
-        zip(shares.tolist(), (w for _, w in m0.atoms)),
-        agents=profile.n_agents,
-        dim=profile.dim,
-    )
+    shares = share_points(profile, m0.support_array(), ball, tol=tol)
+    return _split_law(shares, m0.weights_array().tolist())
 
 
 # ---------------------------------------------------------------------------

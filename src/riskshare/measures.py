@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,18 @@ def _as_coords(raw: Sequence[float], dim: int | None = None) -> Coords:
     return coords
 
 
+def _checked_number(value, ok: Callable[[float], bool], rule: str) -> float:
+    """``value`` as a float if ``ok`` holds for it, else an ``InputError``
+    stating ``rule`` and naming it; a non-number is tried as NaN."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not ok(number):
+        raise InputError(f"{rule}, got {value!r}")
+    return number
+
+
 def _as_weight(raw, at) -> float:
     try:
         return float(raw)
@@ -83,14 +95,11 @@ class BallConfig:
     center: Coords | None = None
 
     def __post_init__(self) -> None:
-        try:
-            radius = float(self.radius)
-        except (TypeError, ValueError):
-            radius = math.nan
-        if not (math.isfinite(radius) and radius > 0):
-            raise InputError(
-                f"ball radius must be positive and finite, got {self.radius!r}"
-            )
+        radius = _checked_number(
+            self.radius,
+            lambda r: math.isfinite(r) and r > 0,
+            "ball radius must be positive and finite",
+        )
         object.__setattr__(self, "radius", radius)
         if self.center is not None:
             object.__setattr__(self, "center", _as_coords(self.center))

@@ -13,20 +13,22 @@ from the pure quadratics; in one dimension it then takes one exact dual
 step, the potential that the improvement program's own duals give
 (``improve.dual_potential``), from the finest grid step of the doubling
 ladder from ``default_step`` whose program fits the builders' caps and
-solves.  In ``d >= 2`` it descends J inside the quadratic-plus-max-affine
+solves, unless the caller hands it an ``EfficiencyReport``'s program and
+optimum.  In ``d >= 2`` it descends J inside the quadratic-plus-max-affine
 family by adding affine cutting pieces.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import lp
-from .errors import DimensionMismatch, NumericalBreakdown, ProblemTooLarge
+from .errors import DimensionMismatch, InputError, NumericalBreakdown, ProblemTooLarge
 from .improve import (
     ZERO_GAP,
     ImprovementProblem,
@@ -38,18 +40,18 @@ from .improve import (
     dual_potential,
     solve_problem,
 )
-from .infconv import AgentProfile, StrictlyConvexProfile, share_points
+from .infconv import AgentProfile, StrictlyConvexProfile, _expected_cost, _split_law, share_points
 from .measures import (
     ROUNDING,
     BallConfig,
     Coords,
     DiscreteMeasure,
     JointLaw,
+    _checked_number,
     _merge_weighted,
     marginal,
     require_shares_in_ball,
     sum_pushforward,
-    validate_joint_law,
 )
 
 MATCH_TOL = 1e-7  # atom-matching resolution for marginal discrepancies
@@ -89,15 +91,8 @@ def _check_shapes(profile: StrictlyConvexProfile, gamma0: JointLaw) -> None:
 def _atom_arrays(law) -> tuple[np.ndarray, list[float]]:
     """The support points of a measure ``(n, d)`` or joint law ``(n, p, d)``
     as one array, and the weights."""
-    return np.array([x for x, _ in law.atoms], dtype=float), [w for _, w in law.atoms]
-
-
-def _expected_cost(
-    profile: StrictlyConvexProfile, points: np.ndarray, weights: list[float]
-) -> float:
-    """``E[sum_i psi_i(X_i)]`` over the atoms ``points[k]`` (one row per agent)."""
-    values = [profile.psi_values(i, points[:, i]).tolist() for i in range(profile.n_agents)]
-    return math.fsum(w * math.fsum(row) for row, w in zip(zip(*values), weights))
+    points = law.component_array() if isinstance(law, JointLaw) else law.support_array()
+    return points, law.weights_array().tolist()
 
 
 def _evaluate(
@@ -119,12 +114,6 @@ def _evaluate(
             f"aggregate atoms, pieces per agent {pieces}); an optimal split was overestimated"
         )
     return j, shares
-
-
-def _split_law(shares: np.ndarray, aggregate: tuple[np.ndarray, list[float]]) -> JointLaw:
-    """The canonical joint law of the splits ``shares`` of the aggregate atoms."""
-    p, d = shares.shape[1:]
-    return validate_joint_law(zip(shares.tolist(), aggregate[1]), agents=p, dim=d)
 
 
 def j_value(
@@ -273,6 +262,10 @@ def minimize_q(
     """
     p = gamma0.agents
     es = _cost_weights(eps, p)
+    if target is not None:
+        target = _checked_number(target, math.isfinite, "target must be finite or None")
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
+        raise InputError(f"max_iters must be a non-negative integer, got {max_iters!r}")
     profile = StrictlyConvexProfile(
         dim=gamma0.dim, agents=tuple(AgentProfile(eps=e) for e in es)
     )
@@ -293,7 +286,7 @@ def minimize_q(
         if j_dual < j_cur:
             j_cur, shares, profile = j_dual, shares_dual, dual
             history.append(j_cur)
-    law_cur = _split_law(shares, aggregate)
+    law_cur = _split_law(shares, aggregate[1])
     if gamma0.dim == 1:
         hit_cap = max_iters <= 0 and j_cur > stop_at
     else:
@@ -328,7 +321,7 @@ def minimize_q(
             if best is None or best[0] >= accept_below:
                 break  # no step-scaled cut improves: local stall
             j_cur, shares, profile = best
-            law_cur = _split_law(shares, aggregate)
+            law_cur = _split_law(shares, aggregate[1])
             history.append(j_cur)
         else:
             hit_cap = j_cur > stop_at

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 import catalogue
 import loop_builders
-from riskshare.improve import build_improvement_problem, build_split_grid, default_step
+from riskshare.improve import (
+    _floor_costs,
+    build_improvement_problem,
+    build_split_grid,
+    default_step,
+    solve_improvement_lp,
+)
 from riskshare.measures import BALL_TOL, MERGE_TOL, BallConfig, validate_joint_law
 
 
@@ -118,6 +124,30 @@ def _workload_cases():
 @pytest.mark.parametrize("gamma0, h, ball", _workload_cases())
 def test_workload_programs_match_the_loops(gamma0, h, ball):
     assert_builders_agree(gamma0, h, ball, [1.0] * gamma0.agents)
+
+
+def test_floor_costs_are_the_loop_costs_on_random_laws():
+    # 1,000 laws of 1-4 agents in dimension 1-3, with magnitudes 1e-3 to 1e3:
+    # each atom's floor cost is the loop's per-split cost, bit for bit
+    rng = np.random.RandomState(2)
+    for _ in range(1000):
+        n, p, d = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        points = rng.randn(n, p, d) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, p, 1))
+        weights = rng.rand(n) + 0.1
+        atoms = list(zip(points.tolist(), (weights / weights.sum()).tolist()))
+        gamma0 = validate_joint_law(atoms, agents=p, dim=d)
+        eps = (10.0 ** rng.uniform(-1.0, 1.0, size=p)).tolist()
+        got = _floor_costs(gamma0.component_array(), eps).tolist()
+        expected = [loop_builders._floor_cost(tup, eps) for tup, _ in gamma0.atoms]
+        assert _exact(tuple(got)) == _exact(tuple(expected))
+
+
+@pytest.mark.parametrize("gamma0, h, ball", _workload_cases())
+def test_objective_at_input_is_the_per_share_sum(gamma0, h, ball):
+    eps = [1.0 + 0.5 * i for i in range(gamma0.agents)]
+    expected = sum(w * loop_builders._floor_cost(tup, eps) for tup, w in gamma0.atoms)
+    report = solve_improvement_lp(gamma0, build_split_grid(gamma0, h, ball), eps=eps)
+    assert report.objective_at_input.hex() == expected.hex()
 
 
 def test_ball_without_lattice_split():

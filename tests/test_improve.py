@@ -11,7 +11,6 @@ import riskshare.improve
 from riskshare.convex_order import AllocationVerdict, allocation_dominates
 from riskshare.errors import InputError, SolverFailure, SumLawMismatch
 from riskshare.improve import (
-    _baseline_objective,
     build_improvement_problem,
     build_split_grid,
     default_radius,
@@ -347,7 +346,8 @@ class TestBaselineEmbedding:
         lp, x0 = problem.program, problem.baseline
         assert np.min(x0) >= 0.0
         assert np.max(np.abs(lp.A @ x0 - lp.b)) <= 1e-12
-        assert lp.c @ x0 == pytest.approx(_baseline_objective(gamma0, eps), rel=1e-14, abs=1e-14)
+        objective = sum(w * floor_cost(tup, eps) for tup, w in gamma0.atoms)
+        assert lp.c @ x0 == pytest.approx(objective, rel=1e-14, abs=1e-14)
 
     def test_dependent_baseline_support_matches_highs(self):
         # the six permutations of (0, 1, 2) among three agents: 15 baseline

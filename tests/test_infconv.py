@@ -512,3 +512,24 @@ class TestSimplexQP:
         np.testing.assert_array_equal(again[0], y)
         with pytest.raises(NoConvergence, match=r"pass cap of 1 \(K = 2 pieces, d = 1\)"):
             _simplex_qp(Minv, A, b, v, max_passes=1)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NoConvergence,
+        reason="a warm start cycles the active set {16, 4, 11} +12 -11 +11 -12 ... to the pass cap",
+    )
+    def test_warm_start_among_sixteen_walls(self):
+        # the zero slope and 16 walls of slope 100 around it: the minimizer
+        # is y = 0, which a cold start finds; a warm start from three of the
+        # pieces cycles through zero-length steps
+        turns = 2.0 * np.pi * np.arange(16) / 16.0
+        A = np.vstack([np.zeros(2), 100.0 * np.column_stack([np.cos(turns), np.sin(turns)])])
+        v = np.array([30.5451939651848, 30.24341297645035])
+        cold, _, _ = _simplex_qp(np.eye(2), A, np.zeros(17), v)
+        assert cold == pytest.approx([0.0, 0.0], abs=1e-12)
+        w = np.array([0.23798422007777098, 0.568965966419866, 0.19304981350236305])
+        y, W, weights = _simplex_qp(np.eye(2), A, np.zeros(17), v, [16, 4, 11], w)
+        assert y == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert weights.sum() == pytest.approx(1.0) and np.all(weights > 0.0)
+        assert y == pytest.approx(v - A[W].T @ weights, abs=1e-12)
+        assert np.max(A @ y) <= np.max(A[W] @ y) + 1e-12

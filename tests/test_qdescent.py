@@ -235,6 +235,31 @@ class TestMinimizeQ:
         assert state.profile is profiles[1]
         assert state.j_history == (pytest.approx(0.125, abs=TOL), 0.0625)
 
+    def test_one_agent_cut_after_the_joint_cut_fails(self, monkeypatch):
+        # on the third step both agents have a cut, no scale of the joint
+        # cut lowers J, and agent 0's cut alone is taken; this pins the J
+        # of the cut loop's single-agent fallback
+        gamma0 = validate_joint_law(
+            [(((0.0, 0.0), (0.0, 1.0)), 0.7), (((0.0, 1.0), (1.0, 1.0)), 0.3)]
+        )
+        real, trials = riskshare.qdescent._with_cuts, []
+
+        def with_cuts(profile, cuts, sigma):
+            trial = real(profile, cuts, sigma)
+            trials.append((profile, [i for i, _, _ in cuts], trial))
+            return trial
+
+        monkeypatch.setattr(riskshare.qdescent, "_with_cuts", with_cuts)
+        state = minimize_q(gamma0, ball=BallConfig(radius=2.5), eps=[1.0, 0.5], max_iters=3)
+        assert state.j_history == pytest.approx(
+            (0.10833333333333334, 0.10813078703703705, 0.10811044198495373, 0.10795501583397638),
+            rel=1e-9,
+        )
+        assert state.iterations == 3 and state.hit_cap
+        source, agents, _ = next(t for t in trials if t[2] is state.profile)
+        last_step = [cut_set for profile, cut_set, _ in trials if profile is source]
+        assert agents == [0] and last_step[0] == [0, 1]
+
     def test_cut_profile_appends_a_piece_and_leaves_its_source(self):
         source, cut = quad_profile(dim=2), [(1, (1.0, 0.0), 0.5)]
         trial = riskshare.qdescent._with_cuts(source, cut, 2.0)

@@ -40,6 +40,7 @@ from riskshare.qdescent import minimize_q
 PROFILE = quadratic_profile([np.eye(2), 2.0 * np.eye(2)])
 BALL = BallConfig(radius=5.0)
 LAW = validate_joint_law([(((1.0,), (-1.0,)), 0.5), (((0.0,), (2.0,)), 0.5)])
+LAW_2D = validate_joint_law([(((1.0, 0.0), (0.0, 1.0)), 0.5), (((0.0, 1.0), (1.0, 0.0)), 0.5)])
 RAGGED = [[1.0, 0.0], [1.0]]
 
 
@@ -72,6 +73,14 @@ RAGGED = [[1.0, 0.0], [1.0]]
         ),
         (lambda: minimize_q(LAW, eps=["a", 1.0]), "['a', 1.0]"),
         (lambda: efficiency_statistic(LAW, eps=["a", 1.0]), "['a', 1.0]"),
+        (lambda: minimize_q(LAW, target="a"), "'a'"),
+        (lambda: minimize_q(LAW, target=float("nan")), "nan"),
+        (lambda: minimize_q(LAW, max_iters="3"), "'3'"),
+        (lambda: minimize_q(LAW_2D, max_iters=2.5), "2.5"),
+        (lambda: minimize_q(LAW, max_iters=-1), "-1"),
+        (lambda: build_split_grid(LAW, "a", BALL), "'a'"),
+        (lambda: efficiency_statistic(LAW, tol="a"), "'a'"),
+        (lambda: efficiency_statistic(LAW, tol=float("nan")), "nan"),
     ],
     ids=[
         "measure-json-coordinate",
@@ -91,6 +100,14 @@ RAGGED = [[1.0, 0.0], [1.0]]
         "profile-ragged-quad",
         "minimize-q-eps",
         "efficiency-statistic-eps",
+        "minimize-q-target",
+        "minimize-q-target-nan",
+        "minimize-q-max-iters-string",
+        "minimize-q-max-iters-fraction-2d",
+        "minimize-q-max-iters-negative",
+        "split-grid-step",
+        "efficiency-statistic-tol",
+        "efficiency-statistic-tol-nan",
     ],
 )
 def test_non_numeric_input_is_an_input_error(call, named):
