@@ -6,26 +6,33 @@ agent, for the one with the smallest total strictly-convex floor cost
 ``sum_i (eps_i/2)|y_i|^2``.  The search space is discretized: every
 aggregate atom may be split along a lattice of candidate tuples (the
 baseline's own splits always included), and the agent-wise dominance
-constraints become linear through mean-preserving transition kernels
-linking the unknown marginals to the baseline marginals.
+constraints become linear, by the rule ``convex_order.dominates`` follows:
 
-A kernel sends the mass at a candidate point only to atoms whose
-barycenter is that point, so a point beyond every atom of its agent's
-baseline marginal along some axis can carry no mass; the program leaves it
-out, with every split that uses it.
+- on the line, through stop-loss values: an agent's law dominates its
+  baseline marginal when the two have the same mean and the law's
+  stop-loss value at each interior atom of the marginal is at most the
+  marginal's; such a law puts no mass outside the marginal's range, so
+  the program keeps only the splits inside every agent's range;
+- in ``d >= 2``, through mean-preserving transition kernels linking the
+  unknown marginals to the baseline marginals.  A kernel sends the mass at
+  a candidate point only to atoms whose barycenter is that point, so a
+  point beyond every atom of its agent's baseline marginal along some axis
+  can carry no mass; the program leaves it out, with every split that
+  uses it.
 
 The builders work on arrays.  ``SplitGrid`` holds every candidate split in
 one read-only ``(N, p, d)`` array with per-atom offsets, and gives the
-nested-tuple view ``candidates`` only when asked.  The program builder
-reads that array and the law's cached marginals, and writes each kernel
-entry's link, marginal and barycenter coefficients straight from the
-entries a point reaches.
+nested-tuple view ``candidates`` only when asked.  The program builders
+read that array and the law's cached marginals; the kernel program's
+builder writes each kernel entry's link, marginal and barycenter
+coefficients straight from the entries a point reaches.
 
-The baseline itself is always a feasible point of that program: each of
-its atoms is a candidate split of the aggregate atom it sums to, and each
-agent's identity kernel links its marginal to itself.  The program keeps
-that point (``ImprovementProblem.baseline``) and the simplex starts from
-its vertex, so phase 1 takes no pivot.
+The baseline itself is always a feasible point of either program: each of
+its atoms is a candidate split of the aggregate atom it sums to; in one
+dimension the program's right-hand side is its own rows at the baseline,
+and in ``d >= 2`` each agent's identity kernel links its marginal to
+itself.  The program keeps that point (``ImprovementProblem.baseline``)
+and the simplex starts from its vertex, so phase 1 takes no pivot.
 
 The drop from the baseline's cost to the optimal cost is the efficiency
 statistic: zero (at tolerance) certifies that the baseline is already
@@ -35,9 +42,9 @@ returned.  ``solve_improvement_lp`` is the one path from a grid to that
 report, which keeps the program and its optimum; one rule,
 ``_floor_costs``, prices both the program's splits and the baseline.
 
-In one dimension the optimum's duals on each agent's baseline-marginal rows
-also give a potential ``psi`` (``dual_potential``) whose dual objective J
-bounds the gap from above; see :mod:`riskshare.qdescent`.
+In one dimension the optimum's duals on each agent's mean and stop-loss
+rows also give a potential ``psi`` (``dual_potential``) whose dual
+objective J bounds the gap from above; see :mod:`riskshare.qdescent`.
 """
 
 from __future__ import annotations
@@ -82,8 +89,9 @@ _VERIFY_TOL_FLOOR = 1e-7
 #: times the aggregate atoms.
 MAX_GRID_SPLITS = 100_000
 #: Cap on the entries (rows times columns) of the dense improvement program
-#: ``build_improvement_problem`` assembles: 40 MB as float64, about 65 times
-#: the largest program the tests or ``perfbench`` build (201 x 385).
+#: ``build_improvement_problem`` assembles: 40 MB as float64, about 60 times
+#: the largest it builds in the tests (258 x 308, a drawn 2-D law) and 8,000
+#: times the benchmark's largest (6 x 101, improvable-1d at h = 1/16).
 MAX_LP_ENTRIES = 5_000_000
 #: How much steeper than the envelope's end edges the walls of
 #: ``dual_potential`` rise beyond the baseline marginal's range.
@@ -233,13 +241,15 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
 
 @dataclass(frozen=True, eq=False)
 class ImprovementProblem:
-    """Assembled equality-form program; column layout is gamma then kernels.
+    """Assembled equality-form program; the split weights are its first columns.
 
     ``baseline`` is the baseline law embedded in the program, a feasible
-    point of it: each baseline atom's weight on its own split, and each
-    agent's identity kernel.  Agent ``i``'s baseline-marginal rows start at
-    ``marginal_rows[i]``, one per atom of its baseline marginal, in that
-    marginal's order.
+    point of it: each baseline atom's weight on its own split, and in
+    ``d >= 2`` each agent's identity kernel.  Agent ``i``'s rows start at
+    ``marginal_rows[i]``: in one dimension its mean row (every agent but
+    the last), then one stop-loss row per interior atom of its baseline
+    marginal; in ``d >= 2`` one baseline-marginal row per atom.  Both are
+    in that marginal's order.
     """
 
     program: lp.LinearProgram
@@ -285,10 +295,125 @@ def _reachable(
         rows &= ~forcing
 
 
+def _checked_size(n_rows: int, n_vars: int) -> None:
+    """``ProblemTooLarge`` for a program of more than ``MAX_LP_ENTRIES`` entries."""
+    if n_rows * n_vars > MAX_LP_ENTRIES:
+        raise ProblemTooLarge(
+            f"the improvement program would have {n_rows} rows and {n_vars} columns, "
+            f"more than the limit of {MAX_LP_ENTRIES} entries; use a coarser grid step"
+        )
+
+
+def _checked_costs(
+    splits: np.ndarray, eps: Sequence[float], kept: np.ndarray, own: np.ndarray
+) -> np.ndarray:
+    """The floor cost of every split; ``InputError`` when a kept one overflows."""
+    cost = _floor_costs(splits, eps)
+    overflow = kept & ~np.isfinite(cost)
+    if overflow.any():
+        # name one of the law's own shares when its split overflows, else a
+        # kept grid point's, no larger: kept points lie in the hull of the law's
+        k = own[overflow[own]][0] if overflow[own].any() else np.flatnonzero(overflow)[0]
+        i = int(np.argmax(np.max(np.abs(splits[k]), axis=1)))
+        raise InputError(
+            f"share {tuple(splits[k, i].tolist())!r} of agent {i} is too large: "
+            f"its floor cost (eps/2) |y|^2 overflows"
+        )
+    return cost
+
+
+def _hinges(Y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The stop-loss functions of the increasing atoms ``Y`` at the points
+    ``z``: one column per interior atom ``Y_j``, the put
+    ``(Y_j - z)_+ / (Y_j - Y_min)`` on the lower half of the range and the
+    call ``(z - Y_j)_+ / (Y_max - Y_j)`` on the upper half."""
+    inner, lo, hi = Y[1:-1], Y[:1], Y[-1:]
+    put = inner - lo <= hi - inner
+    gap = np.where(put, inner - z[:, None], z[:, None] - inner)
+    return np.maximum(gap, 0.0) / np.where(put, inner - lo, hi - inner)
+
+
 def build_improvement_problem(
     gamma0: JointLaw, grid: SplitGrid, eps: Sequence[float]
 ) -> ImprovementProblem:
-    """The improvement program over the splits a mean-preserving kernel can reach.
+    """The improvement program over the grid's splits: the stop-loss program
+    in one dimension, the kernel program in ``d >= 2``.
+
+    A program of more than ``MAX_LP_ENTRIES`` entries (rows times columns)
+    is refused with ``ProblemTooLarge``, and one whose kept split's floor
+    cost overflows with ``InputError``.
+    """
+    if gamma0.dim == 1:
+        return _stop_loss_problem(gamma0, grid, eps)
+    return _kernel_problem(gamma0, grid, eps)
+
+
+def _stop_loss_problem(
+    gamma0: JointLaw, grid: SplitGrid, eps: Sequence[float]
+) -> ImprovementProblem:
+    """The 1-D program: dominance as equal means and ordered stop-loss values.
+
+    Columns: one weight per split kept, in candidate order, then per agent
+    a slack per interior atom of its baseline marginal.  A split stays when
+    each share lies within its agent's baseline-marginal range, widened by
+    ``lp.PIVOT_TOL``: a law the marginal dominates puts no mass outside it.
+    The baseline's splits always stay.  Rows: one per aggregate atom, then
+    per agent a mean row (all agents but the last, whose mean the aggregate
+    rows fix) and a ``<=`` row per interior atom, with its slack, on the
+    stop-loss function of ``_hinges``.  The rows at the two end atoms
+    follow from the range and the mean.  ``b`` is the program's rows at the
+    baseline, so the baseline, with every slack at 0, is feasible.
+    """
+    p, m0, splits, starts = gamma0.agents, grid.aggregate, grid.splits, grid.offsets
+    own = np.array([starts[t] + u for t, u in grid.baseline_splits])
+    Ys = [marginal(gamma0, i).support_array()[:, 0] for i in range(p)]
+    shares = splits[:, :, 0]
+    lo = np.array([Y[0] for Y in Ys]) - lp.PIVOT_TOL
+    hi = np.array([Y[-1] for Y in Ys]) + lp.PIVOT_TOL
+    kept = np.all((shares >= lo) & (shares <= hi), axis=1)
+    kept[own] = True
+
+    n_gamma = int(np.count_nonzero(kept))
+    n_slack = [max(Y.size - 2, 0) for Y in Ys]
+    n_vars = n_gamma + sum(n_slack)
+    n_rows = m0.size + p - 1 + sum(n_slack)
+    _checked_size(n_rows, n_vars)
+    cost = _checked_costs(splits, eps, kept, own)
+
+    gamma_col = np.where(kept, np.cumsum(kept) - 1, -1)
+    gamma_cols = tuple(tuple(gamma_col[j:k].tolist()) for j, k in zip(starts, starts[1:]))
+    A = np.zeros((n_rows, n_vars))
+    # aggregate rows: candidate masses of atom t sum to the atom's weight
+    A[np.repeat(np.arange(m0.size), np.diff(starts))[kept], np.arange(n_gamma)] = 1.0
+    z = shares[kept]
+    row, col = m0.size, n_gamma
+    marginal_rows = []
+    for i, (Y, k) in enumerate(zip(Ys, n_slack)):
+        marginal_rows.append(row)
+        if i < p - 1:
+            A[row, :n_gamma] = z[:, i]
+            row += 1
+        A[row : row + k, :n_gamma] = _hinges(Y, z[:, i]).T
+        A[np.arange(row, row + k), np.arange(col, col + k)] = 1.0
+        row, col = row + k, col + k
+
+    c = np.zeros(n_vars)
+    c[:n_gamma] = cost[kept]
+    # the baseline: each atom's weight on its own split, every slack at 0;
+    # b is A times it, summed over its own columns by NumPy's row sum
+    baseline = np.zeros(n_vars)
+    np.add.at(baseline, gamma_col[own], gamma0.weights_array())
+    on = np.flatnonzero(baseline)
+    b = np.sum(A[:, on] * baseline[on], axis=1)
+    return ImprovementProblem(
+        lp.LinearProgram(c=c, A=A, b=b), grid, gamma_cols, baseline, tuple(marginal_rows)
+    )
+
+
+def _kernel_problem(
+    gamma0: JointLaw, grid: SplitGrid, eps: Sequence[float]
+) -> ImprovementProblem:
+    """The ``d >= 2`` program over the splits a mean-preserving kernel can reach.
 
     Columns: one weight per split kept, in candidate order, then per agent
     a kernel entry per kept point ``z`` and marginal atom ``j`` it reaches.
@@ -298,8 +423,7 @@ def build_improvement_problem(
     the program omits the entries and barycenter rows ``_reachable`` rules
     out, every split one of whose points then reaches no atom, and every
     point no kept split uses, with its rows and entries.  The baseline's
-    splits always stay.  A program of more than ``MAX_LP_ENTRIES`` entries
-    (rows times columns) is refused with ``ProblemTooLarge``.
+    splits always stay.
     """
     p, m0, splits, starts = gamma0.agents, grid.aggregate, grid.splits, grid.offsets
     own = np.array([starts[t] + u for t, u in grid.baseline_splits])
@@ -329,23 +453,8 @@ def build_improvement_problem(
     n_rows = m0.size + sum(
         len(Z) + m.size + int(r.sum()) for (Z, _, _, r), m in zip(agents, margs)
     )
-    if n_rows * n_vars > MAX_LP_ENTRIES:
-        raise ProblemTooLarge(
-            f"the improvement program would have {n_rows} rows and {n_vars} columns, "
-            f"more than the limit of {MAX_LP_ENTRIES} entries; use a coarser grid step"
-        )
-
-    cost = _floor_costs(splits, eps)
-    overflow = kept & ~np.isfinite(cost)
-    if overflow.any():
-        # name one of the law's own shares when its split overflows, else a
-        # kept grid point's, no larger: kept points lie in the hull of the law's
-        k = own[overflow[own]][0] if overflow[own].any() else np.flatnonzero(overflow)[0]
-        i = int(np.argmax(np.max(np.abs(splits[k]), axis=1)))
-        raise InputError(
-            f"share {tuple(splits[k, i].tolist())!r} of agent {i} is too large: "
-            f"its floor cost (eps/2) |y|^2 overflows"
-        )
+    _checked_size(n_rows, n_vars)
+    cost = _checked_costs(splits, eps, kept, own)
 
     gamma_col = np.where(kept, np.cumsum(kept) - 1, -1)
     gamma_cols = tuple(tuple(gamma_col[lo:hi].tolist()) for lo, hi in zip(starts, starts[1:]))
@@ -450,27 +559,33 @@ def dual_potential(
     duals of an optimum of ``problem``, the program of a law whose agents
     have the baseline ``marginals`` (``marginal(gamma0, i)``).
 
-    With ``delta_j`` the dual of agent ``i``'s marginal row of atom ``Y_j``
-    (``lp``'s sign convention, ``c - A^T y >= 0``), ``phi_i`` is the lower
-    convex envelope of the points ``(Y_j, -delta_j)`` with a steep wall
-    beyond each end (see ``_envelope_pieces``).  Any convex ``phi`` gives a
-    J at least the gap, so the duals only choose the potential; J itself is
-    evaluated apart from them.
+    With ``beta_i`` the dual of agent ``i``'s mean row (0 for the last
+    agent, which has none) and ``lambda_ik`` those of its stop-loss rows
+    (``lp``'s sign convention, ``c - A^T y >= 0``, so ``lambda <= 0``),
+    ``phi_i`` is the lower convex envelope of the points
+    ``(Y_j, -beta_i Y_j - sum_k lambda_ik hinge_k(Y_j))`` over the
+    marginal's atoms, with a steep wall beyond each end (see
+    ``_envelope_pieces``).  Any convex ``phi`` gives a J at least the gap,
+    so the duals only choose the potential; J itself is evaluated apart
+    from them.
     """
     dim = problem.grid.aggregate.dim
     if dim != 1:
         raise DimensionMismatch(f"the dual potential is built in one dimension, not {dim}")
-    if len(marginals) != len(problem.marginal_rows) or len(eps) != len(marginals):
+    p = len(problem.marginal_rows)
+    if len(marginals) != p or len(eps) != p:
         raise DimensionMismatch(
-            f"the program has {len(problem.marginal_rows)} agents, got "
+            f"the program has {p} agents, got "
             f"{len(marginals)} marginals and {len(eps)} cost weights"
         )
     agents = []
-    for e, margin, row in zip(eps, marginals, problem.marginal_rows):
-        delta = outcome.duals[row : row + margin.size]
-        agents.append(
-            AgentProfile(eps=e, pieces=_envelope_pieces(margin.support_array()[:, 0], -delta))
-        )
+    for i, (e, margin, row) in enumerate(zip(eps, marginals, problem.marginal_rows)):
+        Y, has_mean = margin.support_array()[:, 0], i < p - 1
+        beta = outcome.duals[row] if has_mean else 0.0
+        start = row + has_mean
+        lam = outcome.duals[start : start + max(Y.size - 2, 0)]
+        phi = -beta * Y - _hinges(Y, Y) @ lam
+        agents.append(AgentProfile(eps=e, pieces=_envelope_pieces(Y, phi)))
     return StrictlyConvexProfile(dim=1, agents=tuple(agents))
 
 

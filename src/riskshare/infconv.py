@@ -345,9 +345,14 @@ def _simplex_qp(Minv, A, b, v, W=None, w=None, max_passes=None):
         y = Minv @ (v - A[W].T @ w)
         vals = A @ y + b
         j = int(np.argmax(vals))
-        # a top piece that is already active leaves nothing to enter: the
-        # active pieces tie up to the roundoff of their terms
-        if j in W or vals[j] - w @ vals[W] <= ROUNDING * (1.0 + abs(float(vals[j]))):
+        # a top piece that is already active leaves nothing to enter, and
+        # neither does one above the active pieces by no more than the
+        # roundoff of its terms: of b_j, and of A_j y through the size of y's
+        if j in W:
+            return y, W, w
+        y_size = np.abs(Minv) @ (np.abs(v) + np.abs(A[W]).T @ w)
+        size = abs(float(vals[j])) + abs(float(b[j])) + float(np.abs(A[j]) @ y_size)
+        if vals[j] - w @ vals[W] <= ROUNDING * (1.0 + size):
             return y, W, w
         W, w = W + [j], np.append(w, 0.0)
     raise NoConvergence(

@@ -6,8 +6,12 @@ passes.  They are kept here, unchanged in arithmetic, so that the
 differential tests can require the array builders to give the same
 ``SplitGrid`` and ``ImprovementProblem`` bit for bit.  The loop grid
 collects each atom's splits as nested tuples, as the loop always did, and
-hands ``SplitGrid`` the array of them; the loop program takes its kernel
-blocks from ``plan_rows``'s dense plan rows.
+hands ``SplitGrid`` the array of them.  ``build_improvement_problem``
+follows the package's rule: the stop-loss program in one dimension, the
+kernel program in ``d >= 2``.  The loop kernel program takes its kernel
+blocks from ``plan_rows``'s dense plan rows, and builds the 1-D kernel
+program too, so that the stop-loss program's optimum can be checked
+against it.
 """
 
 from __future__ import annotations
@@ -106,6 +110,83 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
 
 
 def build_improvement_problem(
+    gamma0: JointLaw, grid: SplitGrid, eps: Sequence[float]
+) -> ImprovementProblem:
+    if gamma0.dim == 1:
+        return build_stop_loss_problem(gamma0, grid, eps)
+    return build_kernel_problem(gamma0, grid, eps)
+
+
+def _hinge(Y: list, j: int, z: float) -> float:
+    """Stop-loss function of the interior atom ``Y[j]`` at ``z``: the scaled
+    put on the lower half of the range, the scaled call on the upper."""
+    lo, y, hi = Y[0], Y[j], Y[-1]
+    if y - lo <= hi - y:
+        return max(y - z, 0.0) / (y - lo)
+    return max(z - y, 0.0) / (hi - y)
+
+
+def build_stop_loss_problem(
+    gamma0: JointLaw, grid: SplitGrid, eps: Sequence[float]
+) -> ImprovementProblem:
+    p, m0 = gamma0.agents, grid.aggregate
+    splits = [split for cands in grid.candidates for split in cands]
+    sizes = [len(cands) for cands in grid.candidates]
+    starts = np.cumsum([0] + sizes)
+    own = [int(starts[t]) + u for t, u in grid.baseline_splits]
+    Ys = [[y for (y,), _ in marginal(gamma0, i).atoms] for i in range(p)]
+
+    kept = []
+    for u, split in enumerate(splits):
+        inside = all(
+            Y[0] - lp.PIVOT_TOL <= y <= Y[-1] + lp.PIVOT_TOL for (y,), Y in zip(split, Ys)
+        )
+        kept.append(inside or u in own)
+    kept = np.array(kept)
+    n_gamma = int(np.count_nonzero(kept))
+    interior = [list(range(1, len(Y) - 1)) for Y in Ys]
+    n_vars = n_gamma + sum(len(js) for js in interior)
+    n_rows = m0.size + p - 1 + sum(len(js) for js in interior)
+    gamma_col = np.where(kept, np.cumsum(kept) - 1, -1)
+    gamma_cols = tuple(tuple(gamma_col[lo:hi].tolist()) for lo, hi in zip(starts, starts[1:]))
+
+    A = np.zeros((n_rows, n_vars))
+    c = np.zeros(n_vars)
+    atom_of = np.repeat(np.arange(m0.size), sizes)
+    for u, split in enumerate(splits):
+        col = gamma_col[u]
+        if col < 0:
+            continue
+        c[col] = _floor_cost(split, eps)
+        A[atom_of[u], col] = 1.0
+        row = m0.size
+        for i, ((y,), Y) in enumerate(zip(split, Ys)):
+            if i < p - 1:
+                A[row, col] = y
+                row += 1
+            for j in interior[i]:
+                A[row, col] = _hinge(Y, j, y)
+                row += 1
+    marginal_rows = []
+    row, col = m0.size, n_gamma
+    for i, js in enumerate(interior):
+        marginal_rows.append(row)
+        row += i < p - 1
+        for _ in js:
+            A[row, col] = 1.0
+            row, col = row + 1, col + 1
+
+    baseline = np.zeros(n_vars)
+    for a, (_, w) in enumerate(gamma0.atoms):
+        baseline[gamma_col[own[a]]] += w
+    on = np.flatnonzero(baseline)
+    b = np.array([np.sum(A[r, on] * baseline[on]) for r in range(n_rows)])
+    return ImprovementProblem(
+        lp.LinearProgram(c=c, A=A, b=b), grid, gamma_cols, baseline, tuple(marginal_rows)
+    )
+
+
+def build_kernel_problem(
     gamma0: JointLaw, grid: SplitGrid, eps: Sequence[float]
 ) -> ImprovementProblem:
     p, m0 = gamma0.agents, grid.aggregate

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import loop_builders
 import riskshare.improve
 import riskshare.infconv
 import riskshare.lp
@@ -149,14 +150,21 @@ class TestExitCodes:
         assert code == 2
         assert "too fine" in report["error"] and "too fine" in err
 
-    def test_oversized_program_refused(self, capsys):
-        # the splits pass the grid cap, but the dense program would have
-        # 20 010 rows and 28 006 columns (4.5 GB as float64)
+    def test_oversized_program_refused(self, tmp_path, capsys):
+        # a 2-D law whose splits pass the grid cap, but whose dense kernel
+        # program would have 9 811 rows and 8 718 columns (684 MB as float64)
+        path = tmp_path / "anti2d.json"
+        atoms = [
+            {"x": [[1.0, 0.0], [-1.0, 1.0]], "w": 0.5},
+            {"x": [[0.0, 1.0], [1.0, -1.0]], "w": 0.5},
+        ]
+        path.write_text(json.dumps({"agents": 2, "dim": 2, "atoms": atoms}))
         t0 = time.perf_counter()
-        code, report, err = run_cli(["stat", ANTI, "--grid-step", "0.001"], capsys)
+        code, report, err = run_cli(["stat", str(path), "--grid-step", "0.03"], capsys)
         assert time.perf_counter() - t0 < 2.0
         assert code == 2
         assert "improvement program" in report["error"] and "entries" in err
+        assert "9811 rows and 8718 columns" in err
 
     def test_solver_failure_reported(self, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -246,9 +254,9 @@ class TestExitCodes:
             assert code == expected, (command, report)
 
     def test_near_lattice_share_is_solved(self, tmp_path, capsys):
-        # a share 1e-7 off a lattice point makes near-duplicate rows in the
-        # improvement program (rank 55 of 58); the solve must still finish
-        # and agree with HiGHS on the same program
+        # a share 1e-7 off a lattice point made near-duplicate rows in the
+        # 1-D kernel program (rank 55 of 58); the stop-loss program must
+        # solve, and agree with HiGHS on that kernel program
         atoms = [(((1.0000001,), (-1.0,)), 0.5), (((0.0,), (1.0,)), 0.5)]
         path = tmp_path / "near.json"
         path.write_text(
@@ -268,7 +276,7 @@ class TestExitCodes:
         grid = riskshare.improve.build_split_grid(
             law, riskshare.improve.default_step(law, ball), ball
         )
-        program = riskshare.improve.build_improvement_problem(law, grid, [1.0, 1.0]).program
+        program = loop_builders.build_kernel_problem(law, grid, [1.0, 1.0]).program
         assert program.A.shape == (58, 71)
         ref = linprog(program.c, A_eq=program.A, b_eq=program.b, bounds=(0, None), method="highs")
         assert ref.status == 0

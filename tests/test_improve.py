@@ -287,32 +287,51 @@ def forcing_rows(problem):
     return found
 
 
+def _draws_2d():
+    """Sixteen two-agent 2-D laws (``RandomState(7)``), each at h = 1 and
+    1/2 in the ball of radius 2.5."""
+    rng = np.random.RandomState(7)
+    cases = []
+    for _ in range(16):
+        n = rng.randint(2, 4)
+        pts = rng.randint(-1, 2, size=(n, 2, 2)).astype(float)
+        w = rng.rand(n) + 0.2
+        w /= w.sum()
+        law = validate_joint_law([(tuple(map(tuple, pts[i])), w[i]) for i in range(n)])
+        cases += [(law, 2.5, 1.0), (law, 2.5, 0.5)]
+    return cases
+
+
 class TestReachableProgram:
-    """The program omits the points and splits no mean-preserving kernel reaches."""
+    """No program keeps a column that a row holds at 0: the d >= 2 program
+    omits the points and splits no mean-preserving kernel reaches, and the
+    1-D program the splits outside the marginals' ranges."""
 
     @pytest.mark.parametrize(
         "gamma0, R, h",
         [(validate_joint_law(atoms), R, h) for atoms, R, steps in LADDER for h in steps]
-        + _catalogue()[len(LADDER) :],
+        + _catalogue()[len(LADDER) :]
+        + _draws_2d(),
     )
     def test_no_forcing_row(self, gamma0, R, h):
         assert forcing_rows(_problem(gamma0, R, h)) == []
 
     @pytest.mark.parametrize(
         "ladder, h, shape",
-        [(0, 0.0625, (201, 385)), (1, 0.0625, (141, 231)), (3, 0.5, (10, 6))],
-        ids=["improvable-1d", "efficient-1d", "efficient-2d"],
+        [(0, 0.0625, (6, 101)), (1, 0.0625, (6, 37)), (2, 0.5, (22, 18)), (3, 0.5, (10, 6))],
+        ids=["improvable-1d", "efficient-1d", "improvable-2d", "efficient-2d"],
     )
     def test_pinned_shapes(self, ladder, h, shape):
         atoms, R, _ = LADDER[ladder]
         assert _problem(validate_joint_law(atoms), R, h).program.A.shape == shape
 
     def test_near_lattice_share_keeps_its_point(self):
-        # the second share is 5e-12 off -1.25, the point it is deduplicated
-        # to: the kernel entry between them (5e-12, below PIVOT_TOL) keeps
-        # its barycenter row, and the baseline misses that row by 0.5 * 5e-12
+        # the second share is 5e-12 off (-1.25, 0), the point it is
+        # deduplicated to: the kernel entry between them (5e-12, below
+        # PIVOT_TOL) keeps its barycenter row, and the baseline misses that
+        # row by 0.5 * 5e-12
         gamma0 = validate_joint_law(
-            [(((-1.25,), (-1.25,)), 0.5), (((-1.25,), (-1.249999999995,)), 0.5)]
+            [(((-1.25, 0.0), (-1.25, 0.0)), 0.5), (((-1.25, 0.0), (-1.249999999995, 0.0)), 0.5)]
         )
         problem = _problem(gamma0, 1.25, 0.5)
         lp, x0 = problem.program, problem.baseline
@@ -350,8 +369,8 @@ class TestBaselineEmbedding:
         assert lp.c @ x0 == pytest.approx(objective, rel=1e-14, abs=1e-14)
 
     def test_dependent_baseline_support_matches_highs(self):
-        # the six permutations of (0, 1, 2) among three agents: 15 baseline
-        # columns of rank 14, so the start must be purified
+        # the six permutations of (0, 1, 2) among three agents: 6 baseline
+        # columns of rank 5, so the start must be purified
         atoms = [
             (tuple((float(v),) for v in perm), 1.0 / 6.0)
             for perm in itertools.permutations((0, 1, 2))
@@ -360,7 +379,7 @@ class TestBaselineEmbedding:
         grid = build_split_grid(gamma0, h=1.0, ball=BallConfig(radius=2.5))
         problem = build_improvement_problem(gamma0, grid, [1.0] * 3)
         lp, support = problem.program, problem.baseline > 0
-        assert lp.A.shape == (22, 22)
+        assert lp.A.shape == (6, 10)
         assert np.linalg.matrix_rank(lp.A[:, support]) < np.count_nonzero(support)
         ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
         assert ref.status == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import loop_builders
 import riskshare.lp
 from riskshare.errors import InputError, NumericalBreakdown
 from riskshare.improve import build_improvement_problem, build_split_grid
@@ -599,21 +600,23 @@ class TestPastRefactorInterval:
         ids=["improvable", "efficient"],
     )
     def test_improvement_program_matches_highs(self, atoms, weights, h):
-        # marginals that reach ±2 keep most candidate points inside the
-        # hull of their supports, so the programs (about 265 x 450 to 530)
-        # still pivot past the interval three times
+        # the 1-D kernel program of the loop builders: marginals that reach
+        # ±2 keep most candidate points inside the hull of their supports,
+        # so the programs (about 265 x 450 to 530) still pivot past the
+        # interval three times
         gamma0 = validate_joint_law(list(zip(atoms, weights)))
         grid = build_split_grid(gamma0, h, BallConfig(radius=2.5))
-        lp = build_improvement_problem(gamma0, grid, [1.0, 1.0]).program
+        lp = loop_builders.build_kernel_problem(gamma0, grid, [1.0, 1.0]).program
         out = solve(lp)
         assert out.pivots >= 3 * REFACTOR_INTERVAL
         assert_matches_highs(lp, out)
 
     def test_crash_refactorises_between_support_columns(self, monkeypatch):
-        # improvable-1d at h = 1/4 (57 x 97): the baseline's 9 support
-        # columns enter the start basis with a fresh inverse every 2 pivots
+        # the kernel program of improvable-1d at h = 1/4 (57 x 97): the
+        # baseline's 9 support columns enter the start basis with a fresh
+        # inverse every 2 pivots
         gamma0 = validate_joint_law(list(zip(*GRID_LADDER[0][:2])))
-        problem = build_improvement_problem(
+        problem = loop_builders.build_kernel_problem(
             gamma0, build_split_grid(gamma0, 0.25, BallConfig(radius=2.5)), [1.0, 1.0]
         )
         assert problem.program.A.shape == (57, 97)
@@ -987,10 +990,11 @@ class TestVerdict:
     """Phase 2 reads its optimal verdict off the structural block of the basis."""
 
     def test_efficient_1d_solves_without_an_inverse(self, monkeypatch):
-        # efficient-1d at h = 1/16 (141 x 231): the baseline's 9 support
-        # columns are the basis, and the verdict takes two 9 x 9 solves
+        # the kernel program of efficient-1d at h = 1/16 (141 x 231): the
+        # baseline's 9 support columns are the basis, and the verdict takes
+        # two 9 x 9 solves
         gamma0 = validate_joint_law(list(zip(*GRID_LADDER[1][:2])))
-        problem = build_improvement_problem(
+        problem = loop_builders.build_kernel_problem(
             gamma0, build_split_grid(gamma0, 0.0625, BallConfig(radius=2.5)), [1.0, 1.0]
         )
         assert problem.program.A.shape == (141, 231)
@@ -1011,12 +1015,12 @@ class TestVerdict:
         assert_matches_highs(problem.program, out)
 
     def test_forced_verdict_flip_keeps_pivoting(self, monkeypatch):
-        # improvable-1d at h = 1/4 (57 x 97), with phase 2's third pricing
-        # told that no column enters, as drift in updated duals could: the
-        # fresh duals of the structural block price a column negative, so
-        # the run refactorises and goes on to the optimum
+        # the kernel program of improvable-1d at h = 1/4 (57 x 97), with
+        # phase 2's third pricing told that no column enters, as drift in
+        # updated duals could: the fresh duals of the structural block price
+        # a column negative, so the run refactorises and goes on to the optimum
         gamma0 = validate_joint_law(list(zip(*GRID_LADDER[0][:2])))
-        problem = build_improvement_problem(
+        problem = loop_builders.build_kernel_problem(
             gamma0, build_split_grid(gamma0, 0.25, BallConfig(radius=2.5)), [1.0, 1.0]
         )
         plain = solve(problem.program, start=problem.baseline)

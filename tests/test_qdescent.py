@@ -312,7 +312,9 @@ class TestMinimizeQ:
         # at the default step (0.0625, R = 13.125) the program would have
         # 421^2 * 2 lattice splits, more than build_split_grid allows; at
         # 0.125 it fits, and its potential closes the gap that the cut loop
-        # left at J = 102.50
+        # left at J = 102.50, to one rounding: agent 0's mean-row dual gives
+        # its envelope the slope -10.0119..., whose intercept rounds to
+        # 2.6e-13 instead of 0
         gamma0 = validate_joint_law(OVER_CAPS)
         assert efficiency_statistic(gamma0, h=0.125) == 0.0
         real, steps = riskshare.qdescent.solve_problem, []
@@ -324,9 +326,9 @@ class TestMinimizeQ:
         monkeypatch.setattr(riskshare.qdescent, "solve_problem", solve_problem)
         state = minimize_q(gamma0, max_iters=25)
         assert steps == [0.125]
-        assert state.j == 0.0
+        assert state.j == 1.0658141036401503e-14
         assert state.iterations == 1 and not state.hit_cap
-        assert state.j_history == (pytest.approx(102.5417, abs=1e-4), 0.0)
+        assert state.j_history == (pytest.approx(102.5417, abs=1e-4), state.j)
 
     def test_simplex_breakdown_takes_a_coarser_step(self, monkeypatch):
         gamma0 = validate_joint_law(STEPPED)

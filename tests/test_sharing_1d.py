@@ -174,9 +174,9 @@ def test_1d_sharing_law_is_comonotone(case):
     assert comonotonicity_gap(law).gap <= TOL
 
 
-# These improvement programs are degenerate and rank-deficient: the simplex
-# still breaks down on about 1% of such laws (ROADMAP item 2), though on none
-# of the draws here.  A failure is not shrunk: shrinking it would take a
+# These improvement programs are degenerate: the simplex broke down on
+# 2 of 1,000 such laws with the 1-D kernel program, and on none with the
+# stop-loss program.  A failure is not shrunk: shrinking it would take a
 # minute of the suite's time.
 @settings(
     max_examples=30, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate)
