@@ -5,20 +5,23 @@ that (a) share the same aggregate law and (b) dominate ``gamma0`` agent by
 agent, for the one with the smallest total strictly-convex floor cost
 ``sum_i (eps_i/2)|y_i|^2``.  The search space is discretized: every
 aggregate atom may be split along a lattice of candidate tuples (the
-baseline's own splits always included), and the agent-wise dominance
-constraints become linear, by the rule ``convex_order.dominates`` follows:
+baseline's own splits always included).  A law that dominates an agent's
+baseline marginal is less spread than it, so it lies in the convex hull of
+that marginal's atoms: the grid holds only the splits whose every share
+lies in its agent's box, the marginal's bounding box (on the line, its
+range).  The agent-wise dominance
+constraints then become linear, by the rule ``convex_order.dominates``
+follows:
 
 - on the line, through stop-loss values: an agent's law dominates its
-  baseline marginal when the two have the same mean and the law's
-  stop-loss value at each interior atom of the marginal is at most the
-  marginal's; such a law puts no mass outside the marginal's range, so
-  the program keeps only the splits inside every agent's range;
+  baseline marginal when the two have the same mean, it puts no mass
+  outside the marginal's range, and its stop-loss value at each interior
+  atom of the marginal is at most the marginal's;
 - in ``d >= 2``, through mean-preserving transition kernels linking the
   unknown marginals to the baseline marginals.  A kernel sends the mass at
   a candidate point only to atoms whose barycenter is that point, so a
-  point beyond every atom of its agent's baseline marginal along some axis
-  can carry no mass; the program leaves it out, with every split that
-  uses it.
+  point in the box but outside the hull can carry no mass; the program
+  leaves it out, with every split that uses it.
 
 The builders work on arrays.  ``SplitGrid`` holds every candidate split in
 one read-only ``(N, p, d)`` array with per-atom offsets, and gives the
@@ -84,8 +87,9 @@ _DEDUP_RES = 1e-9
 ZERO_GAP = 1e-9
 #: Least tolerance of the independent dominance check of an improved law.
 _VERIFY_TOL_FLOOR = 1e-7
-#: Cap on the lattice splits ``build_split_grid`` may enumerate: the lattice
-#: points of the ball's bounding box raised to ``agents - 1`` (at least 1),
+#: Cap on the lattice splits ``build_split_grid`` may enumerate: the product,
+#: over every agent but the last, of the lattice points of its box (its
+#: marginal's bounding box within the ball's, an index wider on each side),
 #: times the aggregate atoms.
 MAX_GRID_SPLITS = 100_000
 #: Cap on the entries (rows times columns) of the dense improvement program
@@ -163,25 +167,18 @@ class SplitGrid:
         return len(self.splits)
 
 
-def _lattice_points(h: float, ball: BallConfig, bounds) -> np.ndarray:
-    """The points ``m * h`` of the ball, one per row, in lexicographic order of ``m``."""
-    axes = [
-        np.array([m * h for m in range(math.ceil(lo), math.floor(hi) + 1)], dtype=float)
-        for lo, hi in bounds
-    ]
-    index = np.indices([len(axis) for axis in axes]).reshape(len(axes), -1)
-    box = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
-    return box[ball.contains_rows(box)]
-
-
 def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     """Lattice splits of each aggregate atom, plus the baseline's own splits;
     ``ProblemTooLarge`` when they could number more than ``MAX_GRID_SPLITS``.
 
-    An atom's candidates are, in this order and each kept at its first
-    appearance by identity key: the lattice points of the first ``p - 1``
-    agents in lexicographic order, each completed by the last agent's share
-    when that share lies in the ball, then the baseline's own splits of it.
+    A law that dominates an agent's baseline marginal in the concave order
+    lies in the convex hull of that marginal's atoms, so every share of a
+    split lies in its agent's box: the marginal's bounding box, widened by
+    ``lp.PIVOT_TOL``, within the ball.  An atom's candidates are, in this
+    order and each kept at its first appearance by identity key: the
+    lattice points of the first ``p - 1`` agents' boxes in lexicographic
+    order, each completed by the last agent's share when that share lies in
+    its own box, then the baseline's own splits of it.
     """
     h = _checked_number(
         h, lambda v: math.isfinite(v) and v > 0, "grid step must be positive and finite"
@@ -190,33 +187,38 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     c = ball.center_for(d)
     require_shares_in_ball(gamma0, ball)
     m0 = sum_pushforward(gamma0)
-    # lattice index bounds per axis, a step's rounding wider so that a point
-    # on the ball's bounding box is kept; counted in floats before anything
-    # is built, so that a step fine enough to overflow is refused too
-    bounds = [
-        (
-            (ck - ball.radius) / h - ROUNDING,
-            (ck + ball.radius) / h + ROUNDING,
-        )
-        for ck in c.tolist()
-    ]
-    box = math.prod(hi - lo + 1.0 for lo, hi in bounds)
-    log_splits = max(p - 1, 1) * math.log(box) + math.log(m0.size)
+    supports = [marginal(gamma0, i).support_array() for i in range(p)]
+    lo = np.array([Y.min(axis=0) for Y in supports]) - lp.PIVOT_TOL
+    hi = np.array([Y.max(axis=0) for Y in supports]) + lp.PIVOT_TOL
+    # lattice index bounds per agent and axis: the ball's, a step's rounding
+    # wider so that a point on its bounding box is kept, within the box's,
+    # an index wider so that the points are tested against the box itself;
+    # counted in floats before anything is built, so that a step fine enough
+    # to overflow is refused too
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m_lo = np.ceil(np.maximum((c - ball.radius) / h - ROUNDING, lo / h - 1.0))
+        m_hi = np.floor(np.minimum((c + ball.radius) / h + ROUNDING, hi / h + 1.0))
+        counts = np.maximum(m_hi - m_lo + 1.0, 0.0)[: p - 1]
+        log_splits = float(np.log(counts).sum()) + math.log(m0.size)
     if not log_splits <= math.log(MAX_GRID_SPLITS):
         raise ProblemTooLarge(
-            f"grid step {h!r} is too fine for a ball of radius {ball.radius}: "
-            f"the lattice splits of {m0.size} aggregate atoms among {p} agents "
-            f"exceed the limit of {MAX_GRID_SPLITS}"
+            f"grid step {h!r} is too fine: the lattice splits of {m0.size} aggregate "
+            f"atoms among {p} agents, each share in its marginal's box and the ball "
+            f"of radius {ball.radius}, exceed the limit of {MAX_GRID_SPLITS}"
         )
-    lattice = _lattice_points(h, ball, bounds)
-    # every (p-1)-tuple of lattice points, the first agent's point slowest,
-    # completed for each aggregate atom by the last share when that is in the ball
-    n_combos = len(lattice) ** (p - 1)
-    combos = lattice[np.indices((len(lattice),) * (p - 1)).reshape(p - 1, n_combos).T]
-    last = m0.support_array()[:, None, :] - np.sum(combos, axis=1)[None, :, :]
-    inside = ball.contains_rows(last.reshape(-1, d)).reshape(m0.size, n_combos)
-    heads = combos.reshape(1, n_combos, (p - 1) * d).repeat(m0.size, axis=0)
-    lattice_splits = np.concatenate([heads, last], axis=2)[inside]
+    # every tuple of lattice points of the first p - 1 agents' boxes, the
+    # first agent's index slowest, completed for each aggregate atom by the
+    # last share; a split stays when each share lies in the ball and its box
+    axes = [np.arange(int(a), int(b) + 1) * h for a, b in zip(m_lo[:-1].flat, m_hi[:-1].flat)]
+    n_combos = math.prod(len(axis) for axis in axes)
+    index = np.indices([len(axis) for axis in axes]).reshape(len(axes), n_combos)
+    heads = np.array([axis[i] for axis, i in zip(axes, index)]).reshape(len(axes), n_combos).T
+    last = m0.support_array()[:, None, :] - np.sum(heads.reshape(n_combos, p - 1, d), axis=1)
+    splits = np.concatenate([np.broadcast_to(heads, (m0.size, *heads.shape)), last], axis=2)
+    shares = splits.reshape(m0.size, n_combos, p, d)
+    inside = np.all((shares >= lo) & (shares <= hi), axis=(2, 3))
+    inside &= ball.contains_rows(shares.reshape(-1, d)).reshape(shares.shape[:3]).all(axis=2)
+    lattice_splits = splits[inside]
     # each baseline split is a candidate of the atom it sums to, and of
     # no other: a split of an atom 1e-11 away would change the sum law
     atom_of = np.array(_atom_targets(gamma0), dtype=np.intp)
@@ -353,39 +355,32 @@ def _stop_loss_problem(
 ) -> ImprovementProblem:
     """The 1-D program: dominance as equal means and ordered stop-loss values.
 
-    Columns: one weight per split kept, in candidate order, then per agent
-    a slack per interior atom of its baseline marginal.  A split stays when
-    each share lies within its agent's baseline-marginal range, widened by
-    ``lp.PIVOT_TOL``: a law the marginal dominates puts no mass outside it.
-    The baseline's splits always stay.  Rows: one per aggregate atom, then
-    per agent a mean row (all agents but the last, whose mean the aggregate
-    rows fix) and a ``<=`` row per interior atom, with its slack, on the
-    stop-loss function of ``_hinges``.  The rows at the two end atoms
-    follow from the range and the mean.  ``b`` is the program's rows at the
-    baseline, so the baseline, with every slack at 0, is feasible.
+    Columns: one weight per candidate split, in candidate order (the grid
+    holds only splits whose shares lie in their agents' ranges), then per
+    agent a slack per interior atom of its baseline marginal.  Rows: one
+    per aggregate atom, then per agent a mean row (all agents but the last,
+    whose mean the aggregate rows fix) and a ``<=`` row per interior atom,
+    with its slack, on the stop-loss function of ``_hinges``.  The rows at
+    the two end atoms follow from the range and the mean.  ``b`` is the
+    program's rows at the baseline, so the baseline, with every slack at 0,
+    is feasible.
     """
     p, m0, splits, starts = gamma0.agents, grid.aggregate, grid.splits, grid.offsets
     own = np.array([starts[t] + u for t, u in grid.baseline_splits])
     Ys = [marginal(gamma0, i).support_array()[:, 0] for i in range(p)]
-    shares = splits[:, :, 0]
-    lo = np.array([Y[0] for Y in Ys]) - lp.PIVOT_TOL
-    hi = np.array([Y[-1] for Y in Ys]) + lp.PIVOT_TOL
-    kept = np.all((shares >= lo) & (shares <= hi), axis=1)
-    kept[own] = True
+    z = splits[:, :, 0]
 
-    n_gamma = int(np.count_nonzero(kept))
+    n_gamma = len(z)
     n_slack = [max(Y.size - 2, 0) for Y in Ys]
     n_vars = n_gamma + sum(n_slack)
     n_rows = m0.size + p - 1 + sum(n_slack)
     _checked_size(n_rows, n_vars)
-    cost = _checked_costs(splits, eps, kept, own)
+    cost = _checked_costs(splits, eps, np.ones(n_gamma, dtype=bool), own)
 
-    gamma_col = np.where(kept, np.cumsum(kept) - 1, -1)
-    gamma_cols = tuple(tuple(gamma_col[j:k].tolist()) for j, k in zip(starts, starts[1:]))
+    gamma_cols = tuple(tuple(range(j, k)) for j, k in zip(starts, starts[1:]))
     A = np.zeros((n_rows, n_vars))
     # aggregate rows: candidate masses of atom t sum to the atom's weight
-    A[np.repeat(np.arange(m0.size), np.diff(starts))[kept], np.arange(n_gamma)] = 1.0
-    z = shares[kept]
+    A[np.repeat(np.arange(m0.size), np.diff(starts)), np.arange(n_gamma)] = 1.0
     row, col = m0.size, n_gamma
     marginal_rows = []
     for i, (Y, k) in enumerate(zip(Ys, n_slack)):
@@ -398,11 +393,11 @@ def _stop_loss_problem(
         row, col = row + k, col + k
 
     c = np.zeros(n_vars)
-    c[:n_gamma] = cost[kept]
+    c[:n_gamma] = cost
     # the baseline: each atom's weight on its own split, every slack at 0;
     # b is A times it, summed over its own columns by NumPy's row sum
     baseline = np.zeros(n_vars)
-    np.add.at(baseline, gamma_col[own], gamma0.weights_array())
+    np.add.at(baseline, own, gamma0.weights_array())
     on = np.flatnonzero(baseline)
     b = np.sum(A[:, on] * baseline[on], axis=1)
     return ImprovementProblem(

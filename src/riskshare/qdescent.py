@@ -14,8 +14,10 @@ step, the potential that the improvement program's own duals give
 (``improve.dual_potential``), from the finest grid step of the doubling
 ladder from ``default_step`` whose program fits the builders' caps and
 solves, unless the caller hands it an ``EfficiencyReport``'s program and
-optimum.  In ``d >= 2`` it descends J inside the quadratic-plus-max-affine
-family by adding affine cutting pieces.
+optimum.  The grid enumerates each agent's marginal range, so a program is
+over the caps only when the agents' ranges are wide against the step.  In
+``d >= 2`` it descends J inside the quadratic-plus-max-affine family by
+adding affine cutting pieces.
 """
 
 from __future__ import annotations

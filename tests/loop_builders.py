@@ -6,12 +6,13 @@ passes.  They are kept here, unchanged in arithmetic, so that the
 differential tests can require the array builders to give the same
 ``SplitGrid`` and ``ImprovementProblem`` bit for bit.  The loop grid
 collects each atom's splits as nested tuples, as the loop always did, and
-hands ``SplitGrid`` the array of them.  ``build_improvement_problem``
-follows the package's rule: the stop-loss program in one dimension, the
-kernel program in ``d >= 2``.  The loop kernel program takes its kernel
-blocks from ``plan_rows``'s dense plan rows, and builds the 1-D kernel
-program too, so that the stop-loss program's optimum can be checked
-against it.
+hands ``SplitGrid`` the array of them; it tests each share against its
+agent's box one share at a time, among the lattice points of the ball.
+``build_improvement_problem`` follows the package's rule: the stop-loss
+program in one dimension, the kernel program in ``d >= 2``.  The loop
+kernel program takes its kernel blocks from ``plan_rows``'s dense plan
+rows, and builds the 1-D kernel program too, so that the stop-loss
+program's optimum can be checked against it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ def _lattice_points(h: float, ball: BallConfig, bounds) -> list:
     return pts
 
 
+def _in_box(pt, box) -> bool:
+    """Whether every coordinate of ``pt`` lies in its agent's marginal range,
+    widened by ``lp.PIVOT_TOL``."""
+    return all(lo - lp.PIVOT_TOL <= v <= hi + lp.PIVOT_TOL for v, (lo, hi) in zip(pt, box))
+
+
 def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     d, p = gamma0.dim, gamma0.agents
     c = ball.center_for(d)
@@ -72,18 +79,22 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
         ((ck - ball.radius) / h - ROUNDING, (ck + ball.radius) / h + ROUNDING)
         for ck in c.tolist()
     ]
-    box = math.prod(hi - lo + 1.0 for lo, hi in bounds)
-    assert max(p - 1, 1) * math.log(box) + math.log(m0.size) <= math.log(MAX_GRID_SPLITS)
+    boxes = []
+    for i in range(p):
+        pts = [pt for pt, _ in marginal(gamma0, i).atoms]
+        boxes.append([(min(axis), max(axis)) for axis in zip(*pts)])
     lattice = _lattice_points(h, ball, bounds)
+    lattices = [[pt for pt in lattice if _in_box(pt, box)] for box in boxes[:-1]]
+    assert math.prod(len(pts) for pts in lattices) * m0.size <= MAX_GRID_SPLITS
     _, atom_of = _merge_targets([_tuple_sum(tup, d) for tup, _ in gamma0.atoms])
     baseline_splits = [(0, 0)] * gamma0.size
     per_atom = []
     for t, (s, _) in enumerate(m0.atoms):
         seen: dict = {}
         s_arr = np.asarray(s)
-        for combo in itertools.product(lattice, repeat=p - 1):
+        for combo in itertools.product(*lattices):
             y_last = s_arr - np.sum(np.asarray(combo).reshape(p - 1, d), axis=0)
-            if not ball.contains(y_last):
+            if not ball.contains(y_last) or not _in_box(y_last.tolist(), boxes[-1]):
                 continue
             split = tuple(combo) + (tuple(float(v) for v in y_last),)
             seen.setdefault(_key([v for pt in split for v in pt]), split)
@@ -136,29 +147,18 @@ def build_stop_loss_problem(
     own = [int(starts[t]) + u for t, u in grid.baseline_splits]
     Ys = [[y for (y,), _ in marginal(gamma0, i).atoms] for i in range(p)]
 
-    kept = []
-    for u, split in enumerate(splits):
-        inside = all(
-            Y[0] - lp.PIVOT_TOL <= y <= Y[-1] + lp.PIVOT_TOL for (y,), Y in zip(split, Ys)
-        )
-        kept.append(inside or u in own)
-    kept = np.array(kept)
-    n_gamma = int(np.count_nonzero(kept))
+    n_gamma = len(splits)
     interior = [list(range(1, len(Y) - 1)) for Y in Ys]
     n_vars = n_gamma + sum(len(js) for js in interior)
     n_rows = m0.size + p - 1 + sum(len(js) for js in interior)
-    gamma_col = np.where(kept, np.cumsum(kept) - 1, -1)
-    gamma_cols = tuple(tuple(gamma_col[lo:hi].tolist()) for lo, hi in zip(starts, starts[1:]))
+    gamma_cols = tuple(tuple(range(lo, hi)) for lo, hi in zip(starts, starts[1:]))
 
     A = np.zeros((n_rows, n_vars))
     c = np.zeros(n_vars)
     atom_of = np.repeat(np.arange(m0.size), sizes)
-    for u, split in enumerate(splits):
-        col = gamma_col[u]
-        if col < 0:
-            continue
+    for col, split in enumerate(splits):
         c[col] = _floor_cost(split, eps)
-        A[atom_of[u], col] = 1.0
+        A[atom_of[col], col] = 1.0
         row = m0.size
         for i, ((y,), Y) in enumerate(zip(split, Ys)):
             if i < p - 1:
@@ -178,7 +178,7 @@ def build_stop_loss_problem(
 
     baseline = np.zeros(n_vars)
     for a, (_, w) in enumerate(gamma0.atoms):
-        baseline[gamma_col[own[a]]] += w
+        baseline[own[a]] += w
     on = np.flatnonzero(baseline)
     b = np.array([np.sum(A[r, on] * baseline[on]) for r in range(n_rows)])
     return ImprovementProblem(

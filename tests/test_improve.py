@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import catalogue
@@ -11,6 +13,7 @@ import riskshare.improve
 from riskshare.convex_order import AllocationVerdict, allocation_dominates
 from riskshare.errors import InputError, SolverFailure, SumLawMismatch
 from riskshare.improve import (
+    _DEDUP_RES,
     build_improvement_problem,
     build_split_grid,
     default_radius,
@@ -21,8 +24,10 @@ from riskshare.improve import (
 from riskshare.infconv import AgentProfile, StrictlyConvexProfile, sharing_law
 from riskshare.lp import PIVOT_TOL, LPStatus, solve
 from riskshare.measures import (
+    MERGE_TOL,
     BallConfig,
     joint_laws_equal,
+    marginal,
     sum_pushforward,
     validate_joint_law,
     validate_measure,
@@ -69,12 +74,27 @@ class TestBuildSplitGrid:
         grid = build_split_grid(gamma0, h=1.0, ball=BallConfig(radius=2.0))
         # aggregate atoms are 0 and 2 with weight 1/2 each
         assert [a[0] for a in grid.aggregate.atoms] == [(0.0,), (2.0,)]
+        # agent 0's share runs over its range {0, 1}, and agent 1's, the
+        # rest of the atom, lies in its range [-1, 2] each time
         c0, c2 = grid.candidates
-        assert ((0.0,), (0.0,)) in c0
-        for split in [((0.0,), (2.0,)), ((1.0,), (1.0,)), ((2.0,), (0.0,))]:
-            assert split in c2
-        assert len(c0) == 5  # y1 in {-2..2}, mirror share always inside
-        assert len(c2) == 3  # y1 in {0,1,2}
+        assert c0 == (((0.0,), (0.0,)), ((1.0,), (-1.0,)))
+        assert c2 == (((0.0,), (2.0,)), ((1.0,), (1.0,)))
+
+    def test_last_share_stays_in_its_range(self):
+        # both agents range over [0, 1]: agent 0's shares 1/2 and 1 leave
+        # atom 0 a last share below 0, and its shares 0 and 1/2 leave atom 2
+        # one above 1, so the comonotone law is its own grid
+        gamma0 = validate_joint_law(COMO)
+        grid = build_split_grid(gamma0, h=0.5, ball=BallConfig(radius=2.0))
+        assert grid.candidates == ((((0.0,), (0.0,)),), (((1.0,), (1.0,)),))
+
+    def test_one_agent_law_at_a_fine_step(self):
+        # one agent enumerates no lattice: the grid is the law's own atoms,
+        # however fine the step and wide the ball
+        gamma0 = validate_joint_law([(((0.5,),), 0.5), (((-0.5,),), 0.5)])
+        grid = build_split_grid(gamma0, h=1e-5, ball=BallConfig(radius=1.0))
+        assert grid.total_candidates == gamma0.size
+        assert sorted(grid.splits.ravel().tolist()) == [-0.5, 0.5]
 
     def test_candidates_sum_to_their_atom(self):
         gamma0 = validate_joint_law(ANTI)
@@ -130,14 +150,65 @@ class TestBuildSplitGrid:
             build_split_grid(gamma0, h=1e300, ball=BallConfig(radius=2e300))
 
     def test_split_cap(self, monkeypatch):
-        # two agents: the 1-D lattice in [-2, 2] times the aggregate atoms
+        # two agents: the lattice indices of agent 0's range [0, 1], one more
+        # either side, times the aggregate atoms; the ball's [-2, 2] does not count
         gamma0 = validate_joint_law(ANTI)
         atoms = sum_pushforward(gamma0).size
         ball = BallConfig(radius=2.0)
         monkeypatch.setattr(riskshare.improve, "MAX_GRID_SPLITS", 10 * atoms)
-        build_split_grid(gamma0, h=0.5, ball=ball)  # 9 lattice points
+        build_split_grid(gamma0, h=1 / 6, ball=ball)  # 7 points, 9 indices
         with pytest.raises(InputError, match="too fine"):
-            build_split_grid(gamma0, h=0.4, ball=ball)  # 11 lattice points
+            build_split_grid(gamma0, h=1 / 8, ball=ball)  # 9 points, 11 indices
+
+
+@st.composite
+def _grid_cases(draw):
+    """A law of 1-3 agents in 1-D or 2-D, half-integer points some moved off
+    that lattice, in a ball a little wider than its shares, and a step."""
+    p = draw(st.sampled_from((1, 2, 3)))
+    d = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(1, 3))
+    coord = st.tuples(st.integers(-4, 4), st.sampled_from((0.0, 0.0, 0.13, 5e-12))).map(
+        lambda t: t[0] / 2 + t[1]
+    )
+    atoms = [
+        (tuple(tuple(draw(coord) for _ in range(d)) for _ in range(p)), draw(st.floats(0.2, 1.0)))
+        for _ in range(n)
+    ]
+    total = sum(w for _, w in atoms)
+    gamma0 = validate_joint_law([(tup, w / total) for tup, w in atoms])
+    reach = max(float(np.linalg.norm(pt)) for tup, _ in gamma0.atoms for pt in tup)
+    ball = BallConfig(radius=max(reach, 0.1) + draw(st.sampled_from((0.0, 0.5, 2.0))))
+    h = draw(st.sampled_from((0.5, 0.75, 1.0) if d == 2 and p == 3 else (0.25, 0.5, 1.0)))
+    return gamma0, h, ball
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_grid_cases())
+def test_grid_contract(case):
+    """Every candidate share lies in its agent's box (the bounding box of its
+    baseline marginal, widened by ``PIVOT_TOL``) and in the ball, and every
+    candidate sums to its atom; every baseline split is a candidate of its
+    own atom; in 1-D each candidate is one column of the program."""
+    gamma0, h, ball = case
+    grid = build_split_grid(gamma0, h, ball)
+    p, d = gamma0.agents, gamma0.dim
+    for i in range(p):
+        Y = np.array([pt for pt, _ in marginal(gamma0, i).atoms])
+        shares = grid.splits[:, i, :]
+        assert np.all(shares >= Y.min(axis=0) - PIVOT_TOL)
+        assert np.all(shares <= Y.max(axis=0) + PIVOT_TOL)
+        assert all(ball.contains(y) for y in shares.tolist())
+    for (s, _), lo, hi in zip(grid.aggregate.atoms, grid.offsets, grid.offsets[1:]):
+        np.testing.assert_allclose(grid.splits[lo:hi].sum(axis=1), [s] * (hi - lo), atol=MERGE_TOL)
+    for (tup, _), (t, u) in zip(gamma0.atoms, grid.baseline_splits):
+        # the split itself, or a lattice split with its identity key
+        np.testing.assert_allclose(grid.candidates[t][u], tup, rtol=0, atol=_DEDUP_RES)
+        np.testing.assert_allclose(np.sum(tup, axis=0), grid.aggregate.atoms[t][0], atol=MERGE_TOL)
+    if d == 1:
+        problem = build_improvement_problem(gamma0, grid, [1.0] * p)
+        columns = [col for cols in problem.gamma_cols for col in cols]
+        assert columns == list(range(grid.total_candidates))
 
 
 class TestSolveImprovement:
@@ -305,7 +376,7 @@ def _draws_2d():
 class TestReachableProgram:
     """No program keeps a column that a row holds at 0: the d >= 2 program
     omits the points and splits no mean-preserving kernel reaches, and the
-    1-D program the splits outside the marginals' ranges."""
+    grid holds no split outside the marginals' ranges."""
 
     @pytest.mark.parametrize(
         "gamma0, R, h",

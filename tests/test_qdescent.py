@@ -15,6 +15,7 @@ from riskshare.improve import (
     ZERO_GAP,
     build_improvement_problem,
     build_split_grid,
+    default_radius,
     default_step,
     dual_potential,
     efficiency_statistic,
@@ -46,8 +47,12 @@ KINK_2D = [(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.5, 0.0), (0.5, 0.0)), 0.5)]
 COMO = [(((0.0,), (0.0,)), 0.5), (((1.0,), (1.0,)), 0.5)]
 #: A law on which the cut loop takes many steps (17 at R = 4) and the dual step lowers J.
 STEPPED = [(((0.0,), (1.0,)), 0.25), (((-2.0,), (-1.0,)), 0.25), (((1.0,), (1.0,)), 0.5)]
-#: Three agents with offsetting positions: at the default step its program is over the caps.
+#: Three agents with offsetting positions and narrow ranges: at the default
+#: step (1/16 on a ball of radius 13.125) the grid holds 2 splits.
 OVER_CAPS = [(((10.0,), (-10.0,), (0.0,)), 0.5), (((10.5,), (-10.0,), (0.0,)), 0.5)]
+#: OVER_CAPS with the first two agents swapping positions between the atoms:
+#: their ranges span the ball, and the program is over the caps at the default step.
+HEDGED = [(((10.0,), (-10.0,), (0.0,)), 0.5), (((-10.0,), (10.5,), (0.0,)), 0.5)]
 
 
 def quad_profile(p=2, dim=1):
@@ -308,15 +313,8 @@ class TestMinimizeQ:
         assert state.j_history == (state.j,)
         assert abs(state.j - stat) <= 1e-6
 
-    def test_program_over_the_caps_takes_a_coarser_step(self, monkeypatch):
-        # at the default step (0.0625, R = 13.125) the program would have
-        # 421^2 * 2 lattice splits, more than build_split_grid allows; at
-        # 0.125 it fits, and its potential closes the gap that the cut loop
-        # left at J = 102.50, to one rounding: agent 0's mean-row dual gives
-        # its envelope the slope -10.0119..., whose intercept rounds to
-        # 2.6e-13 instead of 0
-        gamma0 = validate_joint_law(OVER_CAPS)
-        assert efficiency_statistic(gamma0, h=0.125) == 0.0
+    def _steps(self, monkeypatch):
+        """The grid step of every program ``minimize_q`` solves, in order."""
         real, steps = riskshare.qdescent.solve_problem, []
 
         def solve_problem(problem):
@@ -324,11 +322,40 @@ class TestMinimizeQ:
             return real(problem)
 
         monkeypatch.setattr(riskshare.qdescent, "solve_problem", solve_problem)
+        return steps
+
+    def test_program_over_the_caps_takes_a_coarser_step(self, monkeypatch):
+        # at the default step (0.0625, R = 13.125) agent 0 ranges over
+        # [-10, 10] and agent 1 over [-10, 10.5], 323 and 331 lattice indices,
+        # and 323 * 331 * 2 splits are more than build_split_grid allows; at
+        # 0.125 the grid holds 322
+        gamma0 = validate_joint_law(HEDGED)
+        ball = BallConfig(radius=default_radius(gamma0))
+        assert default_step(gamma0, ball) == 0.0625
+        with pytest.raises(ProblemTooLarge, match="too fine"):
+            build_split_grid(gamma0, 0.0625, ball)
+        assert build_split_grid(gamma0, 0.125, ball).total_candidates == 322
+        steps = self._steps(monkeypatch)
         state = minimize_q(gamma0, max_iters=25)
         assert steps == [0.125]
-        assert state.j == 1.0658141036401503e-14
         assert state.iterations == 1 and not state.hit_cap
-        assert state.j_history == (pytest.approx(102.5417, abs=1e-4), state.j)
+        assert state.j_history == (102.54166666666667, 102.51953125)
+
+    def test_offsetting_law_fits_at_its_default_step(self, monkeypatch):
+        # agents 0 and 1 range over [10, 10.5] and {-10}: at the default step
+        # 0.0625 (R = 13.125) the grid holds 2 splits, and the potential of its
+        # program closes the gap that the start left at J = 102.54, to one
+        # rounding: agent 0's mean-row dual gives its envelope the slope
+        # -10.0119..., whose intercept rounds to 2.6e-13 instead of 0
+        gamma0 = validate_joint_law(OVER_CAPS)
+        ball = BallConfig(radius=default_radius(gamma0))
+        assert build_split_grid(gamma0, 0.0625, ball).total_candidates == 2
+        assert efficiency_statistic(gamma0) == 0.0
+        steps = self._steps(monkeypatch)
+        state = minimize_q(gamma0, max_iters=25)
+        assert steps == [0.0625]
+        assert state.iterations == 1 and not state.hit_cap
+        assert state.j_history == (102.54166666666667, 1.0658141036401503e-14)
 
     def test_simplex_breakdown_takes_a_coarser_step(self, monkeypatch):
         gamma0 = validate_joint_law(STEPPED)
@@ -556,8 +583,10 @@ def test_dual_gap_is_the_aggregate_duals_over_the_pooled_costs(case):
 @st.composite
 def _offsetting_laws(draw):
     """3-4 agents in 1-D, agent 0 long and agent 1 short by a common offset,
-    with half-integer points, some moved off that lattice: the family whose
-    default-step program can be over the builders' caps (half the draws)."""
+    with half-integer points, some moved off that lattice: a fine default
+    step on a wide ball.  The agents' ranges keep every one of the 30 draws
+    under the builders' caps; the lattice of the ball's whole box would put
+    10 over them."""
     p, n = draw(st.integers(3, 4)), draw(st.integers(2, 3))
     offset = draw(st.sampled_from([1.0, 3.0, 10.0]))
     cells = st.lists(st.integers(-2, 2), min_size=n * p, max_size=n * p)
