@@ -7,9 +7,9 @@ one dimension, mean-preserving-kernel feasibility otherwise);
 ``maxcorr`` computes maximal correlations and the comonotonicity gap;
 ``infconv`` splits aggregate risks optimally under quadratic-plus-max-affine
 costs; ``improve`` searches a candidate grid for a dominating reallocation
-via linear programming; ``qdescent`` descends the matching dual objective;
-``lp`` is the self-contained simplex engine; ``cli`` is the command-line
-front end.
+via linear programming; ``qdescent`` bounds the gap by the matching dual
+objective; ``lp`` is the self-contained simplex engine; ``cli`` is the
+command-line front end.
 """
 
 from .convex_order import (

@@ -560,8 +560,7 @@ _WEIGHTS = _Arg(
 )
 _MAX_ITERS = _Arg(
     "--max-iters",
-    "iteration cap: in 1-D, 0 skips the dual step and any other value allows "
-    "it; in d >= 2, the cap on cut iterations (default: %(default)s)",
+    "0 skips the dual step and any other value allows it (default: %(default)s)",
     {"type": int, "default": DEFAULT_MAX_ITERS},
     lambda v: v >= 0,
     "--max-iters must be non-negative",
@@ -677,14 +676,14 @@ _COMMANDS = {
     ),
     "qdescent": _Command(
         _cmd_qdescent,
-        "upper bound J on the improvement gap: one dual step in 1-D, "
-        "a cutting-plane descent in d >= 2",
+        "upper bound J on the improvement gap: one dual step from the "
+        "improvement program's duals",
         (
             _LAW,
             _MAX_ITERS,
             _WEIGHTS,
             _RADIUS._replace(help=f"share ball radius (default: {_LAW_RADIUS})"),
-            _tol("improvement statistic that the descent targets"),
+            _tol("improvement statistic that the dual step targets"),
         ),
     ),
     "counterexample": _Command(

@@ -45,14 +45,16 @@ returned.  ``solve_improvement_lp`` is the one path from a grid to that
 report, which keeps the program and its optimum; one rule,
 ``_floor_costs``, prices both the program's splits and the baseline.
 
-In one dimension the optimum's duals on each agent's mean and stop-loss
-rows also give a potential ``psi`` (``dual_potential``) whose dual
-objective J bounds the gap from above; see :mod:`riskshare.qdescent`.
+The optimum's duals on each agent's rows also give a potential ``psi``
+(``dual_potential``), in one dimension from the mean and stop-loss rows
+and in ``d >= 2`` from the baseline-marginal rows, whose dual objective J
+bounds the gap from above; see :mod:`riskshare.qdescent`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -97,8 +99,9 @@ MAX_GRID_SPLITS = 100_000
 #: the largest it builds in the tests (258 x 308, a drawn 2-D law) and 8,000
 #: times the benchmark's largest (6 x 101, improvable-1d at h = 1/16).
 MAX_LP_ENTRIES = 5_000_000
-#: How much steeper than the envelope's end edges the walls of
-#: ``dual_potential`` rise beyond the baseline marginal's range.
+#: How steeply the walls of ``dual_potential`` rise beyond the baseline
+#: marginal's hull: on the line, this much steeper than the envelope's end
+#: edges; in ``d >= 2``, this slope along each outward normal.
 WALL_SLOPE = 100.0
 
 Split = tuple[Coords, ...]
@@ -193,14 +196,16 @@ def build_split_grid(gamma0: JointLaw, h: float, ball: BallConfig) -> SplitGrid:
     # lattice index bounds per agent and axis: the ball's, a step's rounding
     # wider so that a point on its bounding box is kept, within the box's,
     # an index wider so that the points are tested against the box itself;
-    # counted in floats before anything is built, so that a step fine enough
-    # to overflow is refused too
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # counted before anything is built: a step fine enough to overflow the
+    # floats is refused, and finite counts are multiplied as exact integers
+    with np.errstate(over="ignore", invalid="ignore"):
         m_lo = np.ceil(np.maximum((c - ball.radius) / h - ROUNDING, lo / h - 1.0))
         m_hi = np.floor(np.minimum((c + ball.radius) / h + ROUNDING, hi / h + 1.0))
         counts = np.maximum(m_hi - m_lo + 1.0, 0.0)[: p - 1]
-        log_splits = float(np.log(counts).sum()) + math.log(m0.size)
-    if not log_splits <= math.log(MAX_GRID_SPLITS):
+    if not (
+        np.isfinite(counts).all()
+        and math.prod(int(n) for n in counts.flat) * m0.size <= MAX_GRID_SPLITS
+    ):
         raise ProblemTooLarge(
             f"grid step {h!r} is too fine: the lattice splits of {m0.size} aggregate "
             f"atoms among {p} agents, each share in its marginal's box and the ball "
@@ -544,44 +549,119 @@ def _envelope_pieces(ys: np.ndarray, values: np.ndarray) -> tuple[tuple[Coords, 
     return tuple(((s,), b) for s, b in lines)
 
 
+def _rank(s: np.ndarray) -> np.ndarray:
+    """How many of the singular values ``s`` (descending, along the last
+    axis) are not rounding against the largest."""
+    return np.count_nonzero(s > ROUNDING * (1.0 + s[..., :1]), axis=-1)
+
+
+def _facet_normals(P: np.ndarray) -> np.ndarray:
+    """The outward unit normals of the facets of the convex hull of the rows
+    of ``P``, points of ``R^k`` that span it affinely (``k >= 1``).
+
+    On the line these are -1 and 1.  For ``k >= 2`` a facet is the
+    hyperplane through ``k`` affinely independent points with every point on
+    one side of it; the normals of one facet found through several such
+    subsets are kept once, at ``_DEDUP_RES``.
+    """
+    m, k = P.shape
+    if k == 1:
+        return np.array([[1.0], [-1.0]])
+    subsets = np.array(list(itertools.combinations(range(m), k)))
+    _, s, Vt = np.linalg.svd(P[subsets[:, 1:]] - P[subsets[:, :1]])
+    spans = _rank(s) == k - 1
+    n = Vt[spans, -1]
+    side = n @ P.T - np.sum(n * P[subsets[spans, 0]], axis=1)[:, None]
+    tol = ROUNDING * (1.0 + float(np.abs(P).max()))
+    normals = np.concatenate([n[side.max(axis=1) <= tol], -n[side.min(axis=1) >= -tol]])
+    return normals[_first_appearance(_keys(normals))[0]]
+
+
+def _hull_pieces(Y: np.ndarray, v: np.ndarray) -> tuple[tuple[Coords, float], ...]:
+    """The lower convex envelope of the points ``(Y_j, v_j)`` (``Y`` of shape
+    ``(m, d)``) as affine pieces, and walls beyond the atoms' convex hull:
+    the ``d``-dimensional form of ``_envelope_pieces``.
+
+    One SVD of ``Y - Y_0`` gives the dimension ``k`` of the atoms' affine
+    hull, an orthonormal basis ``V`` of it and ``d - k`` normals ``N``;
+    ``P = (Y - Y_0) V^T`` holds the atoms' coordinates in it.  Atom ``j``'s
+    piece comes from the program ``min v.lam`` subject to
+    ``sum_l lam_l (P_l, 1) = (P_j, 1)``, ``lam >= 0``, started at
+    ``lam = e_j``: its duals ``(a, b)`` are an affine minorant of every
+    point that meets the envelope at ``Y_j``, with slope ``V^T a``.  A
+    single atom has the one piece ``v_0``.  A wall has slope
+    ``WALL_SLOPE * u`` and the largest intercept under every point, for
+    each outward unit normal ``u`` of a facet of the hull (lifted by
+    ``V^T``) and each of ``N`` and ``-N``.  Exact duplicates are dropped.
+    """
+    m, d = Y.shape
+    _, s, Vt = np.linalg.svd(Y - Y[0])
+    k = int(_rank(s))
+    V, N = Vt[:k], Vt[k:]
+    P = (Y - Y[0]) @ V.T
+    normals = [N, -N]
+    if k == 0:
+        pieces = [np.append(np.zeros(d), v[0])]
+    else:
+        rows = np.vstack([P.T, np.ones(m)])
+        pieces = []
+        for j, start in enumerate(np.eye(m)):
+            program = lp.LinearProgram(c=v, A=rows, b=rows[:, j])
+            duals = lp.solve(program, start=start).duals
+            slope = duals[:k] @ V
+            pieces.append(np.append(slope, duals[k] - slope @ Y[0]))
+        normals.append(_facet_normals(P) @ V)
+    slopes = WALL_SLOPE * np.concatenate(normals)
+    walls = np.column_stack([slopes, np.min(v - slopes @ Y.T, axis=1)])
+    lines = np.concatenate([pieces, walls])
+    return tuple((tuple(r[:d]), r[d]) for r in lines[_first_appearance(lines)[0]].tolist())
+
+
 def dual_potential(
     problem: ImprovementProblem,
     outcome: lp.LPOutcome,
     marginals: Sequence[DiscreteMeasure],
     eps: Sequence[float],
 ) -> StrictlyConvexProfile:
-    """The 1-D potential ``psi_i(y) = (eps_i/2) y^2 + phi_i(y)`` read off the
+    """The potential ``psi_i(y) = (eps_i/2)|y|^2 + phi_i(y)`` read off the
     duals of an optimum of ``problem``, the program of a law whose agents
-    have the baseline ``marginals`` (``marginal(gamma0, i)``).
+    have the baseline ``marginals`` (``marginal(gamma0, i)``).  The duals
+    follow ``lp``'s sign convention, ``c - A^T y >= 0``.
 
-    With ``beta_i`` the dual of agent ``i``'s mean row (0 for the last
-    agent, which has none) and ``lambda_ik`` those of its stop-loss rows
-    (``lp``'s sign convention, ``c - A^T y >= 0``, so ``lambda <= 0``),
-    ``phi_i`` is the lower convex envelope of the points
-    ``(Y_j, -beta_i Y_j - sum_k lambda_ik hinge_k(Y_j))`` over the
-    marginal's atoms, with a steep wall beyond each end (see
-    ``_envelope_pieces``).  Any convex ``phi`` gives a J at least the gap,
-    so the duals only choose the potential; J itself is evaluated apart
-    from them.
+    In one dimension, with ``beta_i`` the dual of agent ``i``'s mean row (0
+    for the last agent, which has none) and ``lambda_ik`` those of its
+    stop-loss rows (so ``lambda <= 0``), ``phi_i`` is the lower convex
+    envelope of the points ``(Y_j, -beta_i Y_j - sum_k lambda_ik
+    hinge_k(Y_j))`` over the marginal's atoms, with a steep wall beyond each
+    end (see ``_envelope_pieces``).  In ``d >= 2``, with ``delta_ij`` the
+    dual of agent ``i``'s marginal row of atom ``Y_j``, ``phi_i`` is the
+    lower convex envelope of the points ``(Y_j, -delta_ij)``, with walls
+    beyond the atoms' hull (see ``_hull_pieces``): the least link-row dual
+    that keeps a point's kernel entries dual feasible is the upper concave
+    envelope of ``delta_i``.  Any convex ``phi`` gives a J at least the
+    gap, so the duals only choose the potential; J itself is evaluated
+    apart from them.
     """
-    dim = problem.grid.aggregate.dim
-    if dim != 1:
-        raise DimensionMismatch(f"the dual potential is built in one dimension, not {dim}")
     p = len(problem.marginal_rows)
     if len(marginals) != p or len(eps) != p:
         raise DimensionMismatch(
             f"the program has {p} agents, got "
             f"{len(marginals)} marginals and {len(eps)} cost weights"
         )
+    dim = problem.grid.aggregate.dim
     agents = []
     for i, (e, margin, row) in enumerate(zip(eps, marginals, problem.marginal_rows)):
-        Y, has_mean = margin.support_array()[:, 0], i < p - 1
-        beta = outcome.duals[row] if has_mean else 0.0
-        start = row + has_mean
-        lam = outcome.duals[start : start + max(Y.size - 2, 0)]
-        phi = -beta * Y - _hinges(Y, Y) @ lam
-        agents.append(AgentProfile(eps=e, pieces=_envelope_pieces(Y, phi)))
-    return StrictlyConvexProfile(dim=1, agents=tuple(agents))
+        Y = margin.support_array()
+        if dim == 1:
+            Y, has_mean = Y[:, 0], i < p - 1
+            beta = outcome.duals[row] if has_mean else 0.0
+            start = row + has_mean
+            lam = outcome.duals[start : start + max(Y.size - 2, 0)]
+            pieces = _envelope_pieces(Y, -beta * Y - _hinges(Y, Y) @ lam)
+        else:
+            pieces = _hull_pieces(Y, -outcome.duals[row : row + len(Y)])
+        agents.append(AgentProfile(eps=e, pieces=pieces))
+    return StrictlyConvexProfile(dim=dim, agents=tuple(agents))
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,12 +29,15 @@ is dropped.  The pivot count includes the pivots that take an artificial
 out.
 
 Programs are passed in as dense arrays and stay
-at desk scale (a few hundred rows, at most a few thousand variables), but
-the ones built elsewhere in the package are about 99% zeros.  Each solve
-therefore takes a column-compressed copy of its system once, the
-program's nonzeros followed by the unit columns, and every product with a
-column of it costs its nonzeros, not its rows: pricing ``c - Aᵀy`` and the
-entering column ``B⁻¹a`` (FTRAN).
+at desk scale (a few hundred rows, at most a few thousand variables).  The
+improvement programs built elsewhere in the package are sparse, the more
+so the larger they are: the benchmark's workloads solve programs with a
+mean density of 0.31 to 0.49, and a fine 2-D grid's program of 2038 x 1810
+has 0.2% of its entries nonzero.  Each solve therefore takes a
+column-compressed copy of its system once, the program's nonzeros followed
+by the unit columns, and every product with a column of it costs its
+nonzeros, not its rows: pricing ``c - Aᵀy`` and the entering column
+``B⁻¹a`` (FTRAN).
 
 The working basis is held as an explicit dense inverse.  A simplex run
 inverts its start basis once, unless it is handed one (phase 1 from the

@@ -9,15 +9,13 @@ is nonnegative and vanishes exactly when the baseline already splits every
 aggregate state optimally.  By weak duality every convex profile gives a J
 at least the gap, so J is an upper companion bound to the improvement
 statistic computed by :mod:`riskshare.improve`.  :func:`minimize_q` starts
-from the pure quadratics; in one dimension it then takes one exact dual
-step, the potential that the improvement program's own duals give
+from the pure quadratics and then, in every dimension, takes one exact
+dual step: the potential that the improvement program's own duals give
 (``improve.dual_potential``), from the finest grid step of the doubling
 ladder from ``default_step`` whose program fits the builders' caps and
 solves, unless the caller hands it an ``EfficiencyReport``'s program and
-optimum.  The grid enumerates each agent's marginal range, so a program is
-over the caps only when the agents' ranges are wide against the step.  In
-``d >= 2`` it descends J inside the quadratic-plus-max-affine family by
-adding affine cutting pieces.
+optimum.  The grid enumerates each agent's marginal box, so a program is
+over the caps only when the agents' boxes are wide against the step.
 """
 
 from __future__ import annotations
@@ -58,10 +56,7 @@ from .measures import (
 
 MATCH_TOL = 1e-7  # atom-matching resolution for marginal discrepancies
 DEFAULT_MAX_ITERS = 500
-_STEP_GRID = tuple(2.0**k for k in range(-6, 7))
-_ZERO_TOL = 1e-9  # induced marginals match the baseline: no discrepancy weight above it
 _TARGET_SLACK = 1e-6
-_DUPLICATE_PIECE_TOL = 1e-9
 
 SignedAtoms = tuple[tuple[Coords, float], ...]
 
@@ -143,70 +138,6 @@ def _discrepancies(baseline: list[DiscreteMeasure], law: JointLaw) -> tuple[Sign
     return tuple(_signed_diff(m, marginal(law, i)) for i, m in enumerate(baseline))
 
 
-def _best_cut_atoms(
-    profile: StrictlyConvexProfile, disc: tuple[SignedAtoms, ...]
-) -> list[tuple[int, Coords, float]]:
-    """Per agent, the tangent cut with the best first-order decrease.
-
-    Candidate cuts are tangents of the quadratic growth at atoms of the
-    signed discrepancy; the decrease estimate integrates the cut's pointwise
-    increase of psi_i against that discrepancy (the directional derivative
-    of J).  Agents with no descending candidate are left out.
-    """
-    cuts = []
-    for i, entries in enumerate(disc):
-        eps = profile.agents[i].eps
-        A, b = profile.piece_arrays(i)
-        X = np.array([x for x, _ in entries], dtype=float).reshape(-1, profile.dim)
-        tops = (X @ A.T + b).max(axis=1).tolist()
-        best = None
-        for z, _ in entries:
-            if all(c == 0.0 for c in z):
-                continue
-            half_nz = 0.5 * sum(c * c for c in z)
-            der = 0.0
-            for (x, w), top in zip(entries, tops):
-                lin = eps * (sum(zc * xc for zc, xc in zip(z, x)) - half_nz)
-                inc = lin - top
-                if inc > 0.0:
-                    der += w * inc
-            if der < -ROUNDING and (best is None or der < best[0]):
-                best = (der, z)
-        if best is not None:
-            cuts.append((i, best[1], -best[0]))
-    return cuts
-
-
-def _with_cuts(
-    profile: StrictlyConvexProfile,
-    cuts: Sequence[tuple[int, Coords, float]],
-    sigma: float,
-) -> Optional[StrictlyConvexProfile]:
-    """Add, per listed agent, the step-scaled tangent piece at its surplus atom.
-
-    The piece sigma*eps_i*(z.y - |z|^2/2) is the tangent line of the
-    quadratic growth at z with its slope scaled by sigma; it raises the cost
-    beyond z (where the induced law over-allocates) more than at z itself.
-    Returns None when every cut duplicates an existing piece.
-    """
-    agents, added = list(profile.agents), False
-    for i, z, _ in cuts:
-        ag = agents[i]
-        a = tuple(sigma * ag.eps * zk for zk in z)
-        b = -sigma * ag.eps * 0.5 * sum(zk * zk for zk in z)
-        duplicate = any(
-            all(
-                abs(old - v) <= _DUPLICATE_PIECE_TOL * (1.0 + abs(v))
-                for old, v in zip((*pa, pb), (*a, b))
-            )
-            for pa, pb in ag.pieces
-        )
-        if not duplicate:
-            agents[i] = AgentProfile(eps=ag.eps, pieces=ag.pieces + ((a, b),), quad=ag.quad)
-            added = True
-    return StrictlyConvexProfile(dim=profile.dim, agents=tuple(agents)) if added else None
-
-
 def _dual_step(
     gamma0: JointLaw,
     es: Sequence[float],
@@ -214,7 +145,7 @@ def _dual_step(
     marginals: Sequence[DiscreteMeasure],
     optimum: Optional[tuple[ImprovementProblem, lp.LPOutcome]],
 ) -> StrictlyConvexProfile:
-    """The 1-D dual step's potential, from ``optimum`` when given.
+    """The dual step's potential, from ``optimum`` when given.
 
     Otherwise it comes from the improvement program at the grid step
     ``default_step``, 2x, 4x, ...: the first that the builders admit under
@@ -249,17 +180,14 @@ def minimize_q(
 
     The search stops once J is within 1e-6 of ``target`` when one is given
     (e.g. the improvement statistic of the same instance), and at
-    J <= ``ZERO_GAP`` otherwise.  In one dimension it takes one step, and
-    none at ``max_iters == 0``: the potential of ``improve.dual_potential``,
-    kept only when its J is lower.  Its duals come from ``optimum``, an
-    optimum of ``gamma0``'s improvement program that the caller has solved
-    under the same ``eps``, or else from the program at the finest step of
-    ``_dual_step``'s ladder.  In ``d >= 2`` (where ``optimum`` is not used)
-    each of at most ``max_iters`` iterations adds one tangent cutting piece
-    per agent at that agent's most over-weighted baseline atom, with the
-    scale chosen by a doubling line search, and is accepted only when J
-    strictly decreases.  Either way the history is non-increasing, and
-    stopping at ``max_iters`` with J above the stop sets ``hit_cap`` on the
+    J <= ``ZERO_GAP`` otherwise.  It takes one step, and none at
+    ``max_iters == 0``: the potential of ``improve.dual_potential``, kept
+    only when its J is lower, so the history is non-increasing.  Its duals
+    come from ``optimum``, an optimum of ``gamma0``'s improvement program
+    that the caller has solved under the same ``eps``, or else from the
+    program at the finest step of ``_dual_step``'s ladder.  ``iterations``
+    is 1 when the step was taken and 0 otherwise; stopping at
+    ``max_iters == 0`` with J above the stop sets ``hit_cap`` on the
     returned state rather than raising.
     """
     p = gamma0.agents
@@ -280,8 +208,7 @@ def minimize_q(
     history = [j_cur]
     stop_at = ZERO_GAP if target is None else max(target, 0.0) + _TARGET_SLACK
     iterations = 0
-    hit_cap = False
-    if gamma0.dim == 1 and max_iters > 0 and j_cur > stop_at:
+    if max_iters > 0 and j_cur > stop_at:
         iterations = 1
         dual = _dual_step(gamma0, es, ball, marginals, optimum)
         j_dual, shares_dual = _evaluate(dual, baseline, aggregate, ball)
@@ -289,51 +216,12 @@ def minimize_q(
             j_cur, shares, profile = j_dual, shares_dual, dual
             history.append(j_cur)
     law_cur = _split_law(shares, aggregate[1])
-    if gamma0.dim == 1:
-        hit_cap = max_iters <= 0 and j_cur > stop_at
-    else:
-        for _ in range(max_iters):
-            if j_cur <= stop_at:
-                break
-            disc = _discrepancies(marginals, law_cur)
-            if max((abs(w) for d in disc for _, w in d), default=0.0) <= _ZERO_TOL:
-                break  # induced law matches the baseline: no descent direction
-            cuts = _best_cut_atoms(profile, disc)
-            if not cuts:
-                break
-            accept_below = j_cur - ROUNDING * (1.0 + abs(j_cur))
-            best = None
-            cut_sets = [cuts]
-            if len(cuts) > 1:
-                # fall back to one agent at a time, strongest estimate first
-                for single in sorted(cuts, key=lambda c: -c[2]):
-                    cut_sets.append([single])
-            for cut_set in cut_sets:
-                for sigma in _STEP_GRID:
-                    trial = _with_cuts(profile, cut_set, sigma)
-                    if trial is None:
-                        continue
-                    j_t, shares_t = _evaluate(trial, baseline, aggregate, ball)
-                    # a later trial must lower J beyond rounding to replace the best one
-                    if best is None or j_t < best[0] - ROUNDING * (1.0 + abs(best[0])):
-                        best = (j_t, shares_t, trial)
-                if best is not None and best[0] < accept_below:
-                    break  # the joint cut already improves; skip the fallback
-            iterations += 1
-            if best is None or best[0] >= accept_below:
-                break  # no step-scaled cut improves: local stall
-            j_cur, shares, profile = best
-            law_cur = _split_law(shares, aggregate[1])
-            history.append(j_cur)
-        else:
-            hit_cap = j_cur > stop_at
-
     return QState(
         profile=profile,
         j=j_cur,
         gamma_psi=law_cur,
         marginal_discrepancies=_discrepancies(marginals, law_cur),
         iterations=iterations,
-        hit_cap=hit_cap,
+        hit_cap=max_iters == 0 and j_cur > stop_at,
         j_history=tuple(history),
     )

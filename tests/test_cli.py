@@ -18,6 +18,7 @@ import loop_builders
 import riskshare.improve
 import riskshare.infconv
 import riskshare.lp
+import riskshare.qdescent
 from riskshare.cli import build_parser, run
 from riskshare.convex_order import AllocationVerdict
 from riskshare.infconv import profile_from_obj, sharing_law
@@ -43,6 +44,7 @@ ANTI = str(FIXTURES / "antimonotone.json")
 COMO = str(FIXTURES / "comonotone.json")
 PROFILE = str(FIXTURES / "profile.json")
 MU = str(FIXTURES / "mu.json")
+IMPROVABLE_2D = str(FIXTURES / "improvable_2d.json")
 
 REPORT_SCHEMA = json.loads(
     resources.files("riskshare.schemas").joinpath("report.schema.json").read_text()
@@ -479,6 +481,26 @@ class TestReports:
         )
         assert len(calls) == 2  # the default-step program, solved by minimize_q itself
         assert report["j_final"] == own.j < own.j_history[0]
+
+    def test_qdescent_solves_one_program_in_the_plane(self, monkeypatch, capsys):
+        """In d >= 2 too the dual step reads the report's own optimum: the
+        request solves one improvement program."""
+        calls = []
+
+        def counted(real):
+            def solve_problem(problem):
+                calls.append(problem)
+                return real(problem)
+
+            return solve_problem
+
+        for module in (riskshare.improve, riskshare.qdescent):
+            monkeypatch.setattr(module, "solve_problem", counted(module.solve_problem))
+        code, report, _ = run_cli(["qdescent", IMPROVABLE_2D], capsys)
+        assert code == 0 and len(calls) == 1
+        assert report["iterations"] == 1 and not report["hit_cap"]
+        assert report["statistic"] == pytest.approx(1.125, abs=1e-9)
+        assert -1e-9 <= report["sandwich_gap"] == pytest.approx(0.0078125, abs=1e-9)
 
     def test_counterexample_report(self, capsys):
         code, report, _ = run_cli(

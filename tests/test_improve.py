@@ -160,6 +160,16 @@ class TestBuildSplitGrid:
         with pytest.raises(InputError, match="too fine"):
             build_split_grid(gamma0, h=1 / 8, ball=ball)  # 9 points, 11 indices
 
+    def test_split_count_equal_to_the_cap_is_admitted(self, monkeypatch):
+        # at h = 1/7 agent 0's range has 10 indices, times 2 aggregate atoms:
+        # exactly the cap, which a float sum of logarithms puts above it
+        gamma0 = validate_joint_law(ANTI)
+        monkeypatch.setattr(riskshare.improve, "MAX_GRID_SPLITS", 20)
+        build_split_grid(gamma0, h=1 / 7, ball=BallConfig(radius=2.0))
+        monkeypatch.setattr(riskshare.improve, "MAX_GRID_SPLITS", 19)
+        with pytest.raises(InputError, match="too fine"):
+            build_split_grid(gamma0, h=1 / 7, ball=BallConfig(radius=2.0))
+
 
 @st.composite
 def _grid_cases(draw):

@@ -1,4 +1,4 @@
-"""Dual objective evaluation, the 1-D dual step and the cutting-plane descent."""
+"""Dual objective evaluation and the dual step that bounds the gap."""
 
 import math
 
@@ -45,7 +45,7 @@ ANTI_2D = [(((1.0, 0.0), (-1.0, 0.0)), 0.5), (((0.0, 1.0), (0.0, 1.0)), 0.5)]
 #: The sharing law of {0, 2} under ``kinked_generator``, on the first axis of the plane.
 KINK_2D = [(((0.0, 0.0), (0.0, 0.0)), 0.5), (((1.5, 0.0), (0.5, 0.0)), 0.5)]
 COMO = [(((0.0,), (0.0,)), 0.5), (((1.0,), (1.0,)), 0.5)]
-#: A law on which the cut loop takes many steps (17 at R = 4) and the dual step lowers J.
+#: A law on which the dual step lowers J.
 STEPPED = [(((0.0,), (1.0,)), 0.25), (((-2.0,), (-1.0,)), 0.25), (((1.0,), (1.0,)), 0.5)]
 #: Three agents with offsetting positions and narrow ranges: at the default
 #: step (1/16 on a ball of radius 13.125) the grid holds 2 splits.
@@ -157,15 +157,15 @@ class TestMinimizeQ:
         assert joint_laws_equal(state.gamma_psi, gamma0, tol=1e-6)
 
     def test_cuts_stay_in_the_affine_family(self):
-        # the cut loop runs in d >= 2 only
+        # the dual step's potential keeps the start's quadratics and adds
+        # affine pieces of the law's dimension
         gamma0 = validate_joint_law(KINK_2D)
         state = minimize_q(gamma0, ball=BALL, max_iters=3)
         base = quad_profile(dim=2)
-        assert state.iterations > 0 and len(state.j_history) > 1
+        assert state.iterations == 1 and len(state.j_history) == 2
         for ag, start in zip(state.profile.agents, base.agents):
             assert ag.eps == start.eps
             assert ag.quad is None
-            assert ag.pieces[: len(start.pieces)] == start.pieces
             for a, b in ag.pieces:
                 assert len(a) == 2 and isinstance(b, float)
 
@@ -220,58 +220,16 @@ class TestMinimizeQ:
         assert [ag.eps for ag in state.profile.agents] == [0.5, 2.0]
 
 
-    def test_line_search_keeps_the_smaller_step_on_a_rounding_tie(self, monkeypatch):
-        # every step after the smallest gives a J one ulp lower: that is
-        # rounding, so the smallest step is kept (the line search of the
-        # cut loop, which runs in d >= 2 only)
-        gamma0 = validate_joint_law(KINK_2D)
-        real, profiles = riskshare.qdescent._evaluate, []
-
-        def evaluate(profile, *args):
-            j, shares = real(profile, *args)
-            profiles.append(profile)
-            if len(profiles) == 1:
-                return j, shares  # the start
-            return (0.0625 if len(profiles) == 2 else np.nextafter(0.0625, 0.0)), shares
-
-        monkeypatch.setattr(riskshare.qdescent, "_evaluate", evaluate)
-        state = minimize_q(gamma0, ball=BALL, max_iters=1)
-        assert len(profiles) > 2
-        assert state.profile is profiles[1]
-        assert state.j_history == (pytest.approx(0.125, abs=TOL), 0.0625)
-
-    def test_one_agent_cut_after_the_joint_cut_fails(self, monkeypatch):
-        # on the third step both agents have a cut, no scale of the joint
-        # cut lowers J, and agent 0's cut alone is taken; this pins the J
-        # of the cut loop's single-agent fallback
+    def test_one_agent_cut_after_the_joint_cut_fails(self):
+        # the law on which the former cut descent took a single agent's cut
+        # after the joint cut failed, and stopped at J = 0.10795501583397638
+        # after 3 steps; the dual step closes the gap in one
         gamma0 = validate_joint_law(
             [(((0.0, 0.0), (0.0, 1.0)), 0.7), (((0.0, 1.0), (1.0, 1.0)), 0.3)]
         )
-        real, trials = riskshare.qdescent._with_cuts, []
-
-        def with_cuts(profile, cuts, sigma):
-            trial = real(profile, cuts, sigma)
-            trials.append((profile, [i for i, _, _ in cuts], trial))
-            return trial
-
-        monkeypatch.setattr(riskshare.qdescent, "_with_cuts", with_cuts)
         state = minimize_q(gamma0, ball=BallConfig(radius=2.5), eps=[1.0, 0.5], max_iters=3)
-        assert state.j_history == pytest.approx(
-            (0.10833333333333334, 0.10813078703703705, 0.10811044198495373, 0.10795501583397638),
-            rel=1e-9,
-        )
-        assert state.iterations == 3 and state.hit_cap
-        source, agents, _ = next(t for t in trials if t[2] is state.profile)
-        last_step = [cut_set for profile, cut_set, _ in trials if profile is source]
-        assert agents == [0] and last_step[0] == [0, 1]
-
-    def test_cut_profile_appends_a_piece_and_leaves_its_source(self):
-        source, cut = quad_profile(dim=2), [(1, (1.0, 0.0), 0.5)]
-        trial = riskshare.qdescent._with_cuts(source, cut, 2.0)
-        assert trial.agents[0].pieces == source.agents[0].pieces == (((0.0, 0.0), 0.0),)
-        assert trial.agents[1].pieces == (((0.0, 0.0), 0.0), ((2.0, 0.0), -1.0))
-        assert source.agents[1].pieces == (((0.0, 0.0), 0.0),)
-        assert riskshare.qdescent._with_cuts(trial, cut, 2.0) is None  # a duplicate piece
+        assert state.j_history == (0.10833333333333334, 0.0)
+        assert state.iterations == 1 and not state.hit_cap
 
     def test_one_dual_step_on_the_kink_fixture(self):
         m0 = validate_measure([((0.0,), 0.5), ((2.0,), 0.5)])
@@ -402,11 +360,7 @@ class TestMinimizeQ:
         ids=["over-caps", "stepped", "anti"],
     )
     def test_no_cut_on_a_one_dimensional_law(self, monkeypatch, law, ball):
-        def best_cut_atoms(*args):
-            raise AssertionError("the cut loop runs in d >= 2 only")
-
-        monkeypatch.setattr(riskshare.qdescent, "_best_cut_atoms", best_cut_atoms)
-        minimize_q(validate_joint_law(law), ball=ball)
+        # a breakdown of the first program moves the dual step one step coarser
         real, calls = riskshare.lp.solve, []
 
         def solve(program, start=None):
@@ -508,7 +462,8 @@ def _dual_sandwich(gamma0, eps, radius, h):
     problem = build_improvement_problem(gamma0, build_split_grid(gamma0, h, ball), eps)
     out = solve_problem(problem)
     at_input = math.fsum(
-        w * sum(0.5 * e * y[0] ** 2 for e, y in zip(eps, tup)) for tup, w in gamma0.atoms
+        w * sum(0.5 * e * math.fsum(c * c for c in y) for e, y in zip(eps, tup))
+        for tup, w in gamma0.atoms
     )
     psi = dual_potential(problem, out, [marginal(gamma0, i) for i in range(gamma0.agents)], eps)
     return at_input - out.value, problem, out, psi, j_value(psi, gamma0, ball)
@@ -541,25 +496,103 @@ class TestDualPotential:
                     assert np.all(a[0] * ys + b <= envelope + 1e-12 * (1.0 + np.abs(envelope)))
 
     def test_needs_one_dimension(self):
+        # the potential is built in every dimension, and needs one marginal
+        # and one cost weight per agent of the program
         gamma0 = validate_joint_law(ANTI_2D)
-        ball = BallConfig(radius=4.0)
-        problem = build_improvement_problem(
-            gamma0, build_split_grid(gamma0, 1.0, ball), [1.0, 1.0]
-        )
+        stat, problem, out, psi, j = _dual_sandwich(gamma0, [1.0, 1.0], 4.0, 1.0)
+        assert psi.dim == 2
+        assert j >= stat - ZERO_GAP
         margins = [marginal(gamma0, i) for i in range(2)]
         with pytest.raises(DimensionMismatch):
-            dual_potential(problem, solve_problem(problem), margins, [1.0, 1.0])
+            dual_potential(problem, out, margins[:1], [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            dual_potential(problem, out, margins, [1.0])
+
+
+def _plane_draws():
+    """ROADMAP item 4's 16 draws (seed 7): 2-3 atoms of two agents in
+    {-1, 0, 1}^2, with eps drawn from {0.5, 1, 2} and R = 2.5."""
+    rng = np.random.RandomState(7)
+    draws = []
+    for _ in range(16):
+        n = rng.randint(2, 4)
+        pts = rng.randint(-1, 2, size=(n, 2, 2)).astype(float)
+        w = rng.rand(n) + 0.2
+        eps = [float(e) for e in rng.choice([0.5, 1.0, 2.0], 2)]
+        draws.append((_law(pts, w), eps))
+    return draws
+
+
+#: J of draw 1, whose agent 1 has its marginal on the line x = -1; walls of
+#: slope 1e3 stalled the sharing map there.
+DRAW_1_J = {None: 0.013166406470124903, 1.0: 0.06387948076434047, 0.5: 0.0222397854058225}
+
+
+@pytest.mark.parametrize("h", [None, 1.0, 0.5], ids=["default", "1", "1/2"])
+def test_dual_step_bounds_the_plane_draws(h):
+    """On each draw the dual step's J lies between the statistic of the
+    program it reads and the start's J."""
+    ball = BallConfig(radius=2.5)
+    for k, (gamma0, eps) in enumerate(_plane_draws()):
+        step = default_step(gamma0, ball) if h is None else h
+        stat, problem, out, _, _ = _dual_sandwich(gamma0, eps, ball.radius, step)
+        state = minimize_q(gamma0, ball=ball, eps=eps, optimum=(problem, out))
+        assert stat - ZERO_GAP <= state.j <= state.j_history[0]
+        if k == 1:
+            assert state.j == pytest.approx(DRAW_1_J[h], rel=1e-6)
+
+
+#: Three agents in 3-D: agent 0's marginal is one atom, a hull of dimension
+#: 0, and agents 1 and 2 split improvable-2d's law in the plane z = 0.
+DIRAC_3D = [
+    (((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (-1.0, 1.0, 0.0)), 0.5),
+    (((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, -1.0, 0.0)), 0.5),
+]
+#: Agent 0's three atoms lie on the line x = y of the plane z = 0.
+COLLINEAR_3D = [
+    (((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0)), 0.3),
+    (((0.0, 0.0, 0.0), (0.0, 0.0, -1.0)), 0.3),
+    (((1.0, 1.0, 0.0), (-1.0, -1.0, 0.0)), 0.4),
+]
+
+
+@pytest.mark.parametrize(
+    "law, normals",
+    [
+        (DIRAC_3D, [(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)]),
+        (COLLINEAR_3D, [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.5**0.5, -(0.5**0.5), 0.0)]),
+    ],
+    ids=["single-atom", "collinear"],
+)
+def test_walls_off_a_marginal_of_lower_dimension(law, normals):
+    """Agent 0's pieces lie under its points ``(Y_j, -delta_j)``, and a step
+    of length 1 off its atoms' affine hull, along a unit normal ``u``, rises
+    at least ``WALL_SLOPE / sqrt(d - k)`` above the least of them: the walls
+    run along an orthonormal basis of the normals, either way."""
+    gamma0 = validate_joint_law(law)
+    eps = [1.0] * gamma0.agents
+    stat, problem, out, psi, j = _dual_sandwich(gamma0, eps, default_radius(gamma0), 0.5)
+    state = minimize_q(gamma0, eps=eps, optimum=(problem, out))
+    assert stat - ZERO_GAP <= j == state.j < state.j_history[0]
+    Y = marginal(gamma0, 0).support_array()
+    v = -out.duals[problem.marginal_rows[0] : problem.marginal_rows[0] + len(Y)]
+    A, b = psi.piece_arrays(0)
+    assert np.all((Y @ A.T + b).max(axis=1) <= v + 1e-12 * (1.0 + np.abs(v)))
+    rise = WALL_SLOPE / math.sqrt(3 - np.linalg.matrix_rank(Y - Y[0]))
+    for u in normals:
+        assert np.all(((Y + u) @ A.T + b).max(axis=1) >= v.min() + rise * (1.0 - 1e-12))
 
 
 @st.composite
 def _dual_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
     p = draw(st.integers(2, 3))
     n = draw(st.integers(1, 4))
-    pts = draw(st.lists(st.integers(-4, 4), min_size=n * p, max_size=n * p))
+    pts = draw(st.lists(st.integers(-4, 4), min_size=n * p * d, max_size=n * p * d))
     weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
     eps = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=p, max_size=p))
     h = draw(st.sampled_from([0.5, 1.0]))
-    law = _law(np.array(pts, dtype=float).reshape(n, p, 1) / 2.0, np.array(weights, float))
+    law = _law(np.array(pts, dtype=float).reshape(n, p, d) / 2.0, np.array(weights, float))
     return law, eps, h
 
 

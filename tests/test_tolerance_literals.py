@@ -84,8 +84,6 @@ DISTINCT_RULES = {
     "lp.OPT_TOL": "a reduced cost counts as nonnegative",
     "measures.WEIGHT_SUM_TOL": "a weight sum this far from 1 is an input error",
     "measures.BALL_TOL": "relative slack of the ball rule",
-    "qdescent._ZERO_TOL": "the induced marginals match the baseline",
-    "qdescent._DUPLICATE_PIECE_TOL": "a cut duplicates an existing affine piece",
     # 1e-8
     "infconv.DEPENDENCE_RATIO": "sqrt(machine epsilon): slopes count as dependent",
     "lp.FEAS_TOL": "primal residual and phase-1 objective of a feasible program",
